@@ -1,30 +1,18 @@
 // Serving-layer throughput (google-benchmark): a naive single-request
 // loop that rebuilds the structural model per request (what callers did
 // before src/serve/) versus the PredictionService with its compiled-
-// program cache, worker pool, and request coalescing toggled on and off.
-// Results are recorded in BENCH_serve_throughput.json; the headline
-// comparison is BM_BaselineRecompileLoop vs the workers:4/cache:1 rows
-// (items_per_second).
-//
-// Self-check (the ISSUE-6 acceptance bar): on the high-fan-in workload —
-// waves of requests against one model family where every request carries
-// DISTINCT bindings, so coalescing can merge nothing — the request-major
-// fused engine must clear kFusedFloor x the unfused request rate. The
-// gate runs hand-rolled timings before the google-benchmark sweep, lands
-// its numbers in the JSON context block, and exits non-zero on failure.
-// Unoptimized builds report but do not assert (timings are noise there).
+// program cache and worker pool, with dequeue-time coalescing of
+// identical requests on (max_batch 64) and off (max_batch 1). Results
+// are recorded in BENCH_serve_throughput.json; the headline comparison
+// is BM_BaselineRecompileLoop vs the workers:4 rows (items_per_second).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <future>
-#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "measure.hpp"
 #include "cluster/platform.hpp"
 #include "predict/sor_model.hpp"
 #include "serve/service.hpp"
@@ -75,12 +63,11 @@ void BM_BaselineRecompileLoop(benchmark::State& state) {
 BENCHMARK(BM_BaselineRecompileLoop)->UseRealTime();
 
 // Service: submit kBatch requests, wait for all. Arguments select the
-// worker count and toggle the program cache and coalescing.
+// worker count and max_batch (1: every request evaluated alone).
 void BM_ServiceThroughput(benchmark::State& state) {
   serve::ServiceOptions options;
   options.workers = std::size_t(state.range(0));
-  options.enable_cache = state.range(1) != 0;
-  options.enable_coalescing = state.range(2) != 0;
+  options.max_batch = std::size_t(state.range(1));
   options.queue_capacity = 4 * kBatch;
   serve::PredictionService service(options);
   service.register_model("sor", bench_spec());
@@ -109,13 +96,11 @@ void BM_ServiceThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceThroughput)
     ->UseRealTime()
-    ->ArgNames({"workers", "cache", "coalesce"})
-    ->Args({1, 0, 0})
-    ->Args({1, 1, 0})
-    ->Args({1, 1, 1})
-    ->Args({4, 0, 0})
-    ->Args({4, 1, 0})
-    ->Args({4, 1, 1});
+    ->ArgNames({"workers", "max_batch"})
+    ->Args({1, 1})
+    ->Args({1, 64})
+    ->Args({4, 1})
+    ->Args({4, 64});
 
 // Monte-Carlo mode: the request fans out as fixed-size chunks executed on
 // the workers' pooled SoA arenas by the blocked trial-major engine.
@@ -150,180 +135,14 @@ BENCHMARK(BM_ServiceMonteCarloTrials)
     ->Arg(1)
     ->Arg(4);
 
-// --- High fan-in: many distinct clients, one model family ---------------
-
-constexpr std::size_t kFanIn = 256;     ///< distinct requests per wave
-constexpr double kFusedFloor = 2.0;     ///< fused req/s >= floor x unfused
-
-/// Per-request-unique load bindings (within any window of 2048 requests):
-/// no two wave members are coalescable, so merging work across them is
-/// the fused path's job alone.
-std::vector<stoch::StochasticValue> distinct_loads_at(std::size_t i) {
-  std::vector<stoch::StochasticValue> loads;
-  for (std::size_t h = 0; h < kHosts; ++h) {
-    loads.push_back(stoch::StochasticValue(
-        0.4 + 0.0002 * double(i % 2048) + 0.04 * double(h), 0.08));
-  }
-  return loads;
-}
-
-/// Seconds to serve one staged wave of kFanIn distinct-bindings requests,
-/// measured until the CI converges (bench::measure_until: warm-up waves —
-/// program cache, worker arenas — are trimmed by the analysis, reps are
-/// ESS-corrected and CI-driven rather than hand-picked best-of). Timed
-/// resume -> drain (service-side throughput); futures are checked untimed
-/// so main-thread wakeups don't mask the worker-side difference under
-/// test.
-sspred::bench::Measurement measure_fan_in_wave(bool fuse) {
-  serve::ServiceOptions options;
-  options.workers = 4;
-  options.enable_fusion = fuse;
-  options.queue_capacity = 4 * kFanIn;
-  options.start_paused = true;
-  serve::PredictionService service(options);
-  service.register_model("sor", bench_spec());
-
-  std::size_t i = 0;
-  sspred::bench::MeasureOptions mopts;
-  mopts.rel_precision = 0.05;
-  mopts.min_samples = 6;
-  mopts.max_samples = 30;
-  mopts.max_seconds = 3.0;
-  return sspred::bench::measure_until(
-      [&] {
-        service.pause();
-        std::vector<std::future<serve::PredictResult>> futures;
-        futures.reserve(kFanIn);
-        for (std::size_t r = 0; r < kFanIn; ++r) {
-          serve::PredictRequest request;
-          request.model_id = "sor";
-          request.loads = distinct_loads_at(i++);
-          futures.push_back(service.submit(std::move(request)));
-        }
-        const auto start = std::chrono::steady_clock::now();
-        service.resume();
-        service.drain();
-        const std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - start;
-        for (auto& f : futures) {
-          const auto result = f.get();
-          if (!result.ok()) {
-            std::fprintf(stderr, "fan-in gate request failed: %s\n",
-                         result.error.c_str());
-            std::exit(1);
-          }
-          benchmark::DoNotOptimize(result.value);
-        }
-        return dt.count();
-      },
-      mopts);
-}
-
-// The same workload as a recorded google-benchmark row (fuse toggled), so
-// BENCH_serve_throughput.json tracks absolute req/s over time alongside
-// the gate's ratio.
-void BM_ServiceFusedHighFanIn(benchmark::State& state) {
-  serve::ServiceOptions options;
-  options.workers = std::size_t(state.range(0));
-  options.enable_fusion = state.range(1) != 0;
-  options.queue_capacity = 4 * kFanIn;
-  options.start_paused = true;
-  serve::PredictionService service(options);
-  service.register_model("sor", bench_spec());
-
-  std::size_t i = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    service.pause();
-    std::vector<std::future<serve::PredictResult>> futures;
-    futures.reserve(kFanIn);
-    for (std::size_t r = 0; r < kFanIn; ++r) {
-      serve::PredictRequest request;
-      request.model_id = "sor";
-      request.loads = distinct_loads_at(i++);
-      futures.push_back(service.submit(std::move(request)));
-    }
-    state.ResumeTiming();
-    service.resume();
-    for (auto& f : futures) {
-      const auto result = f.get();
-      if (!result.ok()) state.SkipWithError(result.error.c_str());
-      benchmark::DoNotOptimize(result.value);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * std::int64_t(kFanIn));
-  state.counters["fused"] = double(
-      service.metrics().counter("requests_fused").value());
-  const auto& occupancy =
-      service.metrics().histogram("fused_batch_occupancy");
-  state.counters["sweep_lanes_mean"] =
-      occupancy.count() > 0 ? occupancy.mean() : 0.0;
-}
-BENCHMARK(BM_ServiceFusedHighFanIn)
-    ->UseRealTime()
-    ->ArgNames({"workers", "fuse"})
-    ->Args({4, 0})
-    ->Args({4, 1});
-
-std::string fmt2(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2f", v);
-  return buf;
-}
-
 }  // namespace
 
-// Runs the fused-throughput gate first (its numbers become custom context
-// keys in the JSON, which must be registered before benchmarks run), then
-// the google-benchmark sweep. Exit status reflects the gate.
+// Records the build type in the JSON context block, then runs the sweep.
 int main(int argc, char** argv) {
-  const sspred::bench::Measurement unfused = measure_fan_in_wave(false);
-  const sspred::bench::Measurement fused = measure_fan_in_wave(true);
-  const double unfused_s = unfused.mean;
-  const double fused_s = fused.mean;
-  // The GATE compares fastest kept samples — the pre-migration best-of
-  // semantics, least exposed to scheduler interference on small CI
-  // runners — while the reported numbers and CIs describe the trimmed
-  // means (the honest throughput estimate).
-  const double ratio = unfused.min / fused.min;
-  const bool gate_met = ratio >= kFusedFloor;
-  // Only optimized builds assert: debug/sanitizer timings say nothing
-  // about the engine (the JSON still records which build produced them).
-  const bool pass = gate_met || !sspred::bench::optimized_build();
-
   benchmark::AddCustomContext("build_type", sspred::bench::build_type());
-  benchmark::AddCustomContext(
-      "fused_gate", "wave of " + std::to_string(kFanIn) +
-                        " distinct-bindings requests, fused vs unfused");
-  benchmark::AddCustomContext("fused_gate_floor", fmt2(kFusedFloor));
-  benchmark::AddCustomContext("fused_gate_unfused_rps",
-                              fmt2(double(kFanIn) / unfused_s));
-  benchmark::AddCustomContext("fused_gate_fused_rps",
-                              fmt2(double(kFanIn) / fused_s));
-  benchmark::AddCustomContext("fused_gate_ratio", fmt2(ratio));
-  benchmark::AddCustomContext("fused_gate_unfused_ci_rel",
-                              fmt2(unfused.ci_halfwidth / unfused_s));
-  benchmark::AddCustomContext("fused_gate_fused_ci_rel",
-                              fmt2(fused.ci_halfwidth / fused_s));
-  benchmark::AddCustomContext(
-      "fused_gate_measurement",
-      "unfused " + unfused.summary(1e3, "ms") + "; fused " +
-          fused.summary(1e3, "ms"));
-  benchmark::AddCustomContext("fused_gate_pass", pass ? "true" : "false");
-
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-
-  std::printf(
-      "\nfused gate: %zu distinct-bindings requests/wave, "
-      "fused %.0f req/s vs unfused %.0f req/s -> %.2fx (floor %.1fx)\n",
-      kFanIn, double(kFanIn) / fused_s, double(kFanIn) / unfused_s, ratio,
-      kFusedFloor);
-  if (!sspred::bench::optimized_build()) {
-    std::printf("unoptimized build: reporting only, floor not asserted\n");
-  }
-  std::printf("=> %s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  return 0;
 }

@@ -4,7 +4,7 @@
 // Every request travels through the wire codec (encode -> FrameBuffer ->
 // decode) before it reaches PredictionService::submit, and every result
 // travels back the same way, so the measured path is the full stack:
-// frontend codec -> facade routing -> shard admission -> fused execution.
+// frontend codec -> facade routing -> shard admission -> execution.
 // Two transports carry the bytes: `inproc` (frames handed between
 // functions — codec cost without syscalls) and `socket` (a loopback
 // AF_UNIX socket pair per client with a real server thread on the other
@@ -83,7 +83,7 @@ struct GenConfig {
   std::size_t iterations = 30;
   std::size_t model_n = 600;
   std::size_t queue_capacity = 4096;  ///< per shard
-  std::size_t max_batch = 16;         ///< per-sweep lane/coalesce cap
+  std::size_t max_batch = 16;         ///< coalesced requests per evaluation
   bool socket_transport = false;
   bool open_loop = false;
   double open_rate = 500.0;  ///< req/s per client (open loop)
@@ -128,7 +128,7 @@ serve::ModelSpec family_spec(const GenConfig& cfg, std::size_t f) {
 }
 
 /// Distinct bindings per (client, sequence): nothing across clients is
-/// coalescable, so merged work is the fused sweep's alone.
+/// coalescable.
 serve::PredictRequest make_request(const GenConfig& cfg, std::size_t client,
                                    std::size_t seq) {
   serve::PredictRequest request;
@@ -348,17 +348,10 @@ RunStats run_once(const GenConfig& cfg) {
   for (auto& t : servers) t.join();
 
   if (std::getenv("LOADGEN_DEBUG")) {
-    const auto& occ = service.metrics().histogram("fused_batch_occupancy");
-    std::fprintf(stderr,
-                 "    [debug] shards=%zu fused=%llu coalesced=%llu "
-                 "occupancy_mean=%.1f sweeps=%llu\n",
+    std::fprintf(stderr, "    [debug] shards=%zu coalesced=%llu\n",
                  cfg.shards,
                  (unsigned long long)service.metrics()
-                     .counter("requests_fused").value(),
-                 (unsigned long long)service.metrics()
-                     .counter("requests_coalesced").value(),
-                 occ.count() > 0 ? occ.mean() : 0.0,
-                 (unsigned long long)occ.count());
+                     .counter("requests_coalesced").value());
   }
 
   RunStats total;

@@ -13,8 +13,7 @@
 //   sspred_cli serve   --platform platform2 --n 1000 --iters 15
 //                      [--requests R] [--workers W] [--shards S] [--mc-every M]
 //                      [--precision F] [--max-trials T]
-//                      [--seed N] [--no-cache] [--no-coalesce] [--no-fuse]
-//                      [--metrics-json FILE]
+//                      [--seed N] [--metrics-json FILE]
 //   sspred_cli calibrate --platform platform2 --n 1000 --iters 15
 //                      [--trials T] [--seed N] [--source nws|sample|mix]
 //                      [--window W] [--drift-lambda L]
@@ -75,7 +74,6 @@ using namespace sspred;
       "           [--workers W] [--shards S] [--mc-every M] [--seed N]\n"
       "           [--precision F] [--max-trials T]  adaptive MC: stop at\n"
       "           CI half-width <= F * |mean|, clamped to T trials\n"
-      "           [--no-cache] [--no-coalesce] [--no-fuse]\n"
       "           [--metrics-json FILE]\n"
       "           run the prediction service over generated load traces\n"
       "  calibrate --platform P --n N --iters K [--trials T] [--seed N]\n"
@@ -104,8 +102,7 @@ std::map<std::string, std::string> parse_options(int argc, char** argv,
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) usage("unexpected argument: " + key);
     key = key.substr(2);
-    if (key == "breakdown" || key == "no-cache" || key == "no-coalesce" ||
-        key == "no-fuse") {
+    if (key == "breakdown") {
       opts[key] = "1";
       continue;
     }
@@ -352,9 +349,6 @@ int cmd_serve(const std::map<std::string, std::string>& opts) {
   serve::ServiceOptions service_options;
   service_options.workers = workers;
   service_options.shards = shards;
-  service_options.enable_cache = !opts.contains("no-cache");
-  service_options.enable_coalescing = !opts.contains("no-coalesce");
-  service_options.enable_fusion = !opts.contains("no-fuse");
   serve::PredictionService service(service_options);
   service.register_model("sor", model_spec);
 

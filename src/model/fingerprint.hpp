@@ -1,12 +1,12 @@
 // Canonical structural fingerprints.
 //
-// A structural model's identity — for the serving layer's program cache,
-// for grouping structure-equal requests into one fused sweep, and for
-// consistent-hash routing to a shard — is a *fingerprint* of everything
-// that determines the compiled program (and nothing that doesn't, such
-// as runtime load bindings). Before this helper the same serialization
-// was hand-rolled in more than one place (model registration stamped one
-// key, the program cache re-serialized another); Fingerprint is the one
+// A structural model's identity — for the serving layer's program cache
+// and for consistent-hash routing to a shard — is a *fingerprint* of
+// everything that determines the compiled program (and nothing that
+// doesn't, such as runtime load bindings). Before this helper the same
+// serialization was hand-rolled in more than one place (model
+// registration stamped one key, the program cache re-serialized
+// another); Fingerprint is the one
 // canonical builder both use, so two call sites can never drift into
 // disagreeing about what "structurally identical" means.
 //

@@ -48,10 +48,9 @@ void fill_lane(const StochasticValue& v, support::Rng& rng, double* row,
 }  // namespace
 
 SlotEnvironment::SlotEnvironment(
-    std::shared_ptr<const std::vector<std::string>> names)
-    : values_(names->size()),
-      bound_(names->size(), 0),
-      names_(std::move(names)) {}
+    std::shared_ptr<const std::vector<std::string>> names) {
+  reset(std::move(names), kNoLane);
+}
 
 void SlotEnvironment::bind(std::uint32_t slot, StochasticValue value) {
   SSPRED_REQUIRE(slot < values_.size(),
@@ -61,9 +60,21 @@ void SlotEnvironment::bind(std::uint32_t slot, StochasticValue value) {
   bound_[slot] = 1;
 }
 
+void SlotEnvironment::reset(
+    std::shared_ptr<const std::vector<std::string>> names, std::size_t lane) {
+  // assign() reuses capacity, so a pooled lane is allocation-free once it
+  // has seen its largest slot table.
+  values_.assign(names->size(), StochasticValue());
+  bound_.assign(names->size(), 0);
+  names_ = std::move(names);
+  lane_ = lane;
+}
+
 const StochasticValue& SlotEnvironment::lookup(std::uint32_t slot) const {
   if (slot < bound_.size() && bound_[slot] != 0) return values_[slot];
-  std::string msg = "unbound model parameter slot " + std::to_string(slot);
+  std::string msg =
+      lane_ == kNoLane ? std::string() : "lane " + std::to_string(lane_) + ": ";
+  msg += "unbound model parameter slot " + std::to_string(slot);
   if (slot < names_->size()) msg += " ('" + (*names_)[slot] + "')";
   std::vector<std::string> bound_names;
   for (std::size_t s = 0; s < bound_.size(); ++s) {
@@ -75,59 +86,24 @@ const StochasticValue& SlotEnvironment::lookup(std::uint32_t slot) const {
 }
 
 void LaneEnvironment::reset(const Program& program, std::size_t lanes) {
-  names_ = program.slot_names_;
+  while (envs_.size() < lanes) envs_.emplace_back(program.slot_names_);
+  for (std::size_t k = 0; k < lanes; ++k) {
+    envs_[k].reset(program.slot_names_, k);
+  }
   lanes_ = lanes;
-  // assign() reuses capacity, so a serving worker's pooled environment is
-  // allocation-free once it has seen its largest (slots x lanes) shape.
-  values_.assign(names_->size() * lanes, StochasticValue());
-  bound_.assign(names_->size() * lanes, 0);
 }
 
 void LaneEnvironment::bind(std::size_t lane, std::uint32_t slot,
                            StochasticValue value) {
+  (void)this->lane(lane);  // range check
+  envs_[lane].bind(slot, value);
+}
+
+const SlotEnvironment& LaneEnvironment::lane(std::size_t lane) const {
   SSPRED_REQUIRE(lane < lanes_,
                  "lane " + std::to_string(lane) + " out of range (environment "
                  "has " + std::to_string(lanes_) + " lanes)");
-  SSPRED_REQUIRE(slot < slot_count(),
-                 "slot " + std::to_string(slot) + " out of range (program has " +
-                     std::to_string(slot_count()) + " parameter slots)");
-  const std::size_t idx = static_cast<std::size_t>(slot) * lanes_ + lane;
-  values_[idx] = value;
-  bound_[idx] = 1;
-}
-
-void LaneEnvironment::assign_compacted(const LaneEnvironment& src,
-                                       std::span<const std::size_t> lane_ids) {
-  SSPRED_REQUIRE(this != &src, "assign_compacted: source must be distinct");
-  names_ = src.names_;
-  lanes_ = lane_ids.size();
-  const std::size_t slots = names_ ? names_->size() : 0;
-  values_.assign(slots * lanes_, StochasticValue());
-  bound_.assign(slots * lanes_, 0);
-  for (const std::size_t id : lane_ids) {
-    SSPRED_REQUIRE(id < src.lanes_, "assign_compacted: lane id out of range");
-  }
-  for (std::size_t s = 0; s < slots; ++s) {
-    const std::size_t src_row = s * src.lanes_;
-    const std::size_t dst_row = s * lanes_;
-    for (std::size_t i = 0; i < lanes_; ++i) {
-      values_[dst_row + i] = src.values_[src_row + lane_ids[i]];
-      bound_[dst_row + i] = src.bound_[src_row + lane_ids[i]];
-    }
-  }
-}
-
-const StochasticValue& LaneEnvironment::lookup(std::size_t lane,
-                                               std::uint32_t slot) const {
-  if (lane < lanes_ && slot < slot_count()) {
-    const std::size_t idx = static_cast<std::size_t>(slot) * lanes_ + lane;
-    if (bound_[idx] != 0) return values_[idx];
-  }
-  std::string msg = "lane " + std::to_string(lane) +
-                    ": unbound model parameter slot " + std::to_string(slot);
-  if (names_ && slot < names_->size()) msg += " ('" + (*names_)[slot] + "')";
-  SSPRED_REQUIRE(false, msg);
-  return values_[0];  // unreachable
+  return envs_[lane];
 }
 
 std::uint32_t Program::slot(const std::string& name) const {
@@ -366,186 +342,6 @@ StochasticValue Program::evaluate(const SlotEnvironment& env) const {
   return evaluate(env, ws);
 }
 
-// Fused variant of exec_stochastic: ws.values becomes a node-major matrix
-// (vals[node * L + lane]) and every case replicates the single-lane fold
-// verbatim inside a per-lane loop, so each lane's result is bit-identical
-// to exec_stochastic run alone on that lane's bindings.
-void Program::exec_stochastic_fused(const LaneEnvironment& env,
-                                    EvalWorkspace& ws) const {
-  const std::size_t L = env.lanes();
-  StochasticValue* const vals = ws.values.data();
-  const std::uint32_t* const ops = operands_.data();
-  const auto row = [vals, L](std::uint32_t i) {
-    return vals + static_cast<std::size_t>(i) * L;
-  };
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    switch (node.op) {
-      case OpCode::kConst: {
-        StochasticValue* const r = row(i);
-        for (std::size_t l = 0; l < L; ++l) r[l] = constants_[node.payload];
-        break;
-      }
-      case OpCode::kParam: {
-        StochasticValue* const r = row(i);
-        for (std::size_t l = 0; l < L; ++l) {
-          r[l] = env.lookup(l, node.payload);
-        }
-        break;
-      }
-      case OpCode::kSum: {
-        const std::uint32_t* o = ops + node.first;
-        StochasticValue* const r = row(i);
-        for (std::size_t l = 0; l < L; ++l) {
-          double mean = row(o[0])[l].mean();
-          double half = row(o[0])[l].halfwidth();
-          if (node.dep == Dependence::kRelated) {
-            for (std::uint32_t k = 1; k < node.count; ++k) {
-              mean += row(o[k])[l].mean();
-              half += row(o[k])[l].halfwidth();
-            }
-          } else {
-            for (std::uint32_t k = 1; k < node.count; ++k) {
-              mean += row(o[k])[l].mean();
-              const double b = row(o[k])[l].halfwidth();
-              half = std::sqrt(half * half + b * b);
-            }
-          }
-          r[l] = StochasticValue(mean, half);
-        }
-        break;
-      }
-      case OpCode::kProd: {
-        const std::uint32_t* o = ops + node.first;
-        StochasticValue* const r = row(i);
-        for (std::size_t l = 0; l < L; ++l) {
-          double mean = row(o[0])[l].mean();
-          double half = row(o[0])[l].halfwidth();
-          for (std::uint32_t k = 1; k < node.count; ++k) {
-            const StochasticValue& y = row(o[k])[l];
-            if (mean == 0.0 || y.mean() == 0.0) {
-              mean = 0.0;
-              half = 0.0;
-              continue;
-            }
-            const double m = mean * y.mean();
-            if (node.dep == Dependence::kRelated) {
-              half = std::abs(half * y.mean()) +
-                     std::abs(y.halfwidth() * mean) +
-                     std::abs(half * y.halfwidth());
-            } else {
-              const double ra = half / mean;
-              const double rb = y.halfwidth() / y.mean();
-              half = std::abs(m) * std::sqrt(ra * ra + rb * rb);
-            }
-            mean = m;
-          }
-          r[l] = StochasticValue(mean, half);
-        }
-        break;
-      }
-      case OpCode::kMax:
-      case OpCode::kMin: {
-        const std::uint32_t* o = ops + node.first;
-        StochasticValue* const r = row(i);
-        if (node.policy == stoch::ExtremePolicy::kClark) {
-          for (std::size_t l = 0; l < L; ++l) {
-            ws.scratch.clear();
-            for (std::uint32_t k = 0; k < node.count; ++k) {
-              ws.scratch.push_back(row(o[k])[l]);
-            }
-            r[l] = node.op == OpCode::kMax
-                       ? stoch::smax(ws.scratch, node.policy)
-                       : stoch::smin(ws.scratch, node.policy);
-          }
-          break;
-        }
-        for (std::size_t l = 0; l < L; ++l) {
-          std::uint32_t best = o[0];
-          if (node.policy == stoch::ExtremePolicy::kLargestMean) {
-            for (std::uint32_t k = 1; k < node.count; ++k) {
-              if (node.op == OpCode::kMax
-                      ? row(o[k])[l].mean() > row(best)[l].mean()
-                      : row(o[k])[l].mean() < row(best)[l].mean())
-                best = o[k];
-            }
-          } else {
-            for (std::uint32_t k = 1; k < node.count; ++k) {
-              if (node.op == OpCode::kMax
-                      ? row(o[k])[l].upper() > row(best)[l].upper()
-                      : row(o[k])[l].lower() < row(best)[l].lower())
-                best = o[k];
-            }
-          }
-          r[l] = row(best)[l];
-        }
-        break;
-      }
-      case OpCode::kDiv: {
-        StochasticValue* const r = row(i);
-        for (std::size_t l = 0; l < L; ++l) {
-          const StochasticValue& x = row(ops[node.first])[l];
-          const StochasticValue& y = row(ops[node.first + 1])[l];
-          if (y.lower() <= 0.0 && y.upper() >= 0.0) {
-            r[l] = stoch::div(x, y, node.dep);  // throws with full context
-            continue;
-          }
-          const double im = 1.0 / y.mean();
-          const double ih = std::abs(y.halfwidth() / (y.mean() * y.mean()));
-          if (x.mean() == 0.0 || im == 0.0) {
-            r[l] = StochasticValue();
-            continue;
-          }
-          const double m = x.mean() * im;
-          double half = 0.0;
-          if (node.dep == Dependence::kRelated) {
-            half = std::abs(x.halfwidth() * im) + std::abs(ih * x.mean()) +
-                   std::abs(x.halfwidth() * ih);
-          } else {
-            const double ra = x.halfwidth() / x.mean();
-            const double rb = ih / im;
-            half = std::abs(m) * std::sqrt(ra * ra + rb * rb);
-          }
-          r[l] = StochasticValue(m, half);
-        }
-        break;
-      }
-      case OpCode::kIterate: {
-        StochasticValue* const r = row(i);
-        const StochasticValue* const body = row(i - 1);
-        const double n = static_cast<double>(node.payload);
-        for (std::size_t l = 0; l < L; ++l) {
-          const double half = node.dep == Dependence::kRelated
-                                  ? n * body[l].halfwidth()
-                                  : std::sqrt(n) * body[l].halfwidth();
-          r[l] = StochasticValue(n * body[l].mean(), half);
-        }
-        break;
-      }
-      case OpCode::kRef: {
-        StochasticValue* const r = row(i);
-        const StochasticValue* const src = row(node.payload);
-        for (std::size_t l = 0; l < L; ++l) r[l] = src[l];
-        break;
-      }
-    }
-  }
-}
-
-void Program::evaluate_fused(const LaneEnvironment& env, EvalWorkspace& ws,
-                             std::span<StochasticValue> out) const {
-  SSPRED_REQUIRE(env.slot_count() == slot_count(),
-                 "lane environment shape does not match the program (create "
-                 "it with make_lane_environment())");
-  SSPRED_REQUIRE(out.size() == env.lanes(),
-                 "evaluate_fused: out.size() must equal env.lanes()");
-  const std::size_t L = env.lanes();
-  if (L == 0) return;
-  ws.values.resize(nodes_.size() * L);
-  exec_stochastic_fused(env, ws);
-  std::copy_n(ws.values.data() + (nodes_.size() - 1) * L, L, out.begin());
-}
-
 // --- Point walk -----------------------------------------------------------
 
 void Program::exec_point(const SlotEnvironment& env, EvalWorkspace& ws) const {
@@ -614,106 +410,6 @@ double Program::evaluate_point(const SlotEnvironment& env,
 double Program::evaluate_point(const SlotEnvironment& env) const {
   EvalWorkspace ws;
   return evaluate_point(env, ws);
-}
-
-// Fused variant of exec_point over the SoA arena: one L-wide double row per
-// node (ws.lane_values), flat elementwise kernels over the lane dimension.
-// The deterministic point walk has no draw events or skip protocol, so this
-// is a straight transposition of exec_point.
-void Program::exec_point_fused(const LaneEnvironment& env,
-                               EvalWorkspace& ws) const {
-  const std::size_t L = env.lanes();
-  double* const vals = ws.lane_values.data();
-  const std::uint32_t* const ops = operands_.data();
-  const auto row = [vals, L](std::uint32_t i) {
-    return vals + static_cast<std::size_t>(i) * L;
-  };
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    switch (node.op) {
-      case OpCode::kConst:
-        std::fill_n(row(i), L, constants_[node.payload].mean());
-        break;
-      case OpCode::kParam: {
-        double* const r = row(i);
-        for (std::size_t l = 0; l < L; ++l) {
-          r[l] = env.lookup(l, node.payload).mean();
-        }
-        break;
-      }
-      case OpCode::kSum: {
-        double* const r = row(i);
-        std::fill_n(r, L, 0.0);
-        for (std::uint32_t k = 0; k < node.count; ++k) {
-          const double* const b = row(ops[node.first + k]);
-          SSPRED_SIMD_LOOP
-          for (std::size_t l = 0; l < L; ++l) r[l] += b[l];
-        }
-        break;
-      }
-      case OpCode::kProd: {
-        double* const r = row(i);
-        std::fill_n(r, L, 1.0);
-        for (std::uint32_t k = 0; k < node.count; ++k) {
-          const double* const b = row(ops[node.first + k]);
-          SSPRED_SIMD_LOOP
-          for (std::size_t l = 0; l < L; ++l) r[l] *= b[l];
-        }
-        break;
-      }
-      case OpCode::kMax:
-      case OpCode::kMin: {
-        double* const r = row(i);
-        std::copy_n(row(ops[node.first]), L, r);
-        for (std::uint32_t k = 1; k < node.count; ++k) {
-          const double* const b = row(ops[node.first + k]);
-          SSPRED_SIMD_LOOP
-          for (std::size_t l = 0; l < L; ++l) {
-            r[l] = node.op == OpCode::kMax ? std::max(r[l], b[l])
-                                           : std::min(r[l], b[l]);
-          }
-        }
-        break;
-      }
-      case OpCode::kDiv: {
-        const double* const num = row(ops[node.first]);
-        const double* const den = row(ops[node.first + 1]);
-        double* const r = row(i);
-        bool zero = false;
-        for (std::size_t l = 0; l < L; ++l) zero = zero || den[l] == 0.0;
-        SSPRED_REQUIRE(!zero, "point division by zero");
-        SSPRED_SIMD_LOOP
-        for (std::size_t l = 0; l < L; ++l) r[l] = num[l] / den[l];
-        break;
-      }
-      case OpCode::kIterate: {
-        const double n = static_cast<double>(node.payload);
-        const double* const body = row(i - 1);
-        double* const r = row(i);
-        SSPRED_SIMD_LOOP
-        for (std::size_t l = 0; l < L; ++l) r[l] = n * body[l];
-        break;
-      }
-      case OpCode::kRef:
-        std::copy_n(row(node.payload), L, row(i));
-        break;
-    }
-  }
-}
-
-void Program::evaluate_point_fused(const LaneEnvironment& env,
-                                   EvalWorkspace& ws,
-                                   std::span<double> out) const {
-  SSPRED_REQUIRE(env.slot_count() == slot_count(),
-                 "lane environment shape does not match the program (create "
-                 "it with make_lane_environment())");
-  SSPRED_REQUIRE(out.size() == env.lanes(),
-                 "evaluate_point_fused: out.size() must equal env.lanes()");
-  const std::size_t L = env.lanes();
-  if (L == 0) return;
-  ws.lane_values.resize(nodes_.size() * L);
-  exec_point_fused(env, ws);
-  std::copy_n(ws.lane_values.data() + (nodes_.size() - 1) * L, L, out.begin());
 }
 
 // --- Monte-Carlo walk -----------------------------------------------------
@@ -867,97 +563,17 @@ double Program::sample(const SlotEnvironment& env, support::Rng& rng,
 // per-trial sampling semantics — is identical to the scalar walk; only the
 // RNG stream order differs (see SampleOrder::kBlocked in the header).
 
-namespace {
-
-/// Draw-site policy of the single-request blocked walk: every fill spans
-/// the whole occupied row prefix and consumes the one request RNG — the
-/// original exec_blocked behavior, preserved instruction for instruction
-/// (the kBlocked golden-replay tests pin its stream).
-struct SingleFill {
-  const SlotEnvironment* env;
-  support::Rng* rng;
-  void slot(std::uint32_t s, double* row, std::size_t lanes) {
-    fill_lane(env->lookup(s), *rng, row, lanes);
-  }
-  void constant(const StochasticValue& v, double* row, std::size_t lanes) {
-    fill_lane(v, *rng, row, lanes);
-  }
-};
-
-/// Draw-site policy of the fused request-major walk: the occupied row
-/// prefix packs `requests` lanes of `seg` trials each ([k*seg, (k+1)*seg)
-/// belongs to request k), and each request's segment draws from its own
-/// RNG. Because every draw event fills lane k's segment from rngs[k] with
-/// the same width the standalone walk would use, each lane's substream is
-/// the standalone kBlocked stream bit for bit.
-struct FusedFill {
-  const LaneEnvironment* env;
-  support::Rng* rngs;
-  std::size_t requests;
-  std::size_t seg;
-  void slot(std::uint32_t s, double* row, std::size_t /*lanes*/) {
-    for (std::size_t k = 0; k < requests; ++k) {
-      fill_lane(env->lookup(k, s), rngs[k], row + k * seg, seg);
-    }
-  }
-  void constant(const StochasticValue& v, double* row,
-                std::size_t /*lanes*/) {
-    for (std::size_t k = 0; k < requests; ++k) {
-      fill_lane(v, rngs[k], row + k * seg, seg);
-    }
-  }
-};
-
-/// Draw-site policy of the adaptive fused walk: the occupied row prefix
-/// packs the surviving lanes' segments back to back (survivor i occupies
-/// [offsets[i], offsets[i] + widths[i])), and each survivor draws from
-/// its ORIGINAL request's RNG (rng_ids[i] indexes the caller's rngs
-/// array) with its own standalone block width. Every draw event a
-/// surviving lane sees is therefore identical — source RNG, width,
-/// order — to its solo sample_adaptive walk, no matter how many other
-/// lanes have retired and compacted away.
-struct AdaptiveFill {
-  const LaneEnvironment* env;  ///< compacted: lane i is survivor i
-  support::Rng* rngs;          ///< original per-request RNG array
-  const std::size_t* rng_ids;  ///< survivor i -> original request index
-  const std::size_t* offsets;
-  const std::size_t* widths;
-  std::size_t active;
-  void slot(std::uint32_t s, double* row, std::size_t /*lanes*/) {
-    for (std::size_t i = 0; i < active; ++i) {
-      fill_lane(env->lookup(i, s), rngs[rng_ids[i]], row + offsets[i],
-                widths[i]);
-    }
-  }
-  void constant(const StochasticValue& v, double* row,
-                std::size_t /*lanes*/) {
-    for (std::size_t i = 0; i < active; ++i) {
-      fill_lane(v, rngs[rng_ids[i]], row + offsets[i], widths[i]);
-    }
-  }
-};
-
-}  // namespace
-
 void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
                            EvalWorkspace& ws, std::uint32_t lo,
                            std::uint32_t hi, std::size_t lanes) const {
-  SingleFill fill{&env, &rng};
-  exec_blocked_impl(fill, ws, lo, hi, lanes, kBlockTrials);
-}
-
-template <class Fill>
-void Program::exec_blocked_impl(Fill& fill, EvalWorkspace& ws,
-                                std::uint32_t lo, std::uint32_t hi,
-                                std::size_t lanes, std::size_t stride) const {
   double* const vals = ws.lane_values.data();
   double* const slots = ws.lane_slots.data();
   const std::uint32_t* const ops = operands_.data();
-  const auto row = [vals, stride](std::uint32_t i) {
-    return vals + static_cast<std::size_t>(i) * stride;
+  const auto row = [vals](std::uint32_t i) {
+    return vals + static_cast<std::size_t>(i) * kBlockTrials;
   };
-  const auto slot_row = [slots, stride](std::uint32_t s) {
-    return slots + static_cast<std::size_t>(s) * stride;
+  const auto slot_row = [slots](std::uint32_t s) {
+    return slots + static_cast<std::size_t>(s) * kBlockTrials;
   };
   std::uint32_t i = lo;
   while (i < hi) {
@@ -985,9 +601,9 @@ void Program::exec_blocked_impl(Fill& fill, EvalWorkspace& ws,
         for (std::uint32_t rep = 0; rep < node.payload; ++rep) {
           for (std::uint32_t k = 0; k < node.slots_count; ++k) {
             const std::uint32_t s = body_slots_[node.slots_first + k];
-            fill.slot(s, slot_row(s), lanes);
+            fill_lane(env.lookup(s), rng, slot_row(s), lanes);
           }
-          exec_blocked_impl(fill, ws, node.body_begin, target, lanes, stride);
+          exec_blocked(env, rng, ws, node.body_begin, target, lanes);
           const double* const body = row(target - 1);
           SSPRED_SIMD_LOOP
           for (std::size_t t = 0; t < lanes; ++t) acc[t] += body[t];
@@ -1006,7 +622,7 @@ void Program::exec_blocked_impl(Fill& fill, EvalWorkspace& ws,
       case OpCode::kConst:
         // Stochastic constants draw per occurrence (per block), exactly
         // like the scalar walk draws per occurrence per trial.
-        fill.constant(constants_[node.payload], row(i), lanes);
+        fill_lane(constants_[node.payload], rng, row(i), lanes);
         break;
       case OpCode::kParam:
         std::copy_n(slot_row(node.payload), lanes, row(i));
@@ -1089,11 +705,11 @@ void Program::exec_blocked_impl(Fill& fill, EvalWorkspace& ws,
         const std::uint32_t begin = node.body_begin;
         const std::uint32_t target = node.payload;
         const std::size_t span_len =
-            static_cast<std::size_t>(target - begin + 1) * stride;
+            static_cast<std::size_t>(target - begin + 1) * kBlockTrials;
         const std::size_t mark = ws.lane_saved.size();
         ws.lane_saved.insert(ws.lane_saved.end(), row(begin),
                              row(begin) + span_len);
-        exec_blocked_impl(fill, ws, begin, target + 1, lanes, stride);
+        exec_blocked(env, rng, ws, begin, target + 1, lanes);
         std::copy_n(row(target), lanes, row(i));
         std::copy_n(ws.lane_saved.data() + mark, span_len, row(begin));
         ws.lane_saved.resize(mark);
@@ -1169,68 +785,6 @@ StochasticValue Program::sample_trials(const SlotEnvironment& env,
   return sample_trials(env, rng, trials, ws, order);
 }
 
-// --- Fused request-major Monte-Carlo ----------------------------------------
-//
-// sample_fused generalizes the blocked engine's lane dimension from "trials
-// of one request" to "requests x trials": the SoA rows widen to
-// K * kBlockTrials and each block sweep advances every request by one
-// trial sub-block. Request k's segment draws exclusively from rngs[k], in
-// the standalone kBlocked order (prologue slots ascending, then the
-// node-major walk), so the per-lane results — including the per-trial
-// doubles — are bit-identical to K standalone sample_trials(kBlocked)
-// calls. tests/fused_test.cpp pins this differentially.
-
-void Program::sample_fused(const LaneEnvironment& env,
-                           std::span<support::Rng> rngs, std::size_t trials,
-                           EvalWorkspace& ws,
-                           std::span<StochasticValue> out) const {
-  SSPRED_REQUIRE(trials >= 2, "sample_fused needs at least 2 trials");
-  SSPRED_REQUIRE(env.slot_count() == slot_count(),
-                 "lane environment shape does not match the program (create "
-                 "it with make_lane_environment())");
-  SSPRED_REQUIRE(rngs.size() == env.lanes() && out.size() == env.lanes(),
-                 "sample_fused: rngs.size() and out.size() must equal "
-                 "env.lanes()");
-  const std::size_t requests = env.lanes();
-  if (requests == 0) return;
-  // Same fully-folded short-circuit as sample_trials' kBlocked contract:
-  // a point program samples to exactly its constant, drawing nothing.
-  if (nodes_.size() == 1 && nodes_[0].op == OpCode::kConst &&
-      constants_[0].is_point()) {
-    std::fill(out.begin(), out.end(), constants_[0]);
-    return;
-  }
-  const std::size_t stride = requests * kBlockTrials;
-  ws.lane_values.resize(nodes_.size() * stride);
-  ws.lane_slots.resize(slot_count() * stride);
-  ws.trial_results.resize(requests * trials);
-  const auto n = static_cast<std::uint32_t>(nodes_.size());
-  const double* const root =
-      ws.lane_values.data() + static_cast<std::size_t>(n - 1) * stride;
-  std::size_t done = 0;
-  while (done < trials) {
-    const std::size_t seg = std::min(kBlockTrials, trials - done);
-    FusedFill fill{&env, rngs.data(), requests, seg};
-    // Block prologue per lane: every live slot ascending — each request's
-    // substream sees exactly the standalone prologue order and widths.
-    for (const std::uint32_t s : live_slots_) {
-      fill.slot(s, ws.lane_slots.data() + static_cast<std::size_t>(s) * stride,
-                0);
-    }
-    exec_blocked_impl(fill, ws, 0, n, requests * seg, stride);
-    for (std::size_t k = 0; k < requests; ++k) {
-      std::copy_n(root + k * seg, seg,
-                  ws.trial_results.begin() +
-                      static_cast<std::ptrdiff_t>(k * trials + done));
-    }
-    done += seg;
-  }
-  for (std::size_t k = 0; k < requests; ++k) {
-    out[k] = StochasticValue::from_sample(
-        {ws.trial_results.data() + k * trials, trials});
-  }
-}
-
 // --- Adaptive (sequentially stopped) Monte-Carlo ----------------------------
 //
 // sample_adaptive runs the blocked engine in stats::next_block_width
@@ -1239,9 +793,6 @@ void Program::sample_fused(const LaneEnvironment& env,
 // from the seed. A fixed rule walks the exact sample_trials(kBlocked)
 // schedule — same block widths, same draw order — and a precision rule
 // uses doubling checkpoints so easy targets stop in hundreds of trials.
-// sample_adaptive_fused generalizes FusedFill to per-lane segment widths
-// so lanes with different rules (mixed fixed + precision) share one
-// sweep, retiring and compacting converged lanes at block boundaries.
 
 AdaptiveResult Program::sample_adaptive(const SlotEnvironment& env,
                                         support::Rng& rng,
@@ -1298,101 +849,50 @@ AdaptiveResult Program::sample_adaptive(const SlotEnvironment& env,
   return sample_adaptive(env, rng, rule, ws);
 }
 
+// --- Lane-wise entry points -------------------------------------------------
+
+void Program::evaluate_fused(const LaneEnvironment& env, EvalWorkspace& ws,
+                             std::span<StochasticValue> out) const {
+  SSPRED_REQUIRE(out.size() == env.lanes(),
+                 "evaluate_fused: out.size() must equal env.lanes()");
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    out[k] = evaluate(env.lane(k), ws);
+  }
+}
+
+void Program::evaluate_point_fused(const LaneEnvironment& env,
+                                   EvalWorkspace& ws,
+                                   std::span<double> out) const {
+  SSPRED_REQUIRE(out.size() == env.lanes(),
+                 "evaluate_point_fused: out.size() must equal env.lanes()");
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    out[k] = evaluate_point(env.lane(k), ws);
+  }
+}
+
+void Program::sample_fused(const LaneEnvironment& env,
+                           std::span<support::Rng> rngs, std::size_t trials,
+                           EvalWorkspace& ws,
+                           std::span<StochasticValue> out) const {
+  SSPRED_REQUIRE(rngs.size() == env.lanes() && out.size() == env.lanes(),
+                 "sample_fused: rngs.size() and out.size() must equal "
+                 "env.lanes()");
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    out[k] = sample_trials(env.lane(k), rngs[k], trials, ws);
+  }
+}
+
 void Program::sample_adaptive_fused(const LaneEnvironment& env,
                                     std::span<support::Rng> rngs,
                                     std::span<const stats::StopRule> rules,
                                     EvalWorkspace& ws,
                                     std::span<AdaptiveResult> out) const {
-  SSPRED_REQUIRE(env.slot_count() == slot_count(),
-                 "lane environment shape does not match the program (create "
-                 "it with make_lane_environment())");
   SSPRED_REQUIRE(rngs.size() == env.lanes() && rules.size() == env.lanes() &&
                      out.size() == env.lanes(),
                  "sample_adaptive_fused: rngs/rules/out sizes must equal "
                  "env.lanes()");
-  const std::size_t requests = env.lanes();
-  if (requests == 0) return;
-  for (const stats::StopRule& rule : rules) {
-    SSPRED_REQUIRE(rule.max_trials >= 2,
-                   "sample_adaptive_fused needs rule.max_trials >= 2");
-  }
-  if (nodes_.size() == 1 && nodes_[0].op == OpCode::kConst &&
-      constants_[0].is_point()) {
-    std::fill(out.begin(), out.end(),
-              AdaptiveResult{constants_[0], 0, 0.0, true});
-    return;
-  }
-  resize_workspace(ws);
-  if (ws.adaptive_samples.size() < requests) {
-    ws.adaptive_samples.resize(requests);
-  }
-  std::vector<stats::SequentialEstimator> est;
-  est.reserve(requests);
-  for (std::size_t k = 0; k < requests; ++k) {
-    est.emplace_back(rules[k]);
-    ws.adaptive_samples[k].clear();
-  }
-  auto& active = ws.adaptive_active;
-  auto& offsets = ws.adaptive_offsets;
-  auto& widths = ws.adaptive_widths;
-  active.resize(requests);
-  for (std::size_t k = 0; k < requests; ++k) active[k] = k;
-  // Retirement rebuilds a compacted environment over the survivors (in
-  // stable original order); `cur` points at whichever environment the
-  // current sweep should read.
-  LaneEnvironment compact;
-  const LaneEnvironment* cur = &env;
-  const auto n = static_cast<std::uint32_t>(nodes_.size());
-  while (!active.empty()) {
-    const std::size_t count = active.size();
-    offsets.resize(count);
-    widths.resize(count);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t k = active[i];
-      offsets[i] = total;
-      widths[i] = stats::next_block_width(est[k].count(), rules[k],
-                                          kBlockTrials);
-      total += widths[i];
-    }
-    const std::size_t stride = count * kBlockTrials;
-    ws.lane_values.resize(nodes_.size() * stride);
-    ws.lane_slots.resize(slot_count() * stride);
-    const double* const root =
-        ws.lane_values.data() + static_cast<std::size_t>(n - 1) * stride;
-    AdaptiveFill fill{cur,            rngs.data(),   active.data(),
-                      offsets.data(), widths.data(), count};
-    // Block prologue per surviving lane: every live slot ascending, each
-    // lane at its standalone width (see AdaptiveFill).
-    for (const std::uint32_t s : live_slots_) {
-      fill.slot(s, ws.lane_slots.data() + static_cast<std::size_t>(s) * stride,
-                0);
-    }
-    exec_blocked_impl(fill, ws, 0, n, total, stride);
-    // Harvest every survivor's segment, then retire converged lanes at
-    // the block boundary (solo runs check the rule at the same points).
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t k = active[i];
-      auto& samples = ws.adaptive_samples[k];
-      samples.insert(samples.end(), root + offsets[i],
-                     root + offsets[i] + widths[i]);
-      est[k].add({root + offsets[i], widths[i]});
-      if (!est[k].should_stop()) active[keep++] = k;
-    }
-    if (keep != count) {
-      active.resize(keep);
-      if (!active.empty()) {
-        compact.assign_compacted(env, active);
-        cur = &compact;
-      }
-    }
-  }
-  for (std::size_t k = 0; k < requests; ++k) {
-    out[k].value = StochasticValue::from_sample(ws.adaptive_samples[k]);
-    out[k].trials = est[k].count();
-    out[k].ci_halfwidth = est[k].ci_halfwidth();
-    out[k].converged = rules[k].target <= 0.0 || est[k].precision_met();
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    out[k] = sample_adaptive(env.lane(k), rngs[k], rules[k], ws);
   }
 }
 

@@ -23,17 +23,14 @@
 // (tests/compile_test.cpp; the blocked order is pinned by
 // tests/mc_engine_test.cpp).
 //
-// Each entry point also has a *fused request-major* variant
-// (evaluate_fused / evaluate_point_fused / sample_fused) that evaluates N
-// independent sets of bindings — a LaneEnvironment, the slot table
-// columned by request lane — in one sweep over the node buffer,
-// amortizing per-node dispatch across concurrent requests instead of only
-// across the trials of one request. Every fused variant is bit-exact per
-// lane against its single-request counterpart (sample_fused drives one
-// RNG substream per lane, reproducing each lane's standalone kBlocked
-// stream bit for bit), so fusing is a pure throughput optimization: the
-// serving layer batches structure-equal requests into lanes without any
-// observable effect on results (tests/fused_test.cpp pins this).
+// Each entry point also has a lane-wise variant (evaluate_fused /
+// evaluate_point_fused / sample_fused / sample_adaptive_fused) that runs
+// the solo walk once per lane of a LaneEnvironment — one SlotEnvironment
+// per set of bindings — so every lane's result is its solo result, RNG
+// stream included, by construction. The serving layer evaluates each
+// distinct request on its own; the lane-wise calls are for callers
+// holding many bindings of one program at once (the repository
+// benchmark's whatif_mc kernel rung, tests/fused_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -120,7 +117,9 @@ inline constexpr std::size_t kBlockTrials = 1024;
 
 /// Dense parameter bindings for one compiled evaluation: a vector of
 /// stochastic values indexed by slot id, replacing the tree path's
-/// per-evaluation string->value map lookups.
+/// per-evaluation string->value map lookups. Also the one-lane form of a
+/// LaneEnvironment, whose lane k is a SlotEnvironment that knows its
+/// lane index (for error messages).
 class SlotEnvironment {
  public:
   /// An environment with every slot of `names` unbound.
@@ -129,8 +128,9 @@ class SlotEnvironment {
 
   void bind(std::uint32_t slot, stoch::StochasticValue value);
 
-  /// Throws sspred::support::Error naming the slot and listing the bound
-  /// slots when `slot` is out of range or unbound.
+  /// Throws sspred::support::Error naming the slot (and the lane, for a
+  /// lane of a LaneEnvironment) and listing the bound slots when `slot`
+  /// is out of range or unbound.
   [[nodiscard]] const stoch::StochasticValue& lookup(std::uint32_t slot) const;
 
   [[nodiscard]] bool bound(std::uint32_t slot) const noexcept {
@@ -142,18 +142,25 @@ class SlotEnvironment {
   }
 
  private:
+  friend class LaneEnvironment;
+  static constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
+
+  /// Reshapes to `names` with every slot unbound; capacity only grows.
+  void reset(std::shared_ptr<const std::vector<std::string>> names,
+             std::size_t lane);
+
   std::vector<stoch::StochasticValue> values_;
   std::vector<std::uint8_t> bound_;
   std::shared_ptr<const std::vector<std::string>> names_;
+  std::size_t lane_ = kNoLane;  ///< index inside a LaneEnvironment
 };
 
-/// Dense per-lane parameter bindings for a fused request-major evaluation:
-/// the slot table columned by request lane. Storage is slot-major
-/// (values_[slot * lanes + lane]) so the fused kernels and the blocked
-/// sampler's per-slot prologue read one lane run per slot. A default
-/// constructed environment is empty; reset() (re)shapes it for a program
-/// and lane count, retaining capacity, so serving workers reuse one
-/// environment across batches allocation-free after warmup.
+/// Per-lane parameter bindings for the lane-wise entry points: one
+/// SlotEnvironment per lane, so a lane binds and looks up exactly like a
+/// solo environment. A default constructed environment is empty; reset()
+/// (re)shapes it for a program and lane count, retaining capacity, so a
+/// caller reusing one environment across calls binds allocation-free
+/// after warmup.
 class LaneEnvironment {
  public:
   LaneEnvironment() = default;
@@ -162,31 +169,19 @@ class LaneEnvironment {
   /// binding. Capacity only grows.
   void reset(const Program& program, std::size_t lanes);
 
-  /// Reshapes to `lane_ids.size()` lanes copied column-by-column from
-  /// `src` (lane i takes src lane lane_ids[i], bindings included). The
-  /// adaptive fused sampler uses this to compact retired lanes out of
-  /// the sweep between blocks. Capacity only grows.
-  void assign_compacted(const LaneEnvironment& src,
-                        std::span<const std::size_t> lane_ids);
-
+  /// Throws sspred::support::Error when `lane` or `slot` is out of range.
   void bind(std::size_t lane, std::uint32_t slot,
             stoch::StochasticValue value);
 
-  /// Throws sspred::support::Error naming the lane and slot when the slot
-  /// is out of range or unbound in that lane.
-  [[nodiscard]] const stoch::StochasticValue& lookup(std::size_t lane,
-                                                     std::uint32_t slot) const;
+  /// Lane `lane`'s bindings; throws sspred::support::Error when out of
+  /// range.
+  [[nodiscard]] const SlotEnvironment& lane(std::size_t lane) const;
 
   [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
-  [[nodiscard]] std::size_t slot_count() const noexcept {
-    return names_ ? names_->size() : 0;
-  }
 
  private:
-  std::vector<stoch::StochasticValue> values_;  ///< [slot * lanes + lane]
-  std::vector<std::uint8_t> bound_;
+  std::vector<SlotEnvironment> envs_;  ///< lanes_ live, the rest pooled
   std::size_t lanes_ = 0;
-  std::shared_ptr<const std::vector<std::string>> names_;
 };
 
 /// Reusable evaluation buffers. Every Program entry point has an overload
@@ -209,12 +204,6 @@ struct EvalWorkspace {
   std::vector<double> lane_values;              ///< node-major value rows
   std::vector<double> lane_slots;               ///< slot-major draw rows
   std::vector<double> lane_saved;               ///< row save/restore stack
-  // Adaptive-sampling scratch (per-lane sample buffers and bookkeeping;
-  // reused across calls like the arenas above).
-  std::vector<std::vector<double>> adaptive_samples;
-  std::vector<std::size_t> adaptive_active;     ///< surviving lane ids
-  std::vector<std::size_t> adaptive_offsets;    ///< per-lane segment starts
-  std::vector<std::size_t> adaptive_widths;     ///< per-lane segment widths
 };
 
 /// Outcome of one adaptively stopped Monte-Carlo run: the summary plus
@@ -285,39 +274,29 @@ class Program {
                                                const stats::StopRule& rule)
       const;
 
-  // --- Fused request-major evaluation ------------------------------------
+  // --- Lane-wise evaluation ----------------------------------------------
   //
-  // One sweep over the node buffer evaluates env.lanes() independent sets
-  // of bindings. Each fused entry point is bit-exact per lane against its
-  // single-request counterpart, so batching requests into lanes is
-  // observable only as throughput. out.size() must equal env.lanes().
+  // Each entry point runs its single-request counterpart once per lane of
+  // `env`, in lane order, sharing `ws`; out[k] is that counterpart's
+  // result for lane k. out.size() must equal env.lanes().
 
-  /// Fused evaluate(): §2.3 stochastic calculus, one result per lane.
+  /// evaluate() per lane.
   void evaluate_fused(const LaneEnvironment& env, EvalWorkspace& ws,
                       std::span<stoch::StochasticValue> out) const;
 
-  /// Fused evaluate_point(): conventional point prediction per lane.
+  /// evaluate_point() per lane.
   void evaluate_point_fused(const LaneEnvironment& env, EvalWorkspace& ws,
                             std::span<double> out) const;
 
-  /// Fused sample_trials(): `trials` Monte-Carlo samples per lane,
-  /// summarized as mean ± 2sd. Lane k draws exclusively from rngs[k] and
-  /// consumes it in exactly the standalone kBlocked order — the per-lane
-  /// RNG substream contract — so out[k] is bit-identical to
-  /// sample_trials(env_k, rngs[k], trials, kBlocked) run alone.
-  /// rngs.size() must equal env.lanes(); all lanes share one trial count
-  /// (the serving layer only fuses requests with equal trials).
+  /// sample_trials(lane k, rngs[k], trials, kBlocked) per lane: lane k
+  /// draws only from rngs[k]. rngs.size() must equal env.lanes().
   void sample_fused(const LaneEnvironment& env, std::span<support::Rng> rngs,
                     std::size_t trials, EvalWorkspace& ws,
                     std::span<stoch::StochasticValue> out) const;
 
-  /// Fused sample_adaptive(): lane k draws from rngs[k] under rules[k].
-  /// Converged lanes retire at block boundaries and compact out of the
-  /// sweep while unconverged lanes keep drawing from their per-lane RNG
-  /// substreams; every lane's draws, trial count and summary are
-  /// bit-identical to sample_adaptive(env_k, rngs[k], rules[k]) run
-  /// alone, so mixed fixed-count and precision-target batches fuse
-  /// freely. rngs/rules/out sizes must equal env.lanes().
+  /// sample_adaptive(lane k, rngs[k], rules[k]) per lane, so lanes with
+  /// mixed fixed-count and precision rules stop independently.
+  /// rngs/rules/out sizes must equal env.lanes().
   void sample_adaptive_fused(const LaneEnvironment& env,
                              std::span<support::Rng> rngs,
                              std::span<const stats::StopRule> rules,
@@ -386,18 +365,6 @@ class Program {
   void exec_blocked(const SlotEnvironment& env, support::Rng& rng,
                     EvalWorkspace& ws, std::uint32_t lo, std::uint32_t hi,
                     std::size_t lanes) const;
-  /// Shared body of the single-request and fused blocked walks. `Fill`
-  /// supplies the two draw sites (parameter-slot rows and stochastic
-  /// constants); `stride` is the allocated row width (kBlockTrials for the
-  /// single walk, requests * kBlockTrials when fused) and `lanes` the
-  /// occupied prefix of each row.
-  template <class Fill>
-  void exec_blocked_impl(Fill& fill, EvalWorkspace& ws, std::uint32_t lo,
-                         std::uint32_t hi, std::size_t lanes,
-                         std::size_t stride) const;
-  void exec_stochastic_fused(const LaneEnvironment& env,
-                             EvalWorkspace& ws) const;
-  void exec_point_fused(const LaneEnvironment& env, EvalWorkspace& ws) const;
 
   std::vector<Node> nodes_;                       ///< post-order; root last
   std::vector<std::uint32_t> operands_;           ///< group operand node ids

@@ -52,13 +52,15 @@ class AdmissionQueue {
   /// item is left untouched so the caller can still reject its promise.
   [[nodiscard]] Push try_push(T& item) {
     if (closed_.load(std::memory_order_acquire)) return Push::kClosed;
-    // Exact capacity gate: claim a slot in the count first, back out on
-    // overflow. The ring (>= capacity cells) then always has room.
-    if (size_.fetch_add(1, std::memory_order_seq_cst) >=
-        static_cast<std::ptrdiff_t>(capacity_)) {
-      size_.fetch_sub(1, std::memory_order_seq_cst);
-      return Push::kFull;
-    }
+    // Exact capacity gate: claim a slot in the count only while it is
+    // below capacity, so the count never exceeds capacity and a full
+    // queue sheds without touching it. The ring (>= capacity cells) then
+    // always has room.
+    std::ptrdiff_t n = size_.load(std::memory_order_seq_cst);
+    do {
+      if (n >= static_cast<std::ptrdiff_t>(capacity_)) return Push::kFull;
+    } while (
+        !size_.compare_exchange_weak(n, n + 1, std::memory_order_seq_cst));
     const std::size_t pos = enqueue_pos_.fetch_add(1, std::memory_order_relaxed);
     Cell& cell = cells_[pos & mask_];
     // The cell is free once its sequence catches up to our ticket; the
@@ -83,12 +85,17 @@ class AdmissionQueue {
       const auto dif = static_cast<std::ptrdiff_t>(seq) -
                        static_cast<std::ptrdiff_t>(pos + 1);
       if (dif < 0) return false;  // empty (or a producer mid-publish)
-      if (dif == 0 && dequeue_pos_.compare_exchange_weak(
-                          pos, pos + 1, std::memory_order_relaxed)) {
-        break;
+      if (dif == 0) {
+        if (dequeue_pos_.compare_exchange_weak(pos, pos + 1,
+                                               std::memory_order_relaxed)) {
+          break;
+        }
+        // CAS failure reloaded `pos`; retry from there.
+      } else {
+        // Another consumer already took `pos` (its cell has moved on to
+        // the next lap): reload the head, or this loop spins forever.
+        pos = dequeue_pos_.load(std::memory_order_relaxed);
       }
-      // dif > 0 or CAS failure: another consumer advanced; `pos` was
-      // reloaded by compare_exchange_weak, retry from there.
     }
     out = std::move(cell->item);
     cell->item = T{};  // drop promises/buffers eagerly, not on wraparound
@@ -102,9 +109,10 @@ class AdmissionQueue {
     return closed_.load(std::memory_order_acquire);
   }
 
-  /// Elements admitted and not yet popped. Transiently overshoots by
-  /// in-flight pushes that will back out; never undershoots an admitted,
-  /// unpopped element (sized for the sleep/wake emptiness check).
+  /// Elements admitted and not yet popped; never exceeds capacity(). A
+  /// push counts from the moment it passes the capacity gate, so this
+  /// never undershoots an admitted, unpopped element (sized for the
+  /// sleep/wake emptiness check).
   [[nodiscard]] std::size_t size() const {
     const auto n = size_.load(std::memory_order_seq_cst);
     return n > 0 ? static_cast<std::size_t>(n) : 0;

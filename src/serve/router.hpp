@@ -4,10 +4,9 @@
 // structure key (the canonical fingerprint of the model it evaluates, see
 // model/fingerprint.hpp), and all requests for one structure land on one
 // shard. That affinity is what makes sharding an algorithmic win rather
-// than just a parallelism one — a shard's dequeue-time fusion scan only
-// ever sees requests that can actually fuse with each other, its program
-// cache holds exactly the structures it serves, and its completed-
-// prediction FIFOs never interleave families.
+// than just a parallelism one — a shard's program cache holds exactly the
+// structures it serves, and its completed-prediction FIFOs never
+// interleave families.
 //
 // The ring is the classic consistent-hash construction: each shard owns
 // `vnodes` pseudo-random points on the 64-bit ring; a key routes to the

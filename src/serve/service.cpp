@@ -70,9 +70,8 @@ std::future<PredictResult> PredictionService::submit(PredictRequest request) {
   PredictionShard::Job job;
   job.request = std::move(request);
   // Submit-time registration stamp: gives the router the structure key's
-  // hash and the shard's fusion scan a table-free equality proof. Null
-  // (unknown id) routes by id text — deterministically, so the shard
-  // that reports the structured error is stable too.
+  // hash. Null (unknown id) routes by id text — deterministically, so the
+  // shard that reports the structured error is stable too.
   job.model = models_.find(job.request.model_id);
   job.enqueue_time = clock_->now();
   const std::size_t routed = job.model
@@ -81,11 +80,11 @@ std::future<PredictResult> PredictionService::submit(PredictRequest request) {
   std::size_t shard = routed;
   // Work stealing: when one family's stream has piled its home shard's
   // queue `steal_threshold` deeper than the least-loaded shard, spill
-  // onto that shard. Fusion/cache affinity is lost for the stolen
-  // request, but a result now beats a perfectly-fused result later —
-  // and per-request values are shard-independent, so correctness is
-  // untouched. Only available shards are candidates: stealing balances
-  // load, it never overrides an operator's unavailability mark.
+  // onto that shard. Cache affinity is lost for the stolen request, but
+  // a result now beats a cache-warm result later — and per-request
+  // values are shard-independent, so correctness is untouched. Only
+  // available shards are candidates: stealing balances load, it never
+  // overrides an operator's unavailability mark.
   if (options_.steal_threshold > 0 && shards_.size() > 1 &&
       available_[routed].load(std::memory_order_acquire)) {
     const std::size_t depth = shards_[routed]->queue_depth();

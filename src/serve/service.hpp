@@ -11,7 +11,7 @@
 //   routing    — consistent-hash ShardRouter sending every request for
 //                one model structure to one shard        (router.hpp)
 //   execution  — S PredictionShards, each a complete engine: worker
-//                pool, program cache, coalescing/fusion, MC chunk
+//                pool, program cache, coalescing, MC chunk
 //                fan-out, epoch pin, observation FIFO      (shard.hpp)
 //   frontend   — optional wire codec for remote clients     (wire.hpp)
 //

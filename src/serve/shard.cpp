@@ -101,8 +101,6 @@ PredictionShard::PredictionShard(std::size_t index,
           local_.counter("rejected_shard_unavailable")},
       coalesced_{global.counter("requests_coalesced"),
                  local_.counter("requests_coalesced")},
-      requests_fused_{global.counter("requests_fused"),
-                      local_.counter("requests_fused")},
       mc_chunks_{global.counter("mc_chunks_executed"),
                  local_.counter("mc_chunks_executed")},
       mc_trials_saved_{global.counter("mc_trials_saved"),
@@ -140,13 +138,6 @@ PredictionShard::PredictionShard(std::size_t index,
                            static_cast<double>(options.max_batch) + 1.0,
                            std::max<std::size_t>(options.max_batch, 1)),
           local_.histogram("batch_size",
-                           static_cast<double>(options.max_batch) + 1.0,
-                           std::max<std::size_t>(options.max_batch, 1))},
-      fused_occupancy_{
-          global.histogram("fused_batch_occupancy",
-                           static_cast<double>(options.max_batch) + 1.0,
-                           std::max<std::size_t>(options.max_batch, 1)),
-          local_.histogram("fused_batch_occupancy",
                            static_cast<double>(options.max_batch) + 1.0,
                            std::max<std::size_t>(options.max_batch, 1))},
       mc_trials_{global.histogram("mc_trials_executed", 32769.0, 256),
@@ -309,32 +300,6 @@ bool PredictionShard::coalescable(const Job& a, const Job& b) const {
   return true;
 }
 
-bool PredictionShard::fusable(const Job& a, const Job& b) const {
-  const auto& ra = a.request;
-  const auto& rb = b.request;
-  if (ra.mode != rb.mode) return false;
-  const std::uint64_t ea = a.epoch ? a.epoch->version() : 0;
-  const std::uint64_t eb = b.epoch ? b.epoch->version() : 0;
-  if (ea != eb) return false;
-  if (ra.mode == Mode::kMonteCarlo) {
-    // Each lane runs its own trial schedule (the adaptive fused sweep
-    // legalizes unequal trial counts and mixed fixed-count +
-    // precision-target batches; distinct seeds drive per-lane RNG
-    // substreams either way). Chunked requests (trials >
-    // mc_chunk_trials) keep the fan-out path — for a precision target
-    // `trials` is the max clamp, so an oversized clamp runs solo
-    // adaptive instead — and sampling needs at least 2 trials.
-    if (ra.trials < 2 || ra.trials > options_.mc_chunk_trials) return false;
-    if (rb.trials < 2 || rb.trials > options_.mc_chunk_trials) return false;
-  }
-  if (ra.model_id == rb.model_id) return true;
-  // Submit-time registration stamps prove structural equality without
-  // touching the model table (unknown ids carry no stamp, never fuse).
-  return a.model && b.model &&
-         (a.model == b.model ||
-          a.model->structure_key == b.model->structure_key);
-}
-
 void PredictionShard::worker_loop() {
   WorkerState state;
   std::unique_lock lock(mutex_);
@@ -370,57 +335,26 @@ void PredictionShard::worker_loop() {
       lock.unlock();
       execute_chunk(chunk, state);
     } else {
-      std::vector<FusedLane> lanes;
-      lanes.push_back(FusedLane{std::move(staging_.front()), {}});
+      Job job = std::move(staging_.front());
       staging_.pop_front();
-      std::int64_t taken = 1;
-      // Dequeue-time grouping. Each staged job first tries to collapse
-      // onto ANY open lane with identical bindings (one evaluation, result
-      // fanned out) and only then to open a new lane of the fused sweep —
-      // so mixed streams of identical and merely structure-equal requests
-      // fill lanes instead of starving the fused path. Fusion needs the
-      // program cache: the sweep shares one compiled program.
-      const bool fuse = options_.enable_fusion && options_.enable_cache;
-      if (options_.enable_coalescing || fuse) {
-        stage_admitted();  // scan late arrivals too, like the old queue
-        for (auto it = staging_.begin(); it != staging_.end();) {
-          Job& other = *it;
-          bool taken_one = false;
-          if (options_.enable_coalescing) {
-            for (auto& lane : lanes) {
-              if (lane.extra.size() + 1 < options_.max_batch &&
-                  coalescable(lane.job, other)) {
-                lane.extra.push_back(
-                    Pending{other.id, std::move(other.promise)});
-                taken_one = true;
-                break;
-              }
-            }
-          }
-          if (!taken_one && fuse && lanes.size() < options_.max_batch &&
-              fusable(lanes.front().job, other)) {
-            lanes.push_back(FusedLane{std::move(other), {}});
-            taken_one = true;
-          }
-          if (taken_one) {
-            it = staging_.erase(it);
-            ++taken;
-          } else {
-            ++it;
-          }
+      // Dequeue-time coalescing: identical staged requests share this
+      // evaluation, up to max_batch requests in all.
+      std::vector<Pending> extra;
+      stage_admitted();  // scan late arrivals too, like the old queue
+      for (auto it = staging_.begin();
+           it != staging_.end() && extra.size() + 1 < options_.max_batch;) {
+        if (coalescable(job, *it)) {
+          extra.push_back(Pending{it->id, std::move(it->promise)});
+          it = staging_.erase(it);
+        } else {
+          ++it;
         }
       }
-      queue_depth_.add(-taken);
+      queue_depth_.add(-static_cast<std::int64_t>(1 + extra.size()));
       ++busy_;
       workers_busy_.add(1);
       lock.unlock();
-
-      if (lanes.size() > 1) {
-        execute_fused(std::move(lanes), state);
-      } else {
-        execute_job(std::move(lanes.front().job),
-                    std::move(lanes.front().extra), state);
-      }
+      execute_job(std::move(job), std::move(extra), state);
     }
 
     lock.lock();
@@ -439,13 +373,9 @@ CompiledModelPtr PredictionShard::resolve_model(const PredictRequest& request,
   const ModelTable::EntryPtr entry = models_.find(request.model_id);
   if (!entry) models_.throw_unknown(request.model_id);
   if (entry_out != nullptr) *entry_out = entry;
-  if (options_.enable_cache) {
-    const auto lookup = cache_.get_or_compile(entry->spec, entry->structure_key);
-    (lookup.hit ? cache_hits_ : cache_misses_).increment();
-    return lookup.model;
-  }
-  cache_misses_.increment();
-  return std::make_shared<const CompiledModel>(entry->spec);
+  const auto lookup = cache_.get_or_compile(entry->spec, entry->structure_key);
+  (lookup.hit ? cache_hits_ : cache_misses_).increment();
+  return lookup.model;
 }
 
 void PredictionShard::resolve_bindings(
@@ -674,10 +604,7 @@ void PredictionShard::execute_job(Job&& job, std::vector<Pending>&& extra,
       return;
     }
 
-    std::optional<model::ir::SlotEnvironment> local;
-    if (!options_.enable_cache) local.emplace(model->program().make_environment());
-    model::ir::SlotEnvironment& env =
-        options_.enable_cache ? state.env_for(model) : *local;
+    model::ir::SlotEnvironment& env = state.env_for(model);
     bind(env, *model, loads, bwavail);
 
     switch (request.mode) {
@@ -735,185 +662,6 @@ void PredictionShard::execute_job(Job&& job, std::vector<Pending>&& extra,
                job.request.model_id, std::move(overlay));
 }
 
-void PredictionShard::execute_fused(std::vector<FusedLane>&& lanes,
-                                    WorkerState& state) {
-  const std::size_t requests = lanes.size();
-  const Mode mode = lanes.front().job.request.mode;
-
-  // Any condition that prevents serving the whole batch as one sweep —
-  // model churn between submit and dequeue, a binding error in any lane,
-  // an evaluation throw (e.g. sampled division by zero) — falls back to
-  // the per-lane solo path. Solo is the canonical semantics the fused
-  // sweep is bit-exact against, so the fallback preserves per-request
-  // results and error isolation; it only costs the batching win.
-  const auto fall_back_solo = [&] {
-    for (auto& lane : lanes) {
-      execute_job(std::move(lane.job), std::move(lane.extra), state);
-    }
-  };
-
-  CompiledModelPtr model;
-  ModelTable::EntryPtr leader_entry;
-  bool mc_adaptive = false;
-  try {
-    // One registry pass validates the whole sweep instead of a per-lane
-    // resolve: fusable() already proved structural equality from the
-    // submit-time stamps, so here it only remains to guard against a
-    // model id re-registered to a NEW structure between submit and now.
-    // Every lane's id must currently map to the leader's structure key;
-    // then the leader's program is resolved ONCE and shared.
-    const ModelTable::EntryPtr leader =
-        models_.find(lanes.front().job.request.model_id);
-    bool structure_stable = leader != nullptr;
-    for (std::size_t k = 1; structure_stable && k < requests; ++k) {
-      const auto& id = lanes[k].job.request.model_id;
-      if (id == lanes.front().job.request.model_id) continue;
-      const ModelTable::EntryPtr entry = models_.find(id);
-      structure_stable =
-          entry != nullptr && entry->structure_key == leader->structure_key;
-    }
-    if (!structure_stable) {
-      fall_back_solo();
-      return;
-    }
-    // The stamped key skips re-serializing the spec — resolving the
-    // program for a warm sweep is one map lookup, paid once per sweep
-    // rather than once per lane. (execute_fused only runs with the cache
-    // enabled; fusion needs it.)
-    const auto lookup =
-        cache_.get_or_compile(leader->spec, leader->structure_key);
-    (lookup.hit ? cache_hits_ : cache_misses_).increment();
-    model = lookup.model;
-    leader_entry = leader;
-
-    state.lane_env.reset(model->program(), requests);
-    const bool learning = learning_active();
-    if (learning) state.lane_features.resize(requests);
-    for (std::size_t k = 0; k < requests; ++k) {
-      state.lane_loads.clear();
-      stoch::StochasticValue bwavail;
-      resolve_bindings(lanes[k].job, *model, state.lane_loads, bwavail);
-      for (std::size_t p = 0; p < state.lane_loads.size(); ++p) {
-        state.lane_env.bind(k, model->load_slot(p), state.lane_loads[p]);
-      }
-      if (model->uses_bandwidth()) {
-        state.lane_env.bind(k, model->bwavail_slot(), bwavail);
-      }
-      if (learning) {
-        // Per-lane features extracted now, while the lane's resolved
-        // bindings are in scope; consumed at result fan-out below.
-        learn::extract_features(state.lane_loads, bwavail,
-                                model->uses_bandwidth(),
-                                state.lane_features[k]);
-      }
-    }
-
-    switch (mode) {
-      case Mode::kStochastic: {
-        state.fused_values.resize(requests);
-        model->program().evaluate_fused(
-            state.lane_env, state.ws,
-            {state.fused_values.data(), requests});
-        break;
-      }
-      case Mode::kPoint: {
-        state.fused_points.resize(requests);
-        model->program().evaluate_point_fused(
-            state.lane_env, state.ws,
-            {state.fused_points.data(), requests});
-        break;
-      }
-      case Mode::kMonteCarlo: {
-        state.fused_values.resize(requests);
-        state.rngs.clear();
-        for (const auto& lane : lanes) {
-          state.rngs.emplace_back(lane.job.request.seed);
-        }
-        for (const auto& lane : lanes) {
-          const auto& r = lane.job.request;
-          if (r.precision > 0.0 ||
-              r.trials != lanes.front().job.request.trials) {
-            mc_adaptive = true;
-            break;
-          }
-        }
-        if (mc_adaptive) {
-          // Mixed fixed/precision lanes (or unequal trial counts): the
-          // adaptive fused sweep runs each lane's own stop rule,
-          // retiring converged lanes at block boundaries; every lane
-          // stays bit-exact against its solo run.
-          state.rules.clear();
-          for (const auto& lane : lanes) {
-            state.rules.push_back(stop_rule_for(lane.job.request));
-          }
-          state.adaptive.resize(requests);
-          model->program().sample_adaptive_fused(
-              state.lane_env, {state.rngs.data(), requests},
-              {state.rules.data(), requests}, state.ws,
-              {state.adaptive.data(), requests});
-          for (std::size_t k = 0; k < requests; ++k) {
-            state.fused_values[k] = state.adaptive[k].value;
-          }
-        } else {
-          model->program().sample_fused(
-              state.lane_env, {state.rngs.data(), requests},
-              lanes.front().job.request.trials, state.ws,
-              {state.fused_values.data(), requests});
-        }
-        break;
-      }
-    }
-  } catch (const std::exception&) {
-    fall_back_solo();
-    return;
-  }
-
-  fused_occupancy_.observe(static_cast<double>(requests));
-  for (std::size_t k = 0; k < requests; ++k) {
-    auto& lane = lanes[k];
-    PredictResult base;
-    base.status = PredictResult::Status::kOk;
-    base.epoch_version = lane.job.epoch ? lane.job.epoch->version() : 0;
-    base.batch_size = 1 + lane.extra.size();
-    if (mode == Mode::kPoint) {
-      base.point = state.fused_points[k];
-      base.value = stoch::StochasticValue(base.point);
-    } else {
-      base.value = state.fused_values[k];
-      base.point = base.value.mean();
-    }
-    if (mode == Mode::kMonteCarlo) {
-      const auto& request = lane.job.request;
-      if (mc_adaptive && request.precision > 0.0) {
-        base.mc_trials = state.adaptive[k].trials;
-        base.mc_ci_halfwidth = state.adaptive[k].ci_halfwidth;
-        base.precision_met = state.adaptive[k].converged;
-      } else {
-        // Fixed-count lanes stamp the same derived width as the solo
-        // sample_trials path, keeping fused and solo results identical
-        // field for field.
-        base.mc_trials = request.trials;
-        base.mc_ci_halfwidth =
-            base.value.halfwidth() /
-            std::sqrt(static_cast<double>(request.trials));
-      }
-      record_mc(request, base.mc_trials);
-    }
-    LearnOverlay overlay;
-    if (learning_active()) {
-      overlay.features = std::move(state.lane_features[k]);
-      apply_learning(leader_entry->structure_key, lane.job.request.model_id,
-                     base, overlay);
-    }
-    if (!lane.extra.empty()) coalesced_.increment(lane.extra.size());
-    batch_sizes_.observe(static_cast<double>(base.batch_size));
-    requests_fused_.increment(base.batch_size);
-    lane.extra.push_back(Pending{lane.job.id, std::move(lane.job.promise)});
-    finish_batch(lane.extra, std::move(base), lane.job.enqueue_time,
-                 lane.job.request.model_id, std::move(overlay));
-  }
-}
-
 stats::StopRule PredictionShard::stop_rule_for(const PredictRequest& request) {
   stats::StopRule rule;
   rule.target = request.precision;
@@ -940,12 +688,7 @@ void PredictionShard::execute_chunk(const McChunk& chunk, WorkerState& state) {
   double sum = 0.0;
   double sum_sq = 0.0;
   try {
-    std::optional<model::ir::SlotEnvironment> local;
-    if (!options_.enable_cache) {
-      local.emplace(shared.model->program().make_environment());
-    }
-    model::ir::SlotEnvironment& env =
-        options_.enable_cache ? state.env_for(shared.model) : *local;
+    model::ir::SlotEnvironment& env = state.env_for(shared.model);
     bind(env, *shared.model, shared.loads, shared.bwavail);
     support::Rng rng(chunk_seed(shared.seed, chunk.index));
     // Whole-block execution on the worker's pooled SoA arenas: after the

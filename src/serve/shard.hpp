@@ -5,12 +5,11 @@
 // (service.hpp) owns a ShardRouter and S PredictionShards; each shard
 // owns the full per-request machinery the old monolith had — a
 // lock-free bounded AdmissionQueue, a worker pool, a structure-keyed
-// ProgramCache, dequeue-time coalescing/fusion, Monte-Carlo chunk
-// fan-out, its own bindings-epoch pin and completed-prediction FIFO —
-// over a *structure-affine* slice of the request stream: consistent-hash
-// routing sends every request for one model structure to one shard, so a
-// shard's fusion scan only ever sees requests that can actually fuse,
-// and its program cache holds exactly the structures it serves.
+// ProgramCache, dequeue-time coalescing, Monte-Carlo chunk fan-out, its
+// own bindings-epoch pin and completed-prediction FIFO — over a
+// *structure-affine* slice of the request stream: consistent-hash
+// routing sends every request for one model structure to one shard, so
+// its program cache holds exactly the structures it serves.
 //
 // Determinism: a shard processes its slice exactly as the unsharded
 // service processed the whole stream (same scan, same kernels, same
@@ -62,24 +61,16 @@ struct ServiceOptions {
   std::size_t queue_capacity = 1024;
   /// Virtual nodes per shard on the routing ring (see router.hpp).
   std::size_t router_vnodes = 64;
-  /// Share compiled programs across requests/ids (the program cache).
-  /// Off: every request compiles its model from scratch (bench baseline).
-  bool enable_cache = true;
-  /// Coalesce identical queued (model, epoch, bindings) requests into one
-  /// evaluation at dequeue time.
-  bool enable_coalescing = true;
-  /// Fuse queued structure-equal requests with *distinct* bindings into the
-  /// lanes of one request-major kernel sweep at dequeue time (bit-exact per
-  /// request; see ir::Program::sample_fused). Needs the program cache
-  /// (fusion shares one compiled program across lanes), so enable_cache
-  /// off disables it too.
-  bool enable_fusion = true;
-  std::size_t max_batch = 64;  ///< coalesced/fused requests per evaluation
+  /// Requests per evaluation: at dequeue, queued requests identical to
+  /// the dequeued one (same model, epoch, bindings and sampling
+  /// parameters) coalesce onto its evaluation, up to this many in all.
+  /// 1 evaluates every request alone.
+  std::size_t max_batch = 64;
   /// Work stealing between co-located shards: when the routed shard's
   /// admission backlog exceeds the least-loaded available shard's by at
   /// least this many requests, the request is submitted to that shard
   /// instead (counted as requests_stolen). Trades structure affinity
-  /// (fusion/cache locality on the thief) for queue balance under skewed
+  /// (cache locality on the thief) for queue balance under skewed
   /// family load; per-request results stay bit-exact on any shard.
   /// 0 disables stealing — affinity is strict.
   std::size_t steal_threshold = 0;
@@ -148,9 +139,9 @@ class ModelTable {
 class PredictionShard {
  public:
   /// One external request owned by the stack. The facade stamps id,
-  /// enqueue_time and the submit-time model entry (null: unknown id —
-  /// never fuses; the solo path reports the structured error); the shard
-  /// pins the bindings epoch at admission.
+  /// enqueue_time and the submit-time model entry it routed by (null:
+  /// unknown id; execution reports the structured error); the shard pins
+  /// the bindings epoch at admission.
   struct Job {
     PredictRequest request;
     std::promise<PredictResult> promise;
@@ -241,14 +232,6 @@ class PredictionShard {
     std::promise<PredictResult> promise;
   };
 
-  /// One lane of a fused request-major evaluation: a distinct-bindings
-  /// request plus the promises of identical requests collapsed onto it
-  /// (those fan the lane's single result out).
-  struct FusedLane {
-    Job job;
-    std::vector<Pending> extra;
-  };
-
   /// Learning payload of one successful evaluation: the candidate values
   /// and feature vector carried from execute time to report_observation
   /// (where the bank trains and the arbiter scores). Inactive (and
@@ -296,29 +279,16 @@ class PredictionShard {
              std::pair<CompiledModelPtr, model::ir::SlotEnvironment>>
         envs;
     model::ir::EvalWorkspace ws;
-    // Fused-path pools, reused across batches (allocation-free once warm).
-    model::ir::LaneEnvironment lane_env;
-    std::vector<support::Rng> rngs;
-    std::vector<stoch::StochasticValue> fused_values;
-    std::vector<double> fused_points;
-    std::vector<stoch::StochasticValue> lane_loads;
-    std::vector<std::vector<double>> lane_features;  ///< learning only
-    // Adaptive-precision pools (mixed fixed/precision fused sweeps).
-    std::vector<stats::StopRule> rules;
-    std::vector<model::ir::AdaptiveResult> adaptive;
 
     [[nodiscard]] model::ir::SlotEnvironment& env_for(
         const CompiledModelPtr& model);
   };
 
   void worker_loop();
+  /// Evaluates `job` once and fulfills its promise and the `extra`
+  /// promises of the identical requests coalesced onto it.
   void execute_job(Job&& job, std::vector<Pending>&& extra,
                    WorkerState& state);
-  /// Runs `lanes` (>= 2, pairwise fusable) as one fused sweep; falls back
-  /// to per-lane execute_job — the canonical solo path — when the batch
-  /// cannot be served as one sweep (model churn, binding errors, an
-  /// evaluation throw in any lane).
-  void execute_fused(std::vector<FusedLane>&& lanes, WorkerState& state);
   void execute_chunk(const McChunk& chunk, WorkerState& state);
   /// The request's sequential stop rule: precision target + relative flag,
   /// `min_trials` floor, `trials` as the max clamp (a fixed rule when no
@@ -329,7 +299,7 @@ class PredictionShard {
   /// the trials-saved counter (clamp minus executed). Once per evaluation.
   void record_mc(const PredictRequest& request, std::size_t executed);
   /// Resolves the request's model against the CURRENT registration
-  /// (cache or fresh compile per options); submit-time stamps only group.
+  /// through the program cache; submit-time stamps only route.
   /// `entry_out` (optional) receives the registration snapshot resolved
   /// against — the learning overlay reads its stamped structure key.
   [[nodiscard]] CompiledModelPtr resolve_model(
@@ -367,11 +337,6 @@ class PredictionShard {
                            const stoch::StochasticValue& value,
                            const LearnOverlay& overlay);
   [[nodiscard]] bool coalescable(const Job& a, const Job& b) const;
-  /// Whether two non-identical jobs can share one fused sweep: same mode
-  /// and epoch version, same compiled structure (same model id or equal
-  /// submit-time structure stamps), and for Monte-Carlo the same
-  /// unchunked trial count (chunked requests keep the fan-out path).
-  [[nodiscard]] bool fusable(const Job& a, const Job& b) const;
   /// Rejects `job` with `reason` text, bumping `why` (and the rolled-up
   /// rejection counters).
   void reject(Job&& job, DualCounter& why, std::string reason);
@@ -399,7 +364,7 @@ class PredictionShard {
   mutable std::mutex mutex_;
   std::condition_variable cv_;       ///< work available / state change
   std::condition_variable idle_cv_;  ///< queues empty + workers idle
-  /// Admitted jobs staged for the dequeue-time coalesce/fuse scan (the
+  /// Admitted jobs staged for the dequeue-time coalescing scan (the
   /// ring itself is not scannable; workers drain it here first).
   std::deque<Job> staging_;
   std::deque<McChunk> chunks_;  ///< internal MC chunks; jump the queue
@@ -430,7 +395,6 @@ class PredictionShard {
   DualCounter rejected_stopped_;
   DualCounter rejected_shard_unavailable_;
   DualCounter coalesced_;
-  DualCounter requests_fused_;
   DualCounter mc_chunks_;
   /// Trials a precision target let the engine skip (request clamp minus
   /// executed count, summed over adaptive evaluations).
@@ -453,7 +417,6 @@ class PredictionShard {
   DualGauge workers_busy_;
   DualHistogram latency_;
   DualHistogram batch_sizes_;
-  DualHistogram fused_occupancy_;
   /// Monte-Carlo trials actually executed per evaluation (adaptive stops
   /// show up as mass below the requested clamp).
   DualHistogram mc_trials_;

@@ -1,12 +1,12 @@
 // Tests for the multi-node serving tier (src/dserve/): fault-plan
 // parsing and link fault injection, the ServingNode wire surface
-// (crash/restart lifecycle, garbage tolerance), Membership health
-// fusion, and the ClusterFrontend end to end — healthy-cluster
-// bit-exactness vs a single-node service, failover determinism across a
-// mid-stream crash (no accepted request lost, identical ids + values),
-// epoch convergence after a restart ("partition heal"), node-prefixed
-// metrics nesting, observation forwarding, and a concurrent
-// clients-vs-faults stress (TSan target).
+// (crash/restart lifecycle, garbage tolerance), Membership's health
+// state from request outcomes and heartbeats, and the ClusterFrontend
+// end to end — healthy-cluster bit-exactness vs a single-node service,
+// failover determinism across a mid-stream crash (no accepted request
+// lost, identical ids + values), epoch convergence after a restart
+// ("partition heal"), node-prefixed metrics nesting, observation
+// forwarding, and a concurrent clients-vs-faults stress (TSan target).
 #include <gtest/gtest.h>
 
 #include <atomic>

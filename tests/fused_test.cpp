@@ -1,17 +1,16 @@
-// Tests for the fused request-major evaluation path: the IR's
+// Tests for the lane-wise evaluation entry points — the IR's
 // LaneEnvironment + evaluate_fused / evaluate_point_fused / sample_fused
-// (model/ir.hpp) and the serving layer's structure-keyed fused dequeue
-// grouping (serve/service.hpp).
+// (model/ir.hpp) — and for serving staged batches of structure-equal
+// requests (serve/service.hpp).
 //
-// The contract under test is DETERMINISM: every fused entry point must be
-// bit-exact per lane against its single-request counterpart, and
+// The contract under test is DETERMINISM: every lane-wise entry point must
+// be bit-exact per lane against its single-request counterpart, and
 // sample_fused must consume each lane's RNG in exactly the standalone
-// kBlocked order (the per-lane substream contract) — so the serving layer
-// can batch structure-equal requests into lanes without any observable
-// effect beyond throughput. The differential tests here drive random
-// expression DAGs through both paths and require bit equality, including
-// the post-run RNG states. ServeFused.* are the service-level pins (and
-// the TSan stress target for concurrent submit during fused dequeue).
+// kBlocked order. The differential tests here drive random expression
+// DAGs through both paths and require bit equality, including the
+// post-run RNG states. ServeFused.* pin that a staged batch of distinct
+// and identical requests serves exactly what one-at-a-time serving does
+// (and are the TSan stress target for concurrent submit during dequeue).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,9 +36,9 @@ using stoch::Dependence;
 using stoch::ExtremePolicy;
 using stoch::StochasticValue;
 
-/// Random expression DAGs exercising every opcode the fused kernels
-/// implement: sums/products/quotients/extremes/iterates over a small
-/// parameter pool with occasional subtree reuse (kRef regions).
+/// Random expression DAGs exercising every opcode:
+/// sums/products/quotients/extremes/iterates over a small parameter pool
+/// with occasional subtree reuse (kRef regions).
 ExprPtr random_expr(support::Rng& rng, int depth, std::vector<ExprPtr>& pool) {
   static const std::string kParams[] = {"a", "b", "c"};
   if (depth <= 0 || rng.uniform() < 0.25) {
@@ -149,7 +148,7 @@ TEST(FusedEngine, SampleFusedBitMatchesStandaloneBlockedOnRandomDags) {
       expect_sv_eq(out[k],
                    prog.sample_trials(solos[k], solo_rngs[k], trials, solo_ws),
                    what);
-      // The substream contract: the fused sweep consumed lane k's RNG
+      // The substream contract: the lane-wise call consumed lane k's RNG
       // exactly as far as the standalone run did.
       EXPECT_DOUBLE_EQ(rngs[k].uniform(), solo_rngs[k].uniform())
           << what << " rng state";
@@ -251,6 +250,9 @@ TEST(FusedEngine, LaneEnvironmentErrorsNameLaneAndSlot) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("lane 1"), std::string::npos) << msg;
     EXPECT_NE(msg.find("'b'"), std::string::npos) << msg;
+    // Lane 1's own bindings are listed, not lane 0's.
+    EXPECT_NE(msg.find("bound: a"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("bound: a, b"), std::string::npos) << msg;
   }
   EXPECT_THROW(env.bind(2, 0, StochasticValue(1.0)), std::exception);
 }
@@ -273,7 +275,7 @@ ModelSpec small_spec(std::size_t n = 200, std::size_t hosts = 2) {
 }
 
 /// Distinct-bindings request `i` against model `id` (same structure,
-/// different load vector — the fused path's target workload).
+/// different load vector).
 PredictRequest distinct_request(const std::string& id, std::size_t hosts,
                                 std::size_t i, Mode mode = Mode::kStochastic) {
   PredictRequest request;
@@ -300,33 +302,32 @@ void expect_result_eq(const PredictResult& a, const PredictResult& b,
 }
 
 TEST(ServeFused, FusedResultsBitMatchTheUnfusedService) {
+  // A staged batch of distinct-bindings requests serves exactly what a
+  // service evaluating every request alone (max_batch 1) serves.
   for (const Mode mode : {Mode::kStochastic, Mode::kPoint, Mode::kMonteCarlo}) {
-    ServiceOptions fused_options;
-    fused_options.workers = 2;
-    fused_options.start_paused = true;
-    ServiceOptions solo_options = fused_options;
-    solo_options.enable_fusion = false;
-    PredictionService fused(fused_options);
+    ServiceOptions batched_options;
+    batched_options.workers = 2;
+    batched_options.start_paused = true;
+    ServiceOptions solo_options = batched_options;
+    solo_options.max_batch = 1;
+    PredictionService batched(batched_options);
     PredictionService solo(solo_options);
-    fused.register_model("sor", small_spec());
+    batched.register_model("sor", small_spec());
     solo.register_model("sor", small_spec());
 
     constexpr std::size_t kRequests = 24;
-    std::vector<std::future<PredictResult>> ff, sf;
+    std::vector<std::future<PredictResult>> bf, sf;
     for (std::size_t i = 0; i < kRequests; ++i) {
-      ff.push_back(fused.submit(distinct_request("sor", 2, i, mode)));
+      bf.push_back(batched.submit(distinct_request("sor", 2, i, mode)));
       sf.push_back(solo.submit(distinct_request("sor", 2, i, mode)));
     }
-    fused.resume();
+    batched.resume();
     solo.resume();
     for (std::size_t i = 0; i < kRequests; ++i) {
-      expect_result_eq(ff[i].get(), sf[i].get(),
+      expect_result_eq(bf[i].get(), sf[i].get(),
                        "mode " + std::to_string(int(mode)) + " request " +
                            std::to_string(i));
     }
-    // Staged distinct-bindings requests actually took the fused path.
-    EXPECT_GT(fused.metrics().counter("requests_fused").value(), 0u);
-    EXPECT_EQ(solo.metrics().counter("requests_fused").value(), 0u);
   }
 }
 
@@ -372,8 +373,7 @@ TEST(ServeFused, MixedIdenticalAndStructureEqualRequestsShareOneSweep) {
   options.start_paused = true;
   PredictionService service(options);
   service.register_model("sor", small_spec());
-  // Two ids, same structure: fusion groups across ids by structure key.
-  service.register_model("sor-alias", small_spec());
+  service.register_model("sor-alias", small_spec());  // same structure
 
   const auto a = distinct_request("sor", 2, 0);
   const auto b = distinct_request("sor", 2, 1);
@@ -385,9 +385,8 @@ TEST(ServeFused, MixedIdenticalAndStructureEqualRequestsShareOneSweep) {
   service.resume();
   service.drain();
 
-  // Identical requests collapsed onto their lane (one evaluation, result
-  // fanned out); distinct bindings and the structure-equal alias joined
-  // as further lanes of ONE fused sweep.
+  // Identical requests collapsed onto one evaluation (result fanned out);
+  // distinct bindings and the structure-equal alias evaluated alone.
   for (auto& f : fa) {
     const auto r = f.get();
     ASSERT_TRUE(r.ok()) << r.error;
@@ -400,59 +399,11 @@ TEST(ServeFused, MixedIdenticalAndStructureEqualRequestsShareOneSweep) {
   }
   EXPECT_EQ(fc[0].get().batch_size, 1u);
   EXPECT_EQ(service.metrics().counter("requests_coalesced").value(), 3u);
-  EXPECT_EQ(service.metrics().counter("requests_fused").value(), 6u);
-  const auto& occupancy =
-      service.metrics().histogram("fused_batch_occupancy");
-  EXPECT_EQ(occupancy.count(), 1u);  // one sweep...
-  EXPECT_DOUBLE_EQ(occupancy.min(), 3.0);  // ...of three lanes
-  EXPECT_DOUBLE_EQ(occupancy.max(), 3.0);
-}
-
-TEST(ServeFused, OccupancyHistogramEdges) {
-  {
-    // Fusion off: the histogram stays empty however many requests run.
-    ServiceOptions options;
-    options.workers = 2;
-    options.enable_fusion = false;
-    PredictionService service(options);
-    service.register_model("sor", small_spec());
-    std::vector<std::future<PredictResult>> futures;
-    for (std::size_t i = 0; i < 8; ++i) {
-      futures.push_back(service.submit(distinct_request("sor", 2, i)));
-    }
-    for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-    EXPECT_EQ(service.metrics().histogram("fused_batch_occupancy").count(),
-              0u);
-    EXPECT_EQ(service.metrics().counter("requests_fused").value(), 0u);
-  }
-  {
-    // Full occupancy: max_batch distinct requests -> one full sweep; the
-    // overflow request lands in a later (smaller) one.
-    ServiceOptions options;
-    options.workers = 1;
-    options.max_batch = 4;
-    options.start_paused = true;
-    PredictionService service(options);
-    service.register_model("sor", small_spec());
-    std::vector<std::future<PredictResult>> futures;
-    for (std::size_t i = 0; i < 5; ++i) {
-      futures.push_back(service.submit(distinct_request("sor", 2, i)));
-    }
-    service.resume();
-    for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-    service.drain();
-    const auto& occupancy =
-        service.metrics().histogram("fused_batch_occupancy");
-    EXPECT_EQ(occupancy.count(), 1u);  // 4 lanes fused; the 5th ran solo
-    EXPECT_DOUBLE_EQ(occupancy.max(), 4.0);
-    EXPECT_EQ(service.metrics().counter("requests_fused").value(), 4u);
-  }
 }
 
 TEST(ServeFused, LaneErrorsFallBackToSoloResultsAndIsolation) {
-  // A lane whose bindings cannot resolve (wrong load count) must get its
-  // structured error while its fused siblings still succeed — via the
-  // whole-batch solo fallback.
+  // A request whose bindings cannot resolve (wrong load count) must get
+  // its structured error while the requests staged beside it succeed.
   ServiceOptions options;
   options.workers = 1;
   options.start_paused = true;
@@ -472,10 +423,10 @@ TEST(ServeFused, LaneErrorsFallBackToSoloResultsAndIsolation) {
   EXPECT_TRUE(r1.ok()) << r1.error;
   EXPECT_EQ(rb.status, PredictResult::Status::kError);
   EXPECT_NE(rb.error.find("load bindings"), std::string::npos) << rb.error;
-  // And the fallback results bit-match an unfused service.
+  // And the results bit-match a service evaluating every request alone.
   ServiceOptions solo_options;
   solo_options.workers = 1;
-  solo_options.enable_fusion = false;
+  solo_options.max_batch = 1;
   PredictionService solo(solo_options);
   solo.register_model("sor", small_spec());
   const auto s0 = solo.submit(distinct_request("sor", 2, 0)).get();
@@ -486,8 +437,8 @@ TEST(ServeFused, LaneErrorsFallBackToSoloResultsAndIsolation) {
 
 TEST(ServeFused, ConcurrentSubmittersDuringFusedDequeueAreRaceFree) {
   // TSan stress: submitters pushing a mix of identical and distinct
-  // structure-equal requests race the workers' fused dequeue scans and a
-  // publisher flipping epochs. Every future must resolve.
+  // structure-equal requests race the workers' dequeue scans. Every
+  // future must resolve.
   ServiceOptions options;
   options.workers = 4;
   options.max_batch = 8;
@@ -501,8 +452,8 @@ TEST(ServeFused, ConcurrentSubmittersDuringFusedDequeueAreRaceFree) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
       for (std::size_t i = 0; i < kPerThread; ++i) {
-        // Every third request repeats bindings (coalesce lane collapse);
-        // the rest are distinct (fresh lanes). Alternate modes.
+        // Every third request repeats bindings (coalescable); the rest
+        // are distinct. Alternate modes.
         const std::size_t variant = (i % 3 == 0) ? 0 : t * kPerThread + i;
         const Mode mode =
             i % 4 == 0 ? Mode::kMonteCarlo : Mode::kStochastic;

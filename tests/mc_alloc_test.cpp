@@ -19,6 +19,7 @@
 #include "model/compile.hpp"
 #include "model/expr.hpp"
 #include "model/ir.hpp"
+#include "stats/sequential.hpp"
 #include "stoch/stochastic_value.hpp"
 #include "support/rng.hpp"
 
@@ -110,11 +111,10 @@ TEST(McEngineAlloc, WarmBlockedSamplingIsAllocationFree) {
 }
 
 TEST(McEngineAlloc, WarmFusedSamplingIsAllocationFree) {
-  // Same allocation-prone model as above, evaluated request-major: once a
-  // warmup sweep has sized the fused arenas (stride = lanes * kBlockTrials)
-  // and the LaneEnvironment, rebinding lanes and re-running sample_fused /
-  // evaluate_fused / evaluate_point_fused must not allocate. This is what
-  // lets the serving layer keep one LaneEnvironment per worker.
+  // Same allocation-prone model as above, evaluated lane-wise: once a
+  // warmup call has sized the workspace and the LaneEnvironment,
+  // rebinding lanes and re-running sample_fused / evaluate_fused /
+  // evaluate_point_fused must not allocate.
   const auto shared = mul(param("a"), constant(StochasticValue(2.0, 0.5)));
   const auto body = add(shared, mul(param("b"), shared));
   const auto expr = iterate(body, 6, Dependence::kUnrelated);
@@ -151,8 +151,60 @@ TEST(McEngineAlloc, WarmFusedSamplingIsAllocationFree) {
     prog.evaluate_point_fused(env, ws, points);
     acc += out[0].mean() + points[0];
   }
-  EXPECT_EQ(g_allocations.load(), before) << "warm fused path allocated";
+  EXPECT_EQ(g_allocations.load(), before) << "warm lane-wise path allocated";
   EXPECT_GT(acc, 0.0);
+}
+
+TEST(McEngineAlloc, WarmAdaptiveSamplingIsAllocationFree) {
+  // Precision-stopped sampling, solo and over lanes whose rules retire
+  // them at different blocks: once a warmup call of each has sized the
+  // workspace, repeating the same calls must not allocate.
+  const auto shared = mul(param("a"), constant(StochasticValue(2.0, 0.5)));
+  const auto body = add(shared, mul(param("b"), shared));
+  const auto expr = iterate(body, 6, Dependence::kUnrelated);
+  const ir::Program prog = compile(*expr);
+
+  const std::vector<stats::StopRule> rules = {
+      stats::StopRule::relative_width(0.10, 20'000, 64),  // retires early
+      stats::StopRule::fixed(600),
+      stats::StopRule::absolute(1e-9, 3'000, 64),  // runs to its clamp
+      stats::StopRule::relative_width(0.02, 20'000, 128),
+  };
+  const std::size_t lanes = rules.size();
+  ir::LaneEnvironment lane_env = prog.make_lane_environment(lanes);
+  for (std::size_t k = 0; k < lanes; ++k) {
+    lane_env.bind(k, prog.slot("a"), StochasticValue(1.0 + 0.1 * k, 0.3));
+    lane_env.bind(k, prog.slot("b"), StochasticValue(0.8, 0.2 + 0.01 * k));
+  }
+  ir::SlotEnvironment env = prog.make_environment();
+  env.bind(prog.slot("a"), StochasticValue(1.0, 0.3));
+  env.bind(prog.slot("b"), StochasticValue(0.8, 0.2));
+  std::vector<support::Rng> rngs;
+  for (std::size_t k = 0; k < lanes; ++k) rngs.emplace_back(300 + k);
+  std::vector<ir::AdaptiveResult> out(lanes);
+  ir::EvalWorkspace ws;
+
+  // Reseeding repeats each warmup call's trial counts exactly.
+  const auto run = [&] {
+    for (std::size_t k = 0; k < lanes; ++k) rngs[k] = support::Rng(300 + k);
+    support::Rng rng(11);
+    double acc = 0.0;
+    for (const stats::StopRule& rule : rules) {
+      acc += prog.sample_adaptive(env, rng, rule, ws).value.mean();
+    }
+    prog.sample_adaptive_fused(lane_env, rngs, rules, ws, out);
+    return acc + out[0].value.mean();
+  };
+  (void)run();
+  const std::uint64_t before = g_allocations.load();
+  double acc = 0.0;
+  for (int i = 0; i < 5; ++i) acc += run();
+  EXPECT_EQ(g_allocations.load(), before) << "warm adaptive path allocated";
+  EXPECT_GT(acc, 0.0);
+  // The lanes really retired at different blocks.
+  EXPECT_LT(out[0].trials, out[3].trials);
+  EXPECT_EQ(out[1].trials, 600u);
+  EXPECT_EQ(out[2].trials, 3'000u);
 }
 
 TEST(McEngineAlloc, WorkspaceReuseAcrossTrialCountsOnlyGrows) {

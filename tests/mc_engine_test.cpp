@@ -23,6 +23,7 @@
 #include "model/compile.hpp"
 #include "model/expr.hpp"
 #include "model/ir.hpp"
+#include "stats/sequential.hpp"
 #include "stoch/stochastic_value.hpp"
 #include "support/rng.hpp"
 
@@ -136,6 +137,58 @@ TEST(McEngineBlocked, StreamMatchesDocumentedDrawOrderAcrossBlocks) {
   for (std::size_t t = 0; t < trials; ++t) {
     ASSERT_DOUBLE_EQ(got[t], expected[t]) << "trial " << t;
   }
+}
+
+TEST(McEngineBlocked, PrecisionStopReplaysCheckpointsDrawOrderAndStopCount) {
+  // sample_adaptive under a precision rule: blocks grow through
+  // stats::next_block_width's doubling checkpoints, each block draws in
+  // the kBlocked order at its own width (slot "x", then the stochastic
+  // constant), and the run stops at the first checkpoint that meets the
+  // target.
+  const auto expr =
+      add(param("x"), constant(StochasticValue(2.0, 0.5)));
+  const ir::Program prog = compile(*expr);
+  ir::SlotEnvironment env = prog.make_environment();
+  env.bind(prog.slot("x"), StochasticValue(0.8, 0.2));
+  const stats::StopRule rule =
+      stats::StopRule::relative_width(0.004, 50'000, 64);
+
+  support::Rng rng(4242);
+  ir::EvalWorkspace ws;
+  const ir::AdaptiveResult got = prog.sample_adaptive(env, rng, rule, ws);
+
+  support::Rng replay(4242);
+  stats::SequentialEstimator est(rule);
+  std::vector<double> samples;
+  std::vector<std::size_t> widths;
+  std::vector<double> xs(ir::kBlockTrials), cs(ir::kBlockTrials);
+  for (;;) {
+    const std::size_t width =
+        stats::next_block_width(est.count(), rule, ir::kBlockTrials);
+    if (width == 0) break;
+    widths.push_back(width);
+    replay.normal_fill({xs.data(), width}, 0.8, 0.1);
+    replay.normal_fill({cs.data(), width}, 2.0, 0.25);
+    for (std::size_t i = 0; i < width; ++i) {
+      samples.push_back(xs[i] + cs[i]);
+      est.add(xs[i] + cs[i]);
+    }
+    if (est.should_stop()) break;
+  }
+  // The target, not the clamp, stopped the run, past the doubling phase.
+  ASSERT_TRUE(est.precision_met());
+  ASSERT_LT(est.count(), rule.max_trials);
+  const std::vector<std::size_t> doubling = {64, 64, 128, 256, 512, 1024};
+  ASSERT_GT(widths.size(), doubling.size());
+  EXPECT_TRUE(std::equal(doubling.begin(), doubling.end(), widths.begin()));
+
+  EXPECT_EQ(got.trials, est.count());
+  EXPECT_TRUE(got.converged);
+  EXPECT_EQ(got.ci_halfwidth, est.ci_halfwidth());
+  const StochasticValue want = StochasticValue::from_sample(samples);
+  EXPECT_EQ(got.value.mean(), want.mean());
+  EXPECT_EQ(got.value.halfwidth(), want.halfwidth());
+  EXPECT_EQ(rng.uniform(), replay.uniform()) << "stream position";
 }
 
 TEST(McEngineBlocked, UnrelatedIterateRedrawsBodySlotsPerRepetition) {

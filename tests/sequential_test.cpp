@@ -9,9 +9,8 @@
 //   * determinism — a fixed seed reproduces the exact trial count, and
 //     tightening the target never shrinks it;
 //   * engine bit-exactness — a fixed-rule adaptive run is byte-identical
-//     to sample_trials (values and RNG stream), and every fused lane is
-//     byte-identical to its solo adaptive run even as converged lanes
-//     retire and compact out of the sweep mid-run.
+//     to sample_trials (values and RNG stream), and every lane of
+//     sample_adaptive_fused is byte-identical to its solo adaptive run.
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -409,6 +409,146 @@ TEST(ServeService, PointModeMatchesDirectPointPrediction) {
   EXPECT_DOUBLE_EQ(result.value.halfwidth(), 0.0);
 }
 
+// --- Served values pinned to the authoring tree -----------------------------
+
+/// Strip SOR, block SOR and Jacobi over one shared-Ethernet platform.
+std::vector<ModelSpec> structural_specs() {
+  std::vector<ModelSpec> specs(3);
+  for (auto& spec : specs) {
+    spec.platform = cluster::platform1();
+    spec.config.n = 400;
+    spec.config.iterations = 15;
+  }
+  specs[0].app = ModelSpec::App::kSor;
+  specs[1].app = ModelSpec::App::kBlockSor;
+  specs[1].pr = 2;
+  specs[1].pc = 2;
+  specs[2].app = ModelSpec::App::kJacobi;
+  return specs;
+}
+
+/// Request `i` against model "m": loads and bandwidth distinct per i.
+PredictRequest pinned_request(const ModelSpec& spec, std::size_t i,
+                              Mode mode) {
+  PredictRequest request;
+  request.model_id = "m";
+  request.mode = mode;
+  for (std::size_t h = 0; h < spec.platform.hosts.size(); ++h) {
+    request.loads.emplace_back(0.45 + 0.1 * double(h) + 0.01 * double(i),
+                               0.03 + 0.002 * double(i));
+  }
+  request.bwavail = stoch::StochasticValue(0.5 + 0.01 * double(i), 0.06);
+  return request;
+}
+
+/// Expr::evaluate / evaluate_point of `model`'s authored tree per request.
+template <class Model>
+std::vector<stoch::StochasticValue> tree_values(
+    const Model& model, const std::vector<PredictRequest>& requests) {
+  std::vector<stoch::StochasticValue> out;
+  for (const auto& request : requests) {
+    const model::Environment env =
+        model.make_env(request.loads, request.bwavail);
+    out.push_back(request.mode == Mode::kPoint
+                      ? stoch::StochasticValue(
+                            model.expr()->evaluate_point(env))
+                      : model.expr()->evaluate(env));
+  }
+  return out;
+}
+
+std::vector<stoch::StochasticValue> tree_values(
+    const ModelSpec& spec, const std::vector<PredictRequest>& requests) {
+  switch (spec.app) {
+    case ModelSpec::App::kSor:
+      return tree_values(predict::SorStructuralModel(
+                             spec.platform, spec.config, spec.options),
+                         requests);
+    case ModelSpec::App::kBlockSor:
+      return tree_values(
+          predict::BlockStructuralModel(spec.platform, spec.config.n,
+                                        spec.config.iterations, spec.pr,
+                                        spec.pc, spec.options),
+          requests);
+    case ModelSpec::App::kJacobi:
+      return tree_values(
+          predict::JacobiStructuralModel(spec.platform, spec.config.n,
+                                         spec.config.iterations,
+                                         spec.options),
+          requests);
+  }
+  return {};
+}
+
+void expect_served(const PredictResult& r, const stoch::StochasticValue& want,
+                   const std::string& what) {
+  ASSERT_TRUE(r.ok()) << what << ": " << r.error;
+  EXPECT_EQ(r.value.mean(), want.mean()) << what;
+  EXPECT_EQ(r.value.halfwidth(), want.halfwidth()) << what;
+  EXPECT_EQ(r.point, want.mean()) << what;
+}
+
+TEST(ServeService, ServedValuesEqualTreeEvaluationAloneTwinnedAndBatched) {
+  // However a request reaches the kernel — alone, staged behind an
+  // identical twin (coalesced onto one evaluation), or staged among
+  // distinct-bindings requests of the same structure — the served value
+  // is the authored tree's value bit for bit.
+  constexpr std::size_t kDistinct = 6;
+  const auto specs = structural_specs();
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const ModelSpec& spec = specs[s];
+    for (const Mode mode : {Mode::kStochastic, Mode::kPoint}) {
+      const std::string what = "spec " + std::to_string(s) + " mode " +
+                               std::to_string(int(mode));
+      std::vector<PredictRequest> requests;
+      for (std::size_t i = 0; i < kDistinct; ++i) {
+        requests.push_back(pinned_request(spec, i, mode));
+      }
+      const auto want = tree_values(spec, requests);
+      {
+        PredictionService service(options_with(1));
+        service.register_model("m", spec);
+        for (std::size_t i = 0; i < kDistinct; ++i) {
+          const auto r = service.submit(requests[i]).get();
+          expect_served(r, want[i], what + " alone " + std::to_string(i));
+          EXPECT_EQ(r.batch_size, 1u);
+        }
+      }
+      ServiceOptions staged;
+      staged.workers = 1;
+      staged.start_paused = true;
+      {
+        PredictionService service(staged);
+        service.register_model("m", spec);
+        std::vector<std::future<PredictResult>> futures;
+        for (const auto& request : requests) {
+          futures.push_back(service.submit(request));
+          futures.push_back(service.submit(request));
+        }
+        service.resume();
+        for (std::size_t j = 0; j < futures.size(); ++j) {
+          const auto r = futures[j].get();
+          expect_served(r, want[j / 2], what + " twin " + std::to_string(j));
+          EXPECT_EQ(r.batch_size, 2u);
+        }
+      }
+      {
+        PredictionService service(staged);
+        service.register_model("m", spec);
+        std::vector<std::future<PredictResult>> futures;
+        for (const auto& request : requests) {
+          futures.push_back(service.submit(request));
+        }
+        service.resume();
+        for (std::size_t i = 0; i < kDistinct; ++i) {
+          expect_served(futures[i].get(), want[i],
+                        what + " batched " + std::to_string(i));
+        }
+      }
+    }
+  }
+}
+
 TEST(ServeService, ChunkedMonteCarloIsDeterministicAndSane) {
   ServiceOptions options;
   options.workers = 4;
@@ -616,33 +756,17 @@ TEST(ServeService, FakeClockMakesLatencyMetricsDeterministic) {
   EXPECT_DOUBLE_EQ(service.metrics().histogram("latency_seconds").max(), 0.25);
 }
 
-TEST(ServeService, CacheOffCompilesPerRequestCacheOnHitsAfterWarmup) {
-  {
-    ServiceOptions options;
-    options.workers = 1;
-    options.enable_cache = false;
-    PredictionService service(options);
-    service.register_model("sor", small_spec());
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(service.submit(stochastic_request("sor", loads_for(2)))
-                      .get()
-                      .ok());
-    }
-    EXPECT_EQ(service.metrics().counter("cache_misses").value(), 3u);
-    EXPECT_EQ(service.cache().compile_count(), 0u);
+TEST(ServeService, CacheHitsAfterWarmupAcrossAliases) {
+  PredictionService service(options_with(1));
+  service.register_model("sor", small_spec());
+  service.register_model("sor-alias", small_spec());  // same structure
+  for (const char* id : {"sor", "sor-alias", "sor", "sor-alias"}) {
+    ASSERT_TRUE(
+        service.submit(stochastic_request(id, loads_for(2))).get().ok());
   }
-  {
-    PredictionService service(options_with(1));
-    service.register_model("sor", small_spec());
-    service.register_model("sor-alias", small_spec());  // same structure
-    for (const char* id : {"sor", "sor-alias", "sor", "sor-alias"}) {
-      ASSERT_TRUE(
-          service.submit(stochastic_request(id, loads_for(2))).get().ok());
-    }
-    EXPECT_EQ(service.cache().compile_count(), 1u);
-    EXPECT_EQ(service.metrics().counter("cache_misses").value(), 1u);
-    EXPECT_EQ(service.metrics().counter("cache_hits").value(), 3u);
-  }
+  EXPECT_EQ(service.cache().compile_count(), 1u);
+  EXPECT_EQ(service.metrics().counter("cache_misses").value(), 1u);
+  EXPECT_EQ(service.metrics().counter("cache_hits").value(), 3u);
 }
 
 TEST(ServeService, DrainWaitsForQueueAndWorkers) {

@@ -332,8 +332,8 @@ TEST(ShardedService, StructureAffinityRoutesFamiliesStably) {
   service.register_model("a", family_spec(100));
   service.register_model("a-alias", family_spec(100));  // same structure
   service.register_model("b", family_spec(300));
-  // Aliases of one structure land on one shard (that shard's cache and
-  // fusion scan own the family).
+  // Aliases of one structure land on one shard (that shard's program
+  // cache and coalescing scan own the family).
   EXPECT_EQ(service.shard_of("a"), service.shard_of("a-alias"));
   // Ids encode the owning shard.
   auto result = service.submit(stochastic_request("a", loads_for(2))).get();
