@@ -671,13 +671,16 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
         const double* const num = row(ops[node.first]);
         const double* const den = row(ops[node.first + 1]);
         double* const r = row(i);
+        // One pass with a branch-free guard: a zero lane leaves an
+        // infinity or NaN in r, which the throw below keeps anything from
+        // reading. No SSPRED_SIMD_LOOP: `zero` is a reduction the pragma
+        // does not declare.
         bool zero = false;
         for (std::size_t t = 0; t < lanes; ++t) {
-          zero = zero || den[t] == 0.0;
+          zero |= den[t] == 0.0;
+          r[t] = num[t] / den[t];
         }
         SSPRED_REQUIRE(!zero, "sampled division by zero");
-        SSPRED_SIMD_LOOP
-        for (std::size_t t = 0; t < lanes; ++t) r[t] = num[t] / den[t];
         break;
       }
       case OpCode::kIterate: {

@@ -88,18 +88,30 @@ double autocorrelation(std::span<const double> xs, std::size_t lag) {
   return den > 0.0 ? num / den : 0.0;
 }
 
-void OnlineStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+void OnlineStats::add(std::span<const double> xs) noexcept {
+  std::size_t n = n_;
+  double mu = mean_;
+  double m2 = m2_;
+  double lo = min_;
+  double hi = max_;
+  for (const double x : xs) {
+    if (n == 0) {
+      lo = x;
+      hi = x;
+    } else {
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    }
+    ++n;
+    const double delta = x - mu;
+    mu += delta / static_cast<double>(n);
+    m2 += delta * (x - mu);
   }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  n_ = n;
+  mean_ = mu;
+  m2_ = m2;
+  min_ = lo;
+  max_ = hi;
 }
 
 double OnlineStats::variance() const noexcept {

@@ -47,7 +47,10 @@ struct Summary {
 /// Numerically stable online accumulator (Welford) with min/max tracking.
 class OnlineStats {
  public:
-  void add(double x) noexcept;
+  void add(double x) noexcept { add(std::span<const double>(&x, 1)); }
+  /// Adds the values of `xs` in order: bit-identical to one add(x) per
+  /// value, with the accumulators held in locals across the span.
+  void add(std::span<const double> xs) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return mean_; }

@@ -95,9 +95,7 @@ class SequentialEstimator {
   explicit SequentialEstimator(StopRule rule) noexcept : rule_(rule) {}
 
   void add(double x) noexcept { stats_.add(x); }
-  void add(std::span<const double> xs) noexcept {
-    for (const double x : xs) stats_.add(x);
-  }
+  void add(std::span<const double> xs) noexcept { stats_.add(xs); }
 
   [[nodiscard]] std::size_t count() const noexcept { return stats_.count(); }
   [[nodiscard]] double mean() const noexcept { return stats_.mean(); }

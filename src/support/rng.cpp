@@ -17,6 +17,21 @@ namespace {
 [[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
+
+/// One xoshiro256** step. Inlined into normal_fill's loop, where `s` is a
+/// local copy of the state that the compiler keeps in registers.
+[[nodiscard]] inline std::uint64_t xoshiro_next(
+    std::array<std::uint64_t, 4>& s) noexcept {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -24,17 +39,7 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& word : state_) word = splitmix64(sm);
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
+Rng::result_type Rng::operator()() noexcept { return xoshiro_next(state_); }
 
 double Rng::uniform() noexcept {
   // 53 random bits into [0, 1).
@@ -114,41 +119,69 @@ const ZigguratTables& ziggurat_tables() noexcept {
   return tables;
 }
 
-}  // namespace
+/// The quick-accept test (~98.8% of draws): strip i = the low 7 bits;
+/// the arithmetic shift keeps the sign, so hz is a signed 54-bit value
+/// whose magnitude reuses 53 of the draw's high bits. Accepts when hz
+/// lies inside the strip's rectangle, storing the normal in `z`.
+[[nodiscard]] inline bool quick_accept(const ZigguratTables& t,
+                                       std::uint64_t bits, double& z) noexcept {
+  const std::size_t i = bits & 127;
+  const std::int64_t hz = static_cast<std::int64_t>(bits) >> 10;
+  // |hz| <= 2^53, so negation cannot overflow.
+  const auto az = static_cast<std::uint64_t>(hz < 0 ? -hz : hz);
+  z = static_cast<double>(hz) * t.wn[i];
+  return az < t.kn[i];
+}
 
-double Rng::normal_ziggurat() noexcept {
-  const ZigguratTables& t = ziggurat_tables();
+/// The whole accept/reject loop, starting from the raw draw `bits`:
+/// quick accept, then the tail (strip 0) or the wedge test, redrawing
+/// from `rng` after a rejected wedge. Kept out of line so normal_fill's
+/// loop carries only the quick-accept path.
+[[gnu::noinline]] double ziggurat_from(const ZigguratTables& t, Rng& rng,
+                                       std::uint64_t bits) noexcept {
   constexpr double kTail = 3.442619855899;  // = the tables' R
-  for (;;) {
-    const std::uint64_t bits = (*this)();
+  for (;; bits = rng()) {
+    double z = 0.0;
+    if (quick_accept(t, bits, z)) return z;
     const std::size_t i = bits & 127;
-    // Arithmetic shift keeps the sign: hz is a signed 54-bit value whose
-    // magnitude reuses 53 of the strip-selection draw's high bits.
-    const std::int64_t hz = static_cast<std::int64_t>(bits) >> 10;
-    // |hz| <= 2^53, so negation cannot overflow.
-    const auto az = static_cast<std::uint64_t>(hz < 0 ? -hz : hz);
-    if (az < t.kn[i]) return static_cast<double>(hz) * t.wn[i];
     if (i == 0) {
       // Base strip: sample the tail x > R exactly (Marsaglia's method).
       double x = 0.0;
       double y = 0.0;
       do {
-        x = -std::log(1.0 - uniform()) / kTail;
-        y = -std::log(1.0 - uniform());
+        x = -std::log(1.0 - rng.uniform()) / kTail;
+        y = -std::log(1.0 - rng.uniform());
       } while (y + y < x * x);
-      return hz >= 0 ? kTail + x : -(kTail + x);
+      return z >= 0.0 ? kTail + x : -(kTail + x);  // z has hz's sign
     }
-    const double x = static_cast<double>(hz) * t.wn[i];
-    if (t.fn[i] + uniform() * (t.fn[i - 1] - t.fn[i]) <
-        std::exp(-0.5 * x * x)) {
-      return x;
+    if (t.fn[i] + rng.uniform() * (t.fn[i - 1] - t.fn[i]) <
+        std::exp(-0.5 * z * z)) {
+      return z;
     }
     // Wedge rejected: retry from a fresh strip.
   }
 }
 
+}  // namespace
+
+double Rng::normal_ziggurat() noexcept {
+  return ziggurat_from(ziggurat_tables(), *this, (*this)());
+}
+
 void Rng::normal_fill(std::span<double> out, double mean, double sd) noexcept {
-  for (double& v : out) v = mean + sd * normal_ziggurat();
+  const ZigguratTables& t = ziggurat_tables();
+  std::array<std::uint64_t, 4> s = state_;
+  for (double& v : out) {
+    const std::uint64_t bits = xoshiro_next(s);
+    double z = 0.0;
+    if (!quick_accept(t, bits, z)) [[unlikely]] {
+      state_ = s;
+      z = ziggurat_from(t, *this, bits);
+      s = state_;
+    }
+    v = mean + sd * z;
+  }
+  state_ = s;
 }
 
 double Rng::lognormal(double mu, double sigma) noexcept {

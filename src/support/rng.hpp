@@ -52,7 +52,9 @@ class Rng {
   /// touches normal()'s cached spare, so the two methods produce
   /// independent, individually reproducible streams.
   [[nodiscard]] double normal_ziggurat() noexcept;
-  /// Fills `out` with independent N(mean, sd) draws via the ziggurat.
+  /// Fills `out` with independent N(mean, sd) draws via the ziggurat:
+  /// element k is mean + sd * (the k-th normal_ziggurat() value), and the
+  /// stream ends where those calls would leave it.
   void normal_fill(std::span<double> out, double mean = 0.0,
                    double sd = 1.0) noexcept;
   /// Log-normal: exp(N(mu, sigma)) where mu/sigma are in log space.

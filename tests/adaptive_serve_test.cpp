@@ -102,7 +102,7 @@ TEST(AdaptiveServe, UnreachableTargetIsStructuredPartialPrecision) {
   EXPECT_GT(r.mc_ci_halfwidth, 1e-12);
 }
 
-TEST(AdaptiveServe, MixedFixedAndPrecisionBatchFusedMatchesUnfused) {
+TEST(AdaptiveServe, MixedFixedAndPrecisionBatchMatchesOneAtATime) {
   ServiceOptions batched_options;
   batched_options.workers = 2;
   batched_options.start_paused = true;

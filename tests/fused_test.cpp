@@ -8,9 +8,10 @@
 // sample_fused must consume each lane's RNG in exactly the standalone
 // kBlocked order. The differential tests here drive random expression
 // DAGs through both paths and require bit equality, including the
-// post-run RNG states. ServeFused.* pin that a staged batch of distinct
-// and identical requests serves exactly what one-at-a-time serving does
-// (and are the TSan stress target for concurrent submit during dequeue).
+// post-run RNG states. ServeBatched.* pin that batched serving (a staged
+// batch of distinct and identical requests, the identical ones coalesced)
+// serves exactly what one-at-a-time serving does (and are the TSan stress
+// target for concurrent submit during dequeue).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -301,7 +302,7 @@ void expect_result_eq(const PredictResult& a, const PredictResult& b,
   EXPECT_DOUBLE_EQ(a.point, b.point) << what;
 }
 
-TEST(ServeFused, FusedResultsBitMatchTheUnfusedService) {
+TEST(ServeBatched, BatchedResultsBitMatchOneAtATimeServing) {
   // A staged batch of distinct-bindings requests serves exactly what a
   // service evaluating every request alone (max_batch 1) serves.
   for (const Mode mode : {Mode::kStochastic, Mode::kPoint, Mode::kMonteCarlo}) {
@@ -331,7 +332,7 @@ TEST(ServeFused, FusedResultsBitMatchTheUnfusedService) {
   }
 }
 
-TEST(ServeFused, ResultsAreInvariantToWorkerCountAndBatchSize) {
+TEST(ServeBatched, ResultsAreInvariantToWorkerCountAndBatchSize) {
   const auto run = [](std::size_t workers, std::size_t max_batch) {
     ServiceOptions options;
     options.workers = workers;
@@ -367,7 +368,7 @@ TEST(ServeFused, ResultsAreInvariantToWorkerCountAndBatchSize) {
   }
 }
 
-TEST(ServeFused, MixedIdenticalAndStructureEqualRequestsShareOneSweep) {
+TEST(ServeBatched, IdenticalRequestsCoalesceAndStructureEqualOnesRunAlone) {
   ServiceOptions options;
   options.workers = 1;  // one dequeue scan sees the whole staged queue
   options.start_paused = true;
@@ -401,7 +402,7 @@ TEST(ServeFused, MixedIdenticalAndStructureEqualRequestsShareOneSweep) {
   EXPECT_EQ(service.metrics().counter("requests_coalesced").value(), 3u);
 }
 
-TEST(ServeFused, LaneErrorsFallBackToSoloResultsAndIsolation) {
+TEST(ServeBatched, BindingErrorIsIsolatedFromItsBatchNeighbours) {
   // A request whose bindings cannot resolve (wrong load count) must get
   // its structured error while the requests staged beside it succeed.
   ServiceOptions options;
@@ -435,7 +436,7 @@ TEST(ServeFused, LaneErrorsFallBackToSoloResultsAndIsolation) {
   expect_result_eq(r1, s1, "request 2");
 }
 
-TEST(ServeFused, ConcurrentSubmittersDuringFusedDequeueAreRaceFree) {
+TEST(ServeBatched, ConcurrentSubmittersDuringBatchedDequeueAreRaceFree) {
   // TSan stress: submitters pushing a mix of identical and distinct
   // structure-equal requests race the workers' dequeue scans. Every
   // future must resolve.

@@ -3,20 +3,29 @@
 // optimization pipeline (model/compile.hpp).
 //
 // The blocked RNG stream (ir::SampleOrder::kBlocked) is a versioned
-// determinism contract. Rather than freezing literal doubles, the golden
-// tests here REPLAY the documented draw order by hand — per block: every
-// live parameter slot in ascending slot-id order, then the node-major
-// walk (stochastic constants per occurrence, unrelated iterate
-// repetitions redrawing their body slots per repetition) — and require
-// sample_into() to match bit for bit. Any change to the block size, the
-// ziggurat, or the draw order fails these tests and must bump the
-// contract. The scalar-compatible order is pinned by compile_test.cpp.
+// determinism contract with two halves. The values of the ziggurat
+// itself are pinned against a test-local reference ziggurat (the table
+// recurrence plus the accept/reject loop, written over Rng's public raw
+// stream), which normal_fill and normal_ziggurat must match bit for bit.
+// The draw order is pinned by golden tests that REPLAY it by hand — per
+// block: every live parameter slot in ascending slot-id order, then the
+// node-major walk (stochastic constants per occurrence, unrelated
+// iterate repetitions redrawing their body slots per repetition) — and
+// require sample_into() to match bit for bit. The replays call
+// normal_fill on both sides, so they catch a change to the block size or
+// the draw order but not to the ziggurat's values; the reference test
+// catches that. Either failing means the contract must be bumped. The
+// scalar-compatible order is pinned by compile_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <iterator>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -99,6 +108,107 @@ TEST(ZigguratSampler, DoesNotDisturbThePolarSpare) {
   const double m2 = mixed.normal();  // must still be the cached spare
   EXPECT_DOUBLE_EQ(p1, m1);
   EXPECT_DOUBLE_EQ(p2, m2);
+}
+
+/// Marsaglia & Tsang's 128-strip ziggurat with 53-bit tables, rebuilt
+/// from the closed-form recurrence and run over Rng's public raw stream
+/// (operator()) and uniform(). Counts the slow branches it takes so the
+/// test can show they were exercised.
+class ReferenceZiggurat {
+ public:
+  ReferenceZiggurat() {
+    constexpr double m1 = 9007199254740992.0;  // 2^53
+    const double vn = 9.91256303526217e-3;
+    double dn = kR;
+    double tn = dn;
+    const double q = vn / std::exp(-0.5 * dn * dn);
+    kn_[0] = static_cast<std::uint64_t>((dn / q) * m1);
+    kn_[1] = 0;
+    wn_[0] = q / m1;
+    wn_[127] = dn / m1;
+    fn_[0] = 1.0;
+    fn_[127] = std::exp(-0.5 * dn * dn);
+    for (int i = 126; i >= 1; --i) {
+      dn = std::sqrt(-2.0 * std::log(vn / dn + std::exp(-0.5 * dn * dn)));
+      kn_[i + 1] = static_cast<std::uint64_t>((dn / tn) * m1);
+      tn = dn;
+      fn_[i] = std::exp(-0.5 * dn * dn);
+      wn_[i] = dn / m1;
+    }
+  }
+
+  double draw(support::Rng& rng) {
+    for (;;) {
+      const std::uint64_t bits = rng();
+      const std::size_t i = bits & 127;
+      const std::int64_t hz = static_cast<std::int64_t>(bits) >> 10;
+      const auto az = static_cast<std::uint64_t>(hz < 0 ? -hz : hz);
+      if (az < kn_[i]) return static_cast<double>(hz) * wn_[i];
+      if (i == 0) {
+        ++tails;
+        double x = 0.0;
+        double y = 0.0;
+        do {
+          x = -std::log(1.0 - rng.uniform()) / kR;
+          y = -std::log(1.0 - rng.uniform());
+        } while (y + y < x * x);
+        return hz >= 0 ? kR + x : -(kR + x);
+      }
+      const double x = static_cast<double>(hz) * wn_[i];
+      if (fn_[i] + rng.uniform() * (fn_[i - 1] - fn_[i]) <
+          std::exp(-0.5 * x * x)) {
+        return x;
+      }
+      ++wedge_rejections;
+    }
+  }
+
+  std::size_t tails = 0;             ///< base-strip draws sent to the tail
+  std::size_t wedge_rejections = 0;  ///< wedge draws rejected and redrawn
+
+ private:
+  static constexpr double kR = 3.442619855899;
+  std::uint64_t kn_[128] = {};
+  double wn_[128] = {};
+  double fn_[128] = {};
+};
+
+TEST(ZigguratSampler, FillAndSingleDrawsMatchTheReferenceBitForBit) {
+  ReferenceZiggurat reference;
+  support::Rng rng(20261017), replay(20261017);
+  std::vector<std::size_t> widths(1024);
+  std::iota(widths.begin(), widths.end(), std::size_t{1});
+  widths.push_back(4096);
+  std::vector<double> got(4096);
+  for (const std::size_t w : widths) {
+    // Odd widths use the standard normal, even ones an affine map, so
+    // the fill's mean + sd * z is pinned too.
+    const double mean = w % 2 == 0 ? -1.25 : 0.0;
+    const double sd = w % 2 == 0 ? 0.3 : 1.0;
+    rng.normal_fill({got.data(), w}, mean, sd);
+    for (std::size_t k = 0; k < w; ++k) {
+      const double want = mean + sd * reference.draw(replay);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                std::bit_cast<std::uint64_t>(want))
+          << "width " << w << ", value " << k << ": " << got[k]
+          << " != " << want;
+    }
+    ASSERT_EQ(rng(), replay()) << "raw draw after width " << w;
+  }
+  const std::size_t fill_tails = reference.tails;
+  const std::size_t fill_rejections = reference.wedge_rejections;
+  EXPECT_GT(fill_tails, 0u);
+  EXPECT_GT(fill_rejections, 0u);
+
+  for (int k = 0; k < 200'000; ++k) {
+    const double want = reference.draw(replay);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(rng.normal_ziggurat()),
+              std::bit_cast<std::uint64_t>(want))
+        << "single draw " << k;
+  }
+  EXPECT_EQ(rng(), replay()) << "raw draw after the single draws";
+  EXPECT_GT(reference.tails, fill_tails);
+  EXPECT_GT(reference.wedge_rejections, fill_rejections);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,6 +384,64 @@ TEST(McEngineBlocked, AgreesWithScalarOrderStatistically) {
   EXPECT_NEAR(blocked.mean(), scalar.mean(), 0.02 * scalar.mean());
   EXPECT_NEAR(blocked.halfwidth(), scalar.halfwidth(),
               0.10 * scalar.halfwidth());
+}
+
+/// The text of the exception `f` throws; empty when it returns normally.
+template <typename F>
+std::string thrown_message(F&& f) {
+  try {
+    f();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(McEngineBlocked, SampledDivisionByZeroInAnyLaneThrows) {
+  // vmax({x, 0}) clamps x's negative draws to exactly zero, so the
+  // denominator is zero in some lanes. The seed keeps lane 0 positive: a
+  // guard that looked at the first lane only would miss the zeros.
+  const auto expr =
+      quotient(constant(StochasticValue(1.0)),
+               vmax({param("x"), constant(StochasticValue(0.0))}));
+  const ir::Program prog = compile(*expr);
+  ir::SlotEnvironment env = prog.make_environment();
+  env.bind(prog.slot("x"), StochasticValue(0.5, 2.0));  // sd 1: ~31% < 0
+  constexpr std::uint64_t kSeed = 9;
+  constexpr std::size_t kPartial = 64;
+
+  // The block prologue's draw of "x", replayed: lane 0 divides by a
+  // positive value, and a later lane of the partial block by zero.
+  support::Rng replay(kSeed);
+  std::vector<double> xs(ir::kBlockTrials);
+  replay.normal_fill(xs, 0.5, 1.0);
+  ASSERT_GT(xs[0], 0.0);
+  ASSERT_TRUE(std::any_of(xs.begin() + 1, xs.begin() + kPartial,
+                          [](double x) { return x <= 0.0; }));
+
+  const std::string want = "sampled division by zero";
+  for (const std::size_t trials : {ir::kBlockTrials, kPartial}) {
+    std::vector<double> out(trials);
+    support::Rng rng(kSeed);
+    ir::EvalWorkspace ws;
+    EXPECT_NE(thrown_message([&] { prog.sample_into(env, rng, out, ws); })
+                  .find(want),
+              std::string::npos)
+        << trials << " trials";
+  }
+  support::Rng scalar(kSeed);
+  EXPECT_NE(thrown_message([&] {
+              (void)prog.sample_trials(env, scalar, 200,
+                                       ir::SampleOrder::kScalarCompat);
+            }).find(want),
+            std::string::npos);
+  support::Rng adaptive(kSeed);
+  EXPECT_NE(thrown_message([&] {
+              (void)prog.sample_adaptive(
+                  env, adaptive,
+                  stats::StopRule::relative_width(0.01, 4096, kPartial));
+            }).find(want),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -644,6 +644,32 @@ TEST(ServeService, BindingErrorsAreStructured) {
   EXPECT_NE(missing.error.find("cpu/b"), std::string::npos);
 }
 
+TEST(ServeService, SampledDivisionByZeroIsStructuredAndTheWorkerSurvives) {
+  // A host load of exactly zero makes that host's compute term divide by
+  // zero in every Monte-Carlo trial. Fixed-count and precision-targeted
+  // requests both get a structured error, and the next request on the
+  // same (only) worker is served.
+  PredictionService service(options_with(1));
+  service.register_model("sor", small_spec());
+  for (const double precision : {0.0, 0.01}) {
+    PredictRequest bad = stochastic_request(
+        "sor", {stoch::StochasticValue(0.8, 0.1), stoch::StochasticValue(0.0)});
+    bad.mode = Mode::kMonteCarlo;
+    bad.trials = 600;
+    bad.precision = precision;
+    bad.precision_relative = true;
+    const auto failed = service.submit(bad).get();
+    EXPECT_EQ(failed.status, PredictResult::Status::kError);
+    EXPECT_NE(failed.error.find("sampled division by zero"), std::string::npos)
+        << failed.error;
+
+    PredictRequest good = bad;
+    good.loads = loads_for(2);
+    const auto served = service.submit(good).get();
+    EXPECT_TRUE(served.ok()) << served.error;
+  }
+}
+
 TEST(ServeService, CoalescingSharesOneEvaluation) {
   ServiceOptions options;
   options.workers = 2;

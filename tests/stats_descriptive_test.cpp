@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "stats/descriptive.hpp"
@@ -105,6 +108,64 @@ TEST(OnlineStats, MatchesBatchSummary) {
   EXPECT_NEAR(os.variance(), s.variance, 1e-8);
   EXPECT_DOUBLE_EQ(os.min(), s.min);
   EXPECT_DOUBLE_EQ(os.max(), s.max);
+}
+
+/// Bitwise equality of two accumulators: count, mean, variance, min, max.
+::testing::AssertionResult same_bits(const OnlineStats& a,
+                                     const OnlineStats& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  if (a.count() == b.count() && bits(a.mean()) == bits(b.mean()) &&
+      bits(a.variance()) == bits(b.variance()) &&
+      bits(a.min()) == bits(b.min()) && bits(a.max()) == bits(b.max())) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "count " << a.count() << " vs " << b.count() << ", mean "
+         << a.mean() << " vs " << b.mean() << ", variance " << a.variance()
+         << " vs " << b.variance();
+}
+
+TEST(OnlineStats, SpanAddIsBitIdenticalToElementwiseAdd) {
+  support::Rng rng(29);
+  std::vector<double> xs(1000);
+  for (double& x : xs) x = rng.normal(3.0, 2.0);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  // Element-wise adds follow the textbook recurrence, in this operation
+  // order, after every prefix; prefix[k] is the state after k adds.
+  std::vector<OnlineStats> prefix(xs.size() + 1);
+  double n = 0.0;
+  double mean = 0.0;
+  double m2 = 0.0;
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    prefix[k + 1] = prefix[k];
+    prefix[k + 1].add(xs[k]);
+    n += 1.0;
+    const double delta = xs[k] - mean;
+    mean += delta / n;
+    m2 += delta * (xs[k] - mean);
+    ASSERT_EQ(bits(prefix[k + 1].mean()), bits(mean)) << "after " << k + 1;
+    ASSERT_EQ(bits(prefix[k + 1].variance()), bits(k > 0 ? m2 / (n - 1.0) : 0.0))
+        << "after " << k + 1;
+  }
+
+  // One span into empty stats, at every length (0 is the empty span).
+  const std::span<const double> all(xs);
+  for (std::size_t k = 0; k <= xs.size(); ++k) {
+    OnlineStats spanned;
+    spanned.add(all.first(k));
+    ASSERT_TRUE(same_bits(spanned, prefix[k])) << "span of " << k;
+  }
+
+  // Earlier single adds, then spans of uneven widths, then an empty span.
+  OnlineStats mixed;
+  for (std::size_t i = 0; i < 37; ++i) mixed.add(xs[i]);
+  mixed.add(all.subspan(37, 500));
+  EXPECT_TRUE(same_bits(mixed, prefix[537]));
+  mixed.add(all.subspan(537));
+  EXPECT_TRUE(same_bits(mixed, prefix[xs.size()]));
+  mixed.add(std::span<const double>());
+  EXPECT_TRUE(same_bits(mixed, prefix[xs.size()]));
 }
 
 TEST(OnlineStats, MergeEqualsSingleStream) {
