@@ -492,8 +492,6 @@ dserve::ClusterOptions cluster_options(const ClusterGenConfig& cfg) {
       std::max<std::size_t>(1, cfg.base.workers_total / cfg.base.shards);
   options.node_options.queue_capacity = cfg.base.queue_capacity;
   options.node_options.max_batch = cfg.base.max_batch;
-  // Demonstrate intra-node work stealing under skewed family load.
-  options.node_options.steal_threshold = 2;
   return options;
 }
 
@@ -580,7 +578,6 @@ struct ClusterSummary {
   std::uint64_t failovers = 0;
   std::uint64_t requests_retried = 0;
   std::uint64_t rebalances = 0;
-  std::uint64_t requests_stolen = 0;
   std::uint64_t faults_injected = 0;
   std::string fault_plan;
   bool bit_exact = false;
@@ -613,8 +610,6 @@ void write_cluster_json(const char* path, const ClusterGenConfig& cfg,
                (unsigned long long)summary.requests_retried);
   std::fprintf(f, "    \"rebalances\": %llu,\n",
                (unsigned long long)summary.rebalances);
-  std::fprintf(f, "    \"requests_stolen\": %llu,\n",
-               (unsigned long long)summary.requests_stolen);
   std::fprintf(f, "    \"faults_injected\": %llu,\n",
                (unsigned long long)summary.faults_injected);
   std::fprintf(f, "    \"cluster_gate_met\": %s,\n", pass ? "true" : "false");
@@ -725,7 +720,6 @@ int run_cluster(const ClusterGenConfig& cfg, const char* json_path) {
       faulted.metrics().counter("rebalances_total").value();
   summary.faults_injected =
       faulted.metrics().counter("faults_injected").value();
-  summary.requests_stolen = faulted.requests_stolen();
 
   // --- Throughput rows (report-only) -----------------------------------
   std::vector<JsonRow> rows;
@@ -741,15 +735,14 @@ int run_cluster(const ClusterGenConfig& cfg, const char* json_path) {
   std::printf(
       "\n  healthy %zu-node cluster vs single node: %s over %zu requests\n"
       "  fault run [%s]: %llu lost, %llu failovers, %llu retried\n"
-      "  heal: rebalances=%llu epoch_converged=%s  steals=%llu\n",
+      "  heal: rebalances=%llu epoch_converged=%s\n",
       cfg.nodes, summary.bit_exact ? "bit-exact" : "MISMATCH", total,
       summary.fault_plan.c_str(),
       (unsigned long long)summary.lost_requests,
       (unsigned long long)summary.failovers,
       (unsigned long long)summary.requests_retried,
       (unsigned long long)summary.rebalances,
-      summary.epoch_converged ? "true" : "false",
-      (unsigned long long)summary.requests_stolen);
+      summary.epoch_converged ? "true" : "false");
   std::printf(
       "  concurrent throughput (report-only): %.0f req/s, p99 %.2fms\n",
       concurrent.rps(), concurrent.percentile(0.99) * 1e3);

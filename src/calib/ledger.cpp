@@ -30,7 +30,7 @@ AccuracyLedger::Entry::Entry(const LedgerOptions& options)
 
 void AccuracyLedger::Entry::record(const stoch::StochasticValue& predicted,
                                    double observed,
-                                   const LedgerOptions& options) {
+                                   const IntervalQuantiles& quantiles) {
   ++count;
   const bool hit = predicted.contains(observed);
   if (hit) ++inside;
@@ -61,11 +61,12 @@ void AccuracyLedger::Entry::record(const stoch::StochasticValue& predicted,
   z.add(zv);
   abs_z.add(std::abs(zv));
   crps.add(crps_now);
-  const double tau_lo = (1.0 - options.nominal_coverage) / 2.0;
-  const double tau_hi = 1.0 - tau_lo;
-  const stats::Normal normal(predicted.mean(), sd);
-  pinball.add(0.5 * (pinball_loss(normal.quantile(tau_lo), tau_lo, observed) +
-                     pinball_loss(normal.quantile(tau_hi), tau_hi, observed)));
+  // mean + sd * z is exactly stats::Normal(mean, sd).quantile(tau); sd > 0
+  // was enforced by normal_crps above.
+  const double q_lo = predicted.mean() + sd * quantiles.z_lo;
+  const double q_hi = predicted.mean() + sd * quantiles.z_hi;
+  pinball.add(0.5 * (pinball_loss(q_lo, quantiles.tau_lo, observed) +
+                     pinball_loss(q_hi, quantiles.tau_hi, observed)));
 }
 
 CalibrationSnapshot AccuracyLedger::Entry::snapshot(
@@ -104,18 +105,22 @@ AccuracyLedger::AccuracyLedger(LedgerOptions options)
       "nominal coverage must be in (0, 1)");
   SSPRED_REQUIRE(options_.coverage_window >= 1,
                  "coverage window must hold at least one observation");
+  quantiles_.tau_lo = (1.0 - options_.nominal_coverage) / 2.0;
+  quantiles_.tau_hi = 1.0 - quantiles_.tau_lo;
+  quantiles_.z_lo = stats::normal_quantile(quantiles_.tau_lo);
+  quantiles_.z_hi = stats::normal_quantile(quantiles_.tau_hi);
 }
 
 void AccuracyLedger::record(const std::string& model_id,
                             const stoch::StochasticValue& predicted,
                             double observed) {
   const std::lock_guard lock(mutex_);
-  overall_.record(predicted, observed, options_);
+  overall_.record(predicted, observed, quantiles_);
   auto it = per_model_.find(model_id);
   if (it == per_model_.end()) {
     it = per_model_.emplace(model_id, Entry(options_)).first;
   }
-  it->second.record(predicted, observed, options_);
+  it->second.record(predicted, observed, quantiles_);
 }
 
 CalibrationSnapshot AccuracyLedger::snapshot() const {

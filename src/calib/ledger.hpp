@@ -91,11 +91,21 @@ class AccuracyLedger {
   }
 
  private:
+  /// The interval's quantile levels tau = (1∓nominal)/2 and their
+  /// standard-normal quantiles: fixed by nominal_coverage, so computed
+  /// once rather than per observation.
+  struct IntervalQuantiles {
+    double tau_lo = 0.0;
+    double tau_hi = 0.0;
+    double z_lo = 0.0;
+    double z_hi = 0.0;
+  };
+
   struct Entry {
     explicit Entry(const LedgerOptions& options);
 
     void record(const stoch::StochasticValue& predicted, double observed,
-                const LedgerOptions& options);
+                const IntervalQuantiles& quantiles);
     [[nodiscard]] CalibrationSnapshot snapshot(
         const LedgerOptions& options) const;
 
@@ -125,6 +135,7 @@ class AccuracyLedger {
   };
 
   LedgerOptions options_;
+  IntervalQuantiles quantiles_;
   mutable std::mutex mutex_;
   Entry overall_;
   std::map<std::string, Entry> per_model_;

@@ -338,12 +338,4 @@ std::string ClusterFrontend::render_metrics_json() const {
   return metrics_.render_json();
 }
 
-std::uint64_t ClusterFrontend::requests_stolen() const {
-  std::uint64_t stolen = 0;
-  for (const auto& node : nodes_) {
-    stolen += node->service_counter("requests_stolen");
-  }
-  return stolen;
-}
-
 }  // namespace sspred::dserve

@@ -16,9 +16,10 @@
 //   failover   — a replica that drops the frame (crash, link drop) is
 //                marked failed and the next replica is tried in set
 //                order; kDown nodes sink to the back of the order. A
-//                queue-full rejection also fails over (the node is
-//                healthy — only its backlog is), so an accepted request
-//                is lost only when EVERY replica rejects it.
+//                rejection (a stopped service or an unavailable shard)
+//                also fails over (the node is alive — it just cannot
+//                serve this key), so an accepted request is lost only
+//                when EVERY replica rejects it.
 //   health     — Membership fuses heartbeat probes with per-request
 //                outcomes into kUp/kSuspect/kDown (membership.hpp).
 //   rebalance  — heartbeat acks carry each node's installed epoch
@@ -148,9 +149,6 @@ class ClusterFrontend {
   /// The failover order predict() uses for `model_id`, primary first.
   [[nodiscard]] std::vector<std::size_t> replica_set(
       const std::string& model_id) const;
-
-  /// Requests stolen between co-located shards, summed across nodes.
-  [[nodiscard]] std::uint64_t requests_stolen() const;
 
  private:
   /// Transport endpoint of one node: call() == hand the node the frame.

@@ -39,7 +39,11 @@ std::optional<std::vector<std::uint8_t>> ServingNode::handle_frame(
     const std::vector<std::uint8_t>& frame) {
   const std::shared_lock lock(mutex_);
   if (crashed_ || !service_) return std::nullopt;
-  if (frame.size() < 4) {
+  // A prefix that disagrees with the frame's size means the bytes were
+  // cut or corrupted in transit: decoding what is there would serve a
+  // frame its sender never sent.
+  if (frame.size() < 4 ||
+      serve::frame_length(frame.data()) != frame.size() - 4) {
     bad_frames_.increment();
     return std::nullopt;
   }
@@ -73,7 +77,9 @@ std::vector<std::uint8_t> ServingNode::serve_request(
     std::this_thread::sleep_for(std::chrono::nanoseconds(slowdown));
   }
   frames_served_.increment();
-  const auto result = service_->submit(std::move(decoded.request)).get();
+  // The transport call is synchronous, so this thread would only wait on
+  // a worker: serve the request on it instead.
+  const auto result = service_->serve(std::move(decoded.request));
   return serve::encode_response(result, decoded.client_tag);
 }
 

@@ -8,13 +8,23 @@
 // object crosses the node boundary except encoded frames, so promoting a
 // node to a real process is a transport swap.
 //
+// Request frames run on the caller's thread (PredictionService::serve):
+// the transport call is synchronous, so handing the frame to a worker
+// and blocking on its future would add two thread handoffs and no
+// parallelism. A node's concurrency is therefore bounded by its callers,
+// and it sheds a frame (kRejected) only when its service is stopped or
+// the routed shard is unavailable — admission capacity, queue-full
+// shedding, coalescing, pause() and drain() belong to the queued
+// submit() path, which nodes do not use. Only a fixed-trial Monte-Carlo
+// request above mc_chunk_trials reaches the node's workers, as chunks.
+//
 // Fault model (fail-stop with drain):
 //   crash()   — the node stops answering: every subsequent handle_frame
 //               returns nullopt, which the frontend reads as a dead
-//               link. Calls already inside the node complete (their
-//               futures resolve and the replies are returned) — the
-//               synchronous transport is the drain boundary. State is
-//               NOT lost at crash; it is lost at restart.
+//               link. Calls already inside the node complete and
+//               their replies are returned — the synchronous transport
+//               is the drain boundary. State is NOT lost at crash; it
+//               is lost at restart.
 //   restart() — tears the service down (joining its workers) and builds
 //               a fresh one: cold program caches, empty metrics, and NO
 //               bindings epoch. Registered models survive (a deployment
@@ -61,10 +71,11 @@ class ServingNode {
   void register_model(const std::string& id, serve::ModelSpec spec);
 
   /// Serves one complete wire frame (length prefix included), returning
-  /// the reply frame. nullopt: the node is crashed. A frame the codec
-  /// rejects (malformed, or a type a node never receives) also yields
-  /// nullopt, counted as bad_frames — a broken peer looks like a dead
-  /// link, never a crashed node process.
+  /// the reply frame. nullopt: the node is crashed. A frame whose length
+  /// prefix disagrees with its size, or that the codec rejects
+  /// (malformed, or a type a node never receives), also yields nullopt,
+  /// counted as bad_frames — a broken peer looks like a dead link, never
+  /// a crashed node process.
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> handle_frame(
       const std::vector<std::uint8_t>& frame);
 
@@ -84,8 +95,8 @@ class ServingNode {
   /// PredictionService::report_observation); false when crashed.
   bool report_observation(std::uint64_t request_id, double observed_seconds);
 
-  /// Rolled-up counter value off the service's registry — how the
-  /// frontend sums e.g. requests_stolen cluster-wide. A crashed node
+  /// Rolled-up counter value off the service's registry — how a caller
+  /// sums e.g. requests_total cluster-wide. A crashed node
   /// still reports (state is lost at restart, not crash); a restarted
   /// node reports from zero.
   [[nodiscard]] std::uint64_t service_counter(const std::string& name) const;

@@ -50,8 +50,12 @@ Arbiter::Arbiter(ArbiterOptions options)
                  "arbiter blend-weight bounds must satisfy 0 <= min <= max <= 1");
 }
 
-std::string Arbiter::candidate_id(const std::string& model_id, Source source) {
-  return model_id + "#" + source_name(source);
+Arbiter::ModelState::ModelState(const std::string& model_id) {
+  for (const Source source :
+       {Source::kStructural, Source::kLearned, Source::kBlended}) {
+    ids[static_cast<std::size_t>(source)] =
+        model_id + "#" + source_name(source);
+  }
 }
 
 Source Arbiter::source(const std::string& model_id) const {
@@ -70,11 +74,10 @@ bool Arbiter::record(const std::string& model_id,
                      const stoch::StochasticValue& structural,
                      const stoch::StochasticValue* learned, double observed) {
   const std::lock_guard lock(mutex_);
-  ModelState& state = states_[model_id];
+  ModelState& state = states_.try_emplace(model_id, model_id).first->second;
   ++state.observations;
 
-  ledger_.record(candidate_id(model_id, Source::kStructural), structural,
-                 observed);
+  ledger_.record(state.id(Source::kStructural), structural, observed);
   if (learned == nullptr) {
     // Bank still warming up: nothing to arbitrate. Pin to structural so
     // a flip decided on stale evidence cannot outlive a restart of the
@@ -90,15 +93,15 @@ bool Arbiter::record(const std::string& model_id,
   // have used — then the weight is refreshed for the next one.
   const stoch::StochasticValue blended =
       blend(structural, *learned, state.blend_w);
-  ledger_.record(candidate_id(model_id, Source::kLearned), *learned, observed);
-  ledger_.record(candidate_id(model_id, Source::kBlended), blended, observed);
+  ledger_.record(state.id(Source::kLearned), *learned, observed);
+  ledger_.record(state.id(Source::kBlended), blended, observed);
 
   const calib::CalibrationSnapshot s_struct =
-      ledger_.snapshot(candidate_id(model_id, Source::kStructural));
+      ledger_.snapshot(state.id(Source::kStructural));
   const calib::CalibrationSnapshot s_learn =
-      ledger_.snapshot(candidate_id(model_id, Source::kLearned));
+      ledger_.snapshot(state.id(Source::kLearned));
   const calib::CalibrationSnapshot s_blend =
-      ledger_.snapshot(candidate_id(model_id, Source::kBlended));
+      ledger_.snapshot(state.id(Source::kBlended));
 
   // Learned share of the mixture from the rolling-CRPS ratio: the
   // candidate with the smaller score earns the larger weight.
@@ -175,7 +178,7 @@ std::vector<ModelArbitration> Arbiter::table() const {
     row.streak = state.streak;
     row.blend_weight = state.blend_w;
     const auto fill = [&](Source source, CandidateScore& score) {
-      const std::string id = candidate_id(model_id, source);
+      const std::string& id = state.id(source);
       if (!ledger_.has(id)) return;
       const calib::CalibrationSnapshot s = ledger_.snapshot(id);
       score.count = s.count;

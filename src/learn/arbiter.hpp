@@ -20,6 +20,7 @@
 // process-local; a restarted node re-converges from fresh observations.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -120,6 +121,14 @@ class Arbiter {
 
  private:
   struct ModelState {
+    explicit ModelState(const std::string& model_id);
+
+    /// The candidate's ledger id, "<model>#<source>".
+    [[nodiscard]] const std::string& id(Source source) const noexcept {
+      return ids[static_cast<std::size_t>(source)];
+    }
+
+    std::array<std::string, 3> ids;  ///< built once, indexed by Source
     Source serving = Source::kStructural;
     Source challenger = Source::kStructural;
     std::size_t streak = 0;
@@ -128,9 +137,6 @@ class Arbiter {
     std::uint64_t learned_observations = 0;
     double blend_w = 0.5;
   };
-
-  [[nodiscard]] static std::string candidate_id(const std::string& model_id,
-                                                Source source);
 
   ArbiterOptions options_;
   calib::AccuracyLedger ledger_;

@@ -66,17 +66,25 @@ std::size_t PredictionService::shard_of(const std::string& model_id) const {
                : router_.route(model_id);
 }
 
-std::future<PredictResult> PredictionService::submit(PredictRequest request) {
-  PredictionShard::Job job;
-  job.request = std::move(request);
+std::size_t PredictionService::route(PredictionShard::Job& job) const {
   // Submit-time registration stamp: gives the router the structure key's
   // hash. Null (unknown id) routes by id text — deterministically, so the
   // shard that reports the structured error is stable too.
   job.model = models_.find(job.request.model_id);
   job.enqueue_time = clock_->now();
-  const std::size_t routed = job.model
-                                 ? router_.route_hash(job.model->key_hash)
-                                 : router_.route(job.request.model_id);
+  return job.model ? router_.route_hash(job.model->key_hash)
+                   : router_.route(job.request.model_id);
+}
+
+std::uint64_t PredictionService::next_id(std::size_t shard) noexcept {
+  return (next_seq_.fetch_add(1, std::memory_order_relaxed) << kShardBits) |
+         shard;
+}
+
+std::future<PredictResult> PredictionService::submit(PredictRequest request) {
+  PredictionShard::Job job;
+  job.request = std::move(request);
+  const std::size_t routed = route(job);
   std::size_t shard = routed;
   // Work stealing: when one family's stream has piled its home shard's
   // queue `steal_threshold` deeper than the least-loaded shard, spill
@@ -108,8 +116,7 @@ std::future<PredictResult> PredictionService::submit(PredictRequest request) {
       }
     }
   }
-  job.id = (next_seq_.fetch_add(1, std::memory_order_relaxed) << kShardBits) |
-           shard;
+  job.id = next_id(shard);
   auto future = job.promise.get_future();
   if (available_[shard].load(std::memory_order_acquire)) {
     shards_[shard]->submit(std::move(job));
@@ -117,6 +124,19 @@ std::future<PredictResult> PredictionService::submit(PredictRequest request) {
     shards_[shard]->reject_unavailable(std::move(job));
   }
   return future;
+}
+
+PredictResult PredictionService::serve(PredictRequest request) {
+  PredictionShard::Job job;
+  job.request = std::move(request);
+  const std::size_t shard = route(job);
+  job.id = next_id(shard);
+  if (available_[shard].load(std::memory_order_acquire)) {
+    return shards_[shard]->serve(std::move(job));
+  }
+  auto future = job.promise.get_future();
+  shards_[shard]->reject_unavailable(std::move(job));
+  return future.get();
 }
 
 void PredictionService::publish_epoch(EpochPtr epoch) {

@@ -1,10 +1,21 @@
 // PredictionService — the facade over the layered, sharded serving stack.
 //
-// The public API is unchanged from the monolithic service:
+// Two ways in:
 //
-//   submit(PredictRequest) -> std::future<PredictResult>
+//   submit(PredictRequest) -> std::future<PredictResult>   (queued)
+//   serve(PredictRequest)  -> PredictResult                (caller-runs)
 //
-// but behind it the stack is now four layers (DESIGN.md §13):
+// submit() is for open-loop callers with many requests in flight: the
+// request crosses to a shard worker through the admission ring, and
+// admission capacity, queue-full shedding, coalescing, pause() and
+// drain() apply to it. serve() is for a caller that would only block on
+// the future anyway (a dserve node answering one wire frame): it pins the
+// epoch the same way and runs the same evaluation on the calling thread,
+// so its concurrency is bounded by its callers and it sheds only when
+// the shard is unavailable or the service has stopped. Both return the
+// same bits for the same request.
+//
+// Behind them the stack is four layers (DESIGN.md §13):
 //
 //   admission  — per-shard lock-free bounded queue with exact,
 //                per-reason shedding                    (admission.hpp)
@@ -28,10 +39,11 @@
 //
 // Error contract (unchanged): a request that cannot be served — unknown
 // model id, wrong binding count, resource missing from the epoch, a
-// worker-side exception of any kind — resolves its future with a
-// structured PredictResult (status kError and a message); worker threads
-// never die on a bad request. Rejection (queue full / service stopped /
-// shard unavailable) resolves with status kRejected, counted per reason.
+// worker-side exception of any kind — resolves with a structured
+// PredictResult (status kError and a message); neither workers nor
+// serve() callers see the exception. Rejection (queue full / service
+// stopped / shard unavailable) resolves with status kRejected, counted
+// per reason.
 #pragma once
 
 #include <atomic>
@@ -73,6 +85,14 @@ class PredictionService {
   /// with kRejected immediately when the routed shard's queue is full,
   /// the shard is unavailable, or the service has stopped.
   [[nodiscard]] std::future<PredictResult> submit(PredictRequest request);
+
+  /// Serves a request on the calling thread (see the file comment):
+  /// routes, stamps the id, checks shard availability and pins the epoch
+  /// as submit() does, then evaluates it here instead of on a worker.
+  /// Bit-exact against submit().get(). A fixed-trial Monte-Carlo request
+  /// above mc_chunk_trials still fans out to the shard's workers, and
+  /// this call waits for them.
+  [[nodiscard]] PredictResult serve(PredictRequest request);
 
   /// Installs `epoch` as the bindings epoch for subsequently submitted
   /// requests on EVERY shard; in-flight requests keep the epoch they
@@ -148,6 +168,12 @@ class PredictionService {
   void set_shard_available(std::size_t shard, bool available);
 
  private:
+  /// Stamps `job`'s registration snapshot and enqueue time; returns the
+  /// shard its request's structure key routes to.
+  std::size_t route(PredictionShard::Job& job) const;
+  /// A fresh request id owned by `shard`.
+  std::uint64_t next_id(std::size_t shard) noexcept;
+
   ServiceOptions options_;
   std::shared_ptr<support::Clock> clock_;
   MetricsRegistry metrics_;

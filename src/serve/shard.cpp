@@ -198,15 +198,17 @@ void PredictionShard::reject(Job&& job, DualCounter& why, std::string reason) {
   job.promise.set_value(std::move(rejected));
 }
 
+void PredictionShard::pin_epoch(Job& job) {
+  // The bindings epoch is pinned at shard admission: the job holds this
+  // one immutable snapshot for its whole life, so no request can ever
+  // observe two epochs however publishes interleave.
+  const std::lock_guard lock(epoch_mutex_);
+  job.epoch = epoch_;
+}
+
 void PredictionShard::submit(Job job) {
   requests_total_.increment();
-  {
-    // The bindings epoch is pinned here, at shard admission: the job
-    // holds this one immutable snapshot for its whole life, so no
-    // request can ever observe two epochs however publishes interleave.
-    const std::lock_guard lock(epoch_mutex_);
-    job.epoch = epoch_;
-  }
+  pin_epoch(job);
   switch (ring_.try_push(job)) {
     case AdmissionQueue<Job>::Push::kOk: {
       queue_depth_.add(1);
@@ -230,6 +232,32 @@ void PredictionShard::submit(Job job) {
       reject(std::move(job), rejected_stopped_, "service stopped");
       return;
   }
+}
+
+PredictResult PredictionShard::serve(Job job) {
+  requests_total_.increment();
+  auto result = job.promise.get_future();
+  if (ring_.closed()) {
+    reject(std::move(job), rejected_stopped_, "service stopped");
+    return result.get();
+  }
+  pin_epoch(job);
+  std::unique_ptr<WorkerState> state;
+  {
+    const std::lock_guard lock(states_mutex_);
+    if (!spare_states_.empty()) {
+      state = std::move(spare_states_.back());
+      spare_states_.pop_back();
+    }
+  }
+  if (!state) state = std::make_unique<WorkerState>();
+  execute_job(std::move(job), {}, *state);
+  {
+    const std::lock_guard lock(states_mutex_);
+    spare_states_.push_back(std::move(state));
+  }
+  // Resolved already unless the request fanned out as Monte-Carlo chunks.
+  return result.get();
 }
 
 void PredictionShard::reject_unavailable(Job job) {

@@ -169,6 +169,15 @@ class PredictionShard {
   /// Lock-free on the admit path (see admission.hpp).
   void submit(Job job);
 
+  /// Caller-runs admission: counts the job and pins the shard's current
+  /// epoch exactly as submit() does, then evaluates it on the CALLING
+  /// thread with a WorkerState borrowed from the shard's pool — no
+  /// admission ring, no coalescing, no handoff to a worker. A fixed-trial
+  /// Monte-Carlo request above mc_chunk_trials still fans its chunks out
+  /// to the workers, and the caller waits for them (through a pause(),
+  /// too). Sheds (rejected_stopped) only once the shard is stopping.
+  [[nodiscard]] PredictResult serve(Job job);
+
   /// Routing-layer shed: accounts the job against this shard
   /// (rejected_shard_unavailable) and resolves its promise.
   void reject_unavailable(Job job);
@@ -285,6 +294,8 @@ class PredictionShard {
   };
 
   void worker_loop();
+  /// Pins the shard's current bindings epoch on `job` (admission time).
+  void pin_epoch(Job& job);
   /// Evaluates `job` once and fulfills its promise and the `extra`
   /// promises of the identical requests coalesced onto it.
   void execute_job(Job&& job, std::vector<Pending>&& extra,
@@ -420,6 +431,12 @@ class PredictionShard {
   /// Monte-Carlo trials actually executed per evaluation (adaptive stops
   /// show up as mass below the requested clamp).
   DualHistogram mc_trials_;
+
+  /// WorkerStates idle between serve() calls: a caller takes one (or
+  /// makes one) and puts it back, so the pool holds as many as there
+  /// were concurrent callers at the peak.
+  std::mutex states_mutex_;
+  std::vector<std::unique_ptr<WorkerState>> spare_states_;
 
   std::vector<std::thread> threads_;  ///< last member: joins see all state
 };

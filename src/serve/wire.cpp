@@ -188,6 +188,14 @@ std::uint64_t decode_header(Reader& r, WireType expected) {
 
 }  // namespace
 
+std::uint32_t frame_length(const std::uint8_t* prefix) noexcept {
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
+  }
+  return len;
+}
+
 WireType frame_type(const std::uint8_t* data, std::size_t size) {
   Reader r(data, size);
   const std::uint8_t type = decode_preamble(r);
@@ -392,12 +400,7 @@ void FrameBuffer::feed(const std::uint8_t* data, std::size_t size) {
 std::optional<std::vector<std::uint8_t>> FrameBuffer::take_frame() {
   const std::size_t avail = buffer_.size() - consumed_;
   if (avail < 4) return std::nullopt;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(
-               buffer_[consumed_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-  }
+  const std::uint32_t len = frame_length(buffer_.data() + consumed_);
   if (len > max_frame_bytes_) {
     throw support::Error("wire: frame length " + std::to_string(len) +
                          " exceeds cap " + std::to_string(max_frame_bytes_));

@@ -66,6 +66,9 @@ enum class WireType : std::uint8_t {
 /// inbound stream) call this before the type-specific decoder.
 [[nodiscard]] WireType frame_type(const std::uint8_t* data, std::size_t size);
 
+/// Payload length a frame's 4-byte little-endian prefix declares.
+[[nodiscard]] std::uint32_t frame_length(const std::uint8_t* prefix) noexcept;
+
 /// One frame's payload, ready to send (length prefix included).
 [[nodiscard]] std::vector<std::uint8_t> encode_request(
     const PredictRequest& request, std::uint64_t client_tag);

@@ -12,8 +12,8 @@
 //     serves, field for field, what one-at-a-time serving does;
 //   * precision requests above mc_chunk_trials run solo-adaptive instead
 //     of the chunked fan-out;
-//   * concurrent mixed submissions are race-free (AdaptiveServe is in
-//     the CI ThreadSanitizer regex).
+//   * concurrent mixed submissions are race-free (CI runs the suite
+//     under ThreadSanitizer).
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <future>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "serve/epoch.hpp"
 #include "serve/service.hpp"
 #include "stats/descriptive.hpp"
+#include "stats/distributions.hpp"
 #include "support/clock.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -122,6 +127,51 @@ TEST(CalibLedger, NormalCrpsAndPinballClosedForms) {
   EXPECT_DOUBLE_EQ(pinball_loss(1.0, 0.9, 2.0), 0.9);
   EXPECT_DOUBLE_EQ(pinball_loss(1.0, 0.9, 0.0), 0.1);
   EXPECT_DOUBLE_EQ(pinball_loss(1.0, 0.9, 1.0), 0.0);
+}
+
+TEST(CalibLedger, MeanPinballBitExactAgainstNormalQuantiles) {
+  // Reference: the pinball loss at the interval quantiles of the
+  // predicted normal, each quantile taken from stats::Normal, averaged by
+  // the same streaming accumulator the ledger keeps. The ledger must
+  // reproduce it bit for bit, per model and overall, at any nominal
+  // coverage and for any mix of means, spreads and point predictions.
+  for (const double nominal : {0.95, 0.8, 0.5, 0.99}) {
+    LedgerOptions options;
+    options.nominal_coverage = nominal;
+    AccuracyLedger ledger(options);
+    const double tau_lo = (1.0 - nominal) / 2.0;
+    const double tau_hi = 1.0 - tau_lo;
+    std::map<std::string, stats::OnlineStats> per_model;
+    stats::OnlineStats overall;
+    support::Rng rng(29);
+    for (int i = 0; i < 500; ++i) {
+      const std::string id = i % 3 == 0 ? "a" : "b";
+      const double mean = rng.uniform(-5.0, 50.0);
+      const auto predicted =
+          i % 7 == 0 ? stoch::StochasticValue::point(mean)
+                     : stoch::StochasticValue::from_mean_sd(
+                           mean, rng.uniform(1e-3, 8.0));
+      const double observed = rng.normal(mean, 4.0);
+      ledger.record(id, predicted, observed);
+      if (predicted.is_point()) continue;
+      const stats::Normal normal(predicted.mean(), predicted.sd());
+      const double loss =
+          0.5 * (pinball_loss(normal.quantile(tau_lo), tau_lo, observed) +
+                 pinball_loss(normal.quantile(tau_hi), tau_hi, observed));
+      per_model[id].add(loss);
+      overall.add(loss);
+    }
+    for (const auto& [id, want] : per_model) {
+      const double got = ledger.snapshot(id).mean_pinball;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want.mean()))
+          << id << " at nominal " << nominal << ": " << got << " vs "
+          << want.mean();
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ledger.snapshot().mean_pinball),
+              std::bit_cast<std::uint64_t>(overall.mean()))
+        << "overall at nominal " << nominal;
+  }
 }
 
 // ---------------------------------------------------------------- drift

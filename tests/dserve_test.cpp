@@ -187,6 +187,25 @@ TEST(DserveNode, ServesWireFramesAndSurvivesGarbage) {
   EXPECT_EQ(node.metrics().counter("node_bad_frames").value(), 3u);
 }
 
+TEST(DserveNode, RejectsAFrameWhosePrefixDisagreesWithItsSize) {
+  serve::ServiceOptions options;
+  options.workers = 1;
+  ServingNode node(0, options);
+  node.register_model("sor", family_spec(120));
+  const auto frame = serve::encode_request(request_for("sor", 0.8), 3);
+  ASSERT_TRUE(node.handle_frame(frame).has_value());
+
+  for (const std::size_t bit : {0u, 9u, 31u}) {
+    auto corrupt = frame;
+    corrupt[bit / 8] ^= std::uint8_t(1u << (bit % 8));
+    EXPECT_FALSE(node.handle_frame(corrupt).has_value()) << "bit " << bit;
+  }
+  EXPECT_EQ(node.metrics().counter("node_bad_frames").value(), 3u);
+  // Rejected before dispatch: only the intact frame reached the service.
+  EXPECT_EQ(node.metrics().counter("node_frames_served").value(), 1u);
+  EXPECT_EQ(node.service_counter("requests_total"), 1u);
+}
+
 TEST(DserveNode, CrashStopsServiceAndRestartLosesEpochNotModels) {
   serve::ServiceOptions options;
   options.workers = 1;

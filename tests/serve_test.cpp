@@ -1,20 +1,22 @@
 // Tests for the concurrent prediction service (src/serve/): metrics,
 // bindings epochs, the compiled-program cache (including the concurrent
 // first-compilation race), coalescing, admission control, Monte-Carlo
-// fan-out, structured worker-side errors, and the nws::Service
-// multi-reader contract. The concurrency tests here are the ones CI runs
-// under ThreadSanitizer.
+// fan-out, structured worker-side errors, the caller-runs serve() path
+// against submit(), and the nws::Service multi-reader contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "calib/ledger.hpp"
 #include "cluster/platform.hpp"
 #include "nws/service.hpp"
 #include "serve/epoch.hpp"
@@ -806,6 +808,241 @@ TEST(ServeService, DrainWaitsForQueueAndWorkers) {
   for (auto& f : futures) {
     EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   }
+}
+
+// --- Caller-runs serve() ----------------------------------------------------
+
+/// Every field two evaluations of one request must share, bit for bit
+/// (ids and latency differ by construction).
+void expect_same_result(const PredictResult& got, const PredictResult& want,
+                        const std::string& what) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(got.status, want.status) << what << ": " << got.error;
+  EXPECT_EQ(got.error, want.error) << what;
+  EXPECT_EQ(bits(got.value.mean()), bits(want.value.mean())) << what;
+  EXPECT_EQ(bits(got.value.halfwidth()), bits(want.value.halfwidth())) << what;
+  EXPECT_EQ(bits(got.point), bits(want.point)) << what;
+  EXPECT_EQ(got.source, want.source) << what;
+  EXPECT_EQ(got.epoch_version, want.epoch_version) << what;
+  EXPECT_EQ(got.batch_size, want.batch_size) << what;
+  EXPECT_EQ(got.mc_trials, want.mc_trials) << what;
+  EXPECT_EQ(bits(got.mc_ci_halfwidth), bits(want.mc_ci_halfwidth)) << what;
+  EXPECT_EQ(got.precision_met, want.precision_met) << what;
+}
+
+/// Epoch `version` binding "cpu/<h>" for `hosts` hosts plus "bw", with
+/// values distinct per version.
+EpochPtr numbered_epoch(std::uint64_t version, std::size_t hosts) {
+  std::map<std::string, stoch::StochasticValue> bindings;
+  for (std::size_t h = 0; h < hosts; ++h) {
+    bindings.emplace("cpu/" + std::to_string(h),
+                     stoch::StochasticValue(
+                         0.5 + 0.04 * double(h) + 0.03 * double(version),
+                         0.05 + 0.01 * double(version)));
+  }
+  bindings.emplace("bw", stoch::StochasticValue(0.4 + 0.05 * double(version),
+                                                0.04));
+  return std::make_shared<const BindingsEpoch>(version, std::move(bindings));
+}
+
+/// One request of every serving mode against model "m" of `spec`:
+/// stochastic, point, Monte-Carlo within one chunk, chunked Monte-Carlo,
+/// precision-targeted Monte-Carlo, and loads bound by name.
+std::vector<PredictRequest> every_mode(const ModelSpec& spec,
+                                       std::size_t chunk_trials) {
+  std::vector<PredictRequest> out;
+  out.push_back(pinned_request(spec, 0, Mode::kStochastic));
+  out.push_back(pinned_request(spec, 1, Mode::kPoint));
+  PredictRequest mc = pinned_request(spec, 2, Mode::kMonteCarlo);
+  mc.trials = chunk_trials / 2;
+  mc.seed = 7;
+  out.push_back(mc);
+  mc.trials = 3 * chunk_trials + chunk_trials / 3;  // uneven tail chunk
+  mc.seed = 8;
+  out.push_back(mc);
+  mc.trials = 20000;
+  mc.seed = 9;
+  mc.precision = 0.02;
+  mc.precision_relative = true;
+  out.push_back(mc);
+  PredictRequest named;
+  named.model_id = "m";
+  for (std::size_t h = 0; h < spec.platform.hosts.size(); ++h) {
+    named.resources.push_back("cpu/" + std::to_string(h));
+  }
+  named.bwavail_resource = "bw";
+  out.push_back(named);
+  return out;
+}
+
+TEST(ServeService, CallerRunsServeBitMatchesSubmitInEveryMode) {
+  constexpr std::size_t kChunk = 1000;
+  const auto specs = structural_specs();
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const ModelSpec& spec = specs[s];
+    ServiceOptions options;
+    options.workers = 2;
+    options.mc_chunk_trials = kChunk;
+    PredictionService service(options);
+    service.register_model("m", spec);
+    service.publish_epoch(numbered_epoch(3, spec.platform.hosts.size()));
+    const auto requests = every_mode(spec, kChunk);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const std::string what =
+          "spec " + std::to_string(s) + " request " + std::to_string(i);
+      const PredictResult queued = service.submit(requests[i]).get();
+      ASSERT_TRUE(queued.ok()) << what << ": " << queued.error;
+      expect_same_result(service.serve(requests[i]), queued, what);
+      if (requests[i].precision > 0.0) {
+        EXPECT_LT(queued.mc_trials, requests[i].trials) << what;
+      }
+    }
+    // Both chunked runs fanned out the same 4 chunks.
+    EXPECT_EQ(service.metrics().counter("mc_chunks_executed").value(), 8u);
+  }
+}
+
+TEST(ServeService, CallerRunsServeReportsTheSameStructuredErrors) {
+  PredictionService service(options_with(1));
+  service.register_model("sor", small_spec());
+  const std::vector<PredictRequest> bad = {
+      stochastic_request("nope", loads_for(2)),     // unknown id
+      stochastic_request("sor", loads_for(3)),      // binding count
+      resource_request("sor", {"cpu/a", "cpu/b"}),  // no epoch published
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const PredictResult queued = service.submit(bad[i]).get();
+    const PredictResult served = service.serve(bad[i]);
+    EXPECT_EQ(served.status, PredictResult::Status::kError) << i;
+    EXPECT_FALSE(served.error.empty()) << i;
+    expect_same_result(served, queued, "bad request " + std::to_string(i));
+  }
+  EXPECT_EQ(service.metrics().counter("requests_error").value(), 6u);
+  // The calling thread survives a bad request like a worker does.
+  EXPECT_TRUE(service.serve(stochastic_request("sor", loads_for(2))).ok());
+}
+
+TEST(ServeService, CallerRunsServeShedsOnAnUnavailableShard) {
+  ServiceOptions options;
+  options.shards = 2;
+  options.workers = 1;
+  PredictionService service(options);
+  service.register_model("sor", small_spec());
+  const std::size_t home = service.shard_of("sor");
+  service.set_shard_available(home, false);
+  const auto request = stochastic_request("sor", loads_for(2));
+  const PredictResult served = service.serve(request);
+  EXPECT_EQ(served.status, PredictResult::Status::kRejected);
+  EXPECT_EQ(PredictionService::shard_of_id(served.request_id), home);
+  expect_same_result(served, service.submit(request).get(), "unavailable");
+  EXPECT_EQ(service.metrics().counter("rejected_shard_unavailable").value(),
+            2u);
+  service.set_shard_available(home, true);
+  EXPECT_TRUE(service.serve(request).ok());
+}
+
+TEST(ServeService, CallerRunsServeCountsRequestsAndNeverQueues) {
+  // serve() needs no worker: it answers on a paused service, leaves the
+  // queue-depth gauge at 0, and its ids close the observation loop.
+  ServiceOptions options;
+  options.workers = 1;
+  options.start_paused = true;
+  options.ledger = std::make_shared<calib::AccuracyLedger>();
+  PredictionService service(options);
+  service.register_model("sor", small_spec());
+  auto& m = service.metrics();
+  for (std::uint64_t n = 1; n <= 3; ++n) {
+    const PredictResult r =
+        service.serve(stochastic_request("sor", loads_for(2)));
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.batch_size, 1u);
+    EXPECT_EQ(m.counter("requests_total").value(), n);
+    EXPECT_EQ(m.counter("requests_ok").value(), n);
+    EXPECT_EQ(m.gauge("queue_depth").value(), 0);
+    EXPECT_TRUE(service.report_observation(r.request_id, r.point));
+  }
+  service.drain();  // nothing queued: returns although paused
+  EXPECT_EQ(m.counter("observations_recorded").value(), 3u);
+}
+
+TEST(ServeService, CallerRunsServeStressAgainstConcurrentSubmitAndPublish) {
+  // Four threads serve() on a one-worker shard while a fifth submit()s
+  // and a sixth keeps publishing epochs. Every result, whichever path
+  // and epoch it took, must bit-match that request's one-at-a-time
+  // result under the epoch it reports.
+  constexpr std::size_t kChunk = 256;
+  constexpr std::uint64_t kEpochs = 4;
+  constexpr int kServers = 4;
+  constexpr int kPerThread = 150;
+  const ModelSpec spec = structural_specs()[0];
+  const std::size_t hosts = spec.platform.hosts.size();
+  auto requests = every_mode(spec, kChunk);
+  requests[4].trials = 4000;  // keep the precision request short
+
+  std::vector<std::vector<PredictResult>> reference(kEpochs + 1);
+  for (std::uint64_t v = 1; v <= kEpochs; ++v) {
+    ServiceOptions options;
+    options.workers = 1;
+    options.mc_chunk_trials = kChunk;
+    PredictionService solo(options);
+    solo.register_model("m", spec);
+    solo.publish_epoch(numbered_epoch(v, hosts));
+    for (const auto& request : requests) {
+      reference[v].push_back(solo.submit(request).get());
+      ASSERT_TRUE(reference[v].back().ok()) << reference[v].back().error;
+    }
+  }
+
+  ServiceOptions options;
+  options.workers = 1;
+  options.mc_chunk_trials = kChunk;
+  PredictionService service(options);
+  service.register_model("m", spec);
+  service.publish_epoch(numbered_epoch(1, hosts));
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  const auto check = [&](std::size_t i, const PredictResult& r) {
+    if (!r.ok() || r.epoch_version < 1 || r.epoch_version > kEpochs) {
+      mismatches.fetch_add(1);
+      return;
+    }
+    const PredictResult& want = reference[r.epoch_version][i];
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    if (bits(r.value.mean()) != bits(want.value.mean()) ||
+        bits(r.value.halfwidth()) != bits(want.value.halfwidth()) ||
+        r.mc_trials != want.mc_trials) {
+      mismatches.fetch_add(1);
+    }
+  };
+  std::thread publisher([&] {
+    for (std::uint64_t k = 0; !stop.load(); ++k) {
+      service.publish_epoch(numbered_epoch(1 + k % kEpochs, hosts));
+      std::this_thread::yield();
+    }
+  });
+  std::thread submitter([&] {
+    for (int k = 0; k < kPerThread; ++k) {
+      const std::size_t i = std::size_t(k) % requests.size();
+      check(i, service.submit(requests[i]).get());
+    }
+  });
+  std::vector<std::thread> servers;
+  for (int t = 0; t < kServers; ++t) {
+    servers.emplace_back([&, t] {
+      for (int k = 0; k < kPerThread; ++k) {
+        const std::size_t i = std::size_t(k + t) % requests.size();
+        check(i, service.serve(requests[i]));
+      }
+    });
+  }
+  for (auto& t : servers) t.join();
+  submitter.join();
+  stop.store(true);
+  publisher.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(service.metrics().counter("requests_ok").value(),
+            std::uint64_t((kServers + 1) * kPerThread));
 }
 
 // The TSan target: concurrent submitters + an epoch publisher + a live
