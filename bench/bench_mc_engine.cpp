@@ -1,16 +1,22 @@
-// Blocked vs scalar Monte-Carlo engine comparison (self-checking).
+// Blocked Monte-Carlo engine against the Expr tree sampler
+// (self-checking).
 //
-// Sweeps the compiled-program sampler across trial counts (1k / 10k /
-// 100k) and model sizes (a handful-of-nodes expression, the Platform-2
-// SOR structural model, and a 16-host wide SOR) in both RNG stream orders
-// (ir::SampleOrder): kScalarCompat is the pre-batching per-trial
-// interpreter, kBlocked the trial-major SoA engine with the ziggurat
-// batch sampler. Numbers land in BENCH_mc_engine.json.
+// Sweeps trial counts (1k / 10k / 100k) and model sizes (a
+// handful-of-nodes expression, the Platform-2 SOR structural model, and a
+// 16-host wide SOR), timing the compiled program's blocked trial-major
+// engine (sample_trials: SoA batch kernels plus the ziggurat batch
+// sampler) against the authoring tree's per-trial Expr::sample walk over a
+// string-keyed Environment, summarized the same way. The tree sampler is
+// the reference the engine's distribution is tested against. Numbers land
+// in BENCH_mc_engine.json.
 //
 // Self-check: in optimized builds the blocked engine must be at least
-// kSpeedupFloor x faster than scalar order on the 10k-trial SOR model
-// (the ISSUE-5 acceptance bar); the process exits non-zero otherwise.
-// Unoptimized builds report but do not assert — their timings are noise.
+// kSpeedupFloor x faster than the tree sampler on the 10k-trial SOR model;
+// the process exits non-zero otherwise. The floor is as strict as the
+// earlier 4x floor against the compiled per-trial walk this bench used to
+// time: the tree took 2.06-2.55x that walk's time on this model (14
+// rounds, Release, 4-vCPU host), and 4 x 2.55 = 10.2. Unoptimized builds
+// report but do not assert — their timings are noise.
 //
 // Timing uses bench::measure_until (bench/measure.*): warm-up-trimmed,
 // autocorrelation-corrected, CI-driven run length instead of the old
@@ -37,7 +43,7 @@ namespace {
 using namespace sspred;
 using stoch::StochasticValue;
 
-constexpr double kSpeedupFloor = 4.0;
+constexpr double kSpeedupFloor = 10.2;
 constexpr std::size_t kTrialCounts[] = {1'000, 10'000, 100'000};
 // Every measurement samples this many trials in total (small counts loop
 // more), so short calls still time a >= millisecond region.
@@ -45,10 +51,23 @@ constexpr std::size_t kTrialsPerMeasurement = 100'000;
 
 struct Case {
   std::string name;
+  model::ExprPtr expr;
+  model::Environment tree_env;
   model::ir::Program program;
   model::ir::SlotEnvironment env;
   std::size_t nodes = 0;
 };
+
+/// Compiles `expr` and binds the program's slots from `tree_env`, so both
+/// samplers see the same model and bindings.
+Case make_case(std::string name, model::ExprPtr expr,
+               model::Environment tree_env) {
+  model::ir::Program prog = model::compile(*expr);
+  model::ir::SlotEnvironment env = model::bind_environment(prog, tree_env);
+  const std::size_t nodes = prog.node_count();
+  return {std::move(name), std::move(expr), std::move(tree_env),
+          std::move(prog), std::move(env), nodes};
+}
 
 Case small_case() {
   // ExTime = work / load + const overhead: the calibration demo's model,
@@ -57,11 +76,9 @@ Case small_case() {
       model::quotient(model::constant(StochasticValue(4.0)),
                       model::param("load")),
       model::constant(StochasticValue(0.2, 0.04)));
-  model::ir::Program prog = model::compile(*expr);
-  model::ir::SlotEnvironment env = prog.make_environment();
-  env.bind(prog.slot("load"), StochasticValue(0.8, 0.15));
-  const std::size_t nodes = prog.node_count();
-  return {"small-expr", std::move(prog), std::move(env), nodes};
+  model::Environment tree_env;
+  tree_env.bind("load", StochasticValue(0.8, 0.15));
+  return make_case("small-expr", expr, std::move(tree_env));
 }
 
 Case sor_case(const std::string& name, const cluster::PlatformSpec& platform,
@@ -72,20 +89,15 @@ Case sor_case(const std::string& name, const cluster::PlatformSpec& platform,
   const predict::SorStructuralModel model(platform, cfg);
   const std::vector<StochasticValue> loads(platform.hosts.size(),
                                            StochasticValue(0.62, 0.08));
-  model::ir::Program prog = model.program();
-  model::ir::SlotEnvironment env =
-      model.make_slot_env(loads, StochasticValue(0.525, 0.06));
-  const std::size_t nodes = prog.node_count();
-  return {name, std::move(prog), std::move(env), nodes};
+  return make_case(name, model.expr(),
+                   model.make_env(loads, StochasticValue(0.525, 0.06)));
 }
 
-/// Seconds per `trials`-trial sample_trials() call in `order`: CI-driven
+/// Seconds per call of `run` (one `trials`-trial estimate): CI-driven
 /// repetition over inner loops sized to kTrialsPerMeasurement, with
 /// warm-up removal and ESS correction done by bench::measure_until.
-bench::Measurement measure(const Case& c, std::size_t trials,
-                           model::ir::SampleOrder order) {
-  support::Rng rng(20260806);
-  model::ir::EvalWorkspace ws;
+template <typename Run>
+bench::Measurement measure(std::size_t trials, Run&& run) {
   const std::size_t inner =
       std::max<std::size_t>(1, kTrialsPerMeasurement / trials);
   bench::MeasureOptions options;
@@ -96,9 +108,7 @@ bench::Measurement measure(const Case& c, std::size_t trials,
   return bench::measure_until(
       [&] {
         const auto start = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < inner; ++i) {
-          (void)c.program.sample_trials(c.env, rng, trials, ws, order);
-        }
+        for (std::size_t i = 0; i < inner; ++i) run();
         const std::chrono::duration<double> dt =
             std::chrono::steady_clock::now() - start;
         return dt.count() / static_cast<double>(inner);
@@ -106,15 +116,41 @@ bench::Measurement measure(const Case& c, std::size_t trials,
       options);
 }
 
+/// The blocked engine: sample_trials() on a reused workspace.
+bench::Measurement measure_blocked(const Case& c, std::size_t trials) {
+  support::Rng rng(20260806);
+  model::ir::EvalWorkspace ws;
+  return measure(trials, [&] {
+    (void)c.program.sample_trials(c.env, rng, trials, ws);
+  });
+}
+
+/// The tree sampler: `trials` Expr::sample() walks, each on a fresh
+/// per-trial cache, summarized like sample_trials().
+bench::Measurement measure_tree(const Case& c, std::size_t trials) {
+  support::Rng rng(20260806);
+  model::SampleCache cache;
+  std::vector<double> outcomes;
+  outcomes.reserve(trials);
+  return measure(trials, [&] {
+    outcomes.clear();
+    for (std::size_t t = 0; t < trials; ++t) {
+      cache.clear();
+      outcomes.push_back(c.expr->sample(c.tree_env, cache, rng));
+    }
+    (void)StochasticValue::from_sample(outcomes);
+  });
+}
+
 struct Row {
   std::string model;
   std::size_t nodes = 0;
   std::size_t trials = 0;
-  double scalar_s = 0.0;
+  double tree_s = 0.0;
   double blocked_s = 0.0;
-  double scalar_ci = 0.0;   ///< CI half-width on scalar_s
+  double tree_ci = 0.0;     ///< CI half-width on tree_s
   double blocked_ci = 0.0;  ///< CI half-width on blocked_s
-  [[nodiscard]] double speedup() const { return scalar_s / blocked_s; }
+  [[nodiscard]] double speedup() const { return tree_s / blocked_s; }
   [[nodiscard]] double blocked_trials_per_s() const {
     return static_cast<double>(trials) / blocked_s;
   }
@@ -136,8 +172,8 @@ void emit_json(const std::vector<Row>& rows, double gate_speedup, bool pass) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"model\": \"" << r.model << "\", \"nodes\": " << r.nodes
-        << ", \"trials\": " << r.trials << ", \"scalar_sec\": " << r.scalar_s
-        << ", \"scalar_ci_sec\": " << r.scalar_ci
+        << ", \"trials\": " << r.trials << ", \"tree_sec\": " << r.tree_s
+        << ", \"tree_ci_sec\": " << r.tree_ci
         << ", \"blocked_sec\": " << r.blocked_s
         << ", \"blocked_ci_sec\": " << r.blocked_ci
         << ", \"speedup\": " << r.speedup()
@@ -150,9 +186,9 @@ void emit_json(const std::vector<Row>& rows, double gate_speedup, bool pass) {
 }  // namespace
 
 int main() {
-  bench::banner("mc engine: blocked vs scalar",
-                "trial-major SoA batch kernels + ziggurat sampler vs the "
-                "per-trial interpreter (model/ir.cpp)");
+  bench::banner("mc engine: blocked vs tree",
+                "trial-major SoA batch kernels + ziggurat sampler "
+                "(model/ir.cpp) vs the per-trial Expr::sample walk");
 
   std::vector<Case> cases;
   cases.push_back(small_case());
@@ -164,23 +200,21 @@ int main() {
   double gate_speedup = 0.0;
   for (const Case& c : cases) {
     bench::section(c.name + " (" + std::to_string(c.nodes) + " IR nodes)");
-    support::Table t({"trials", "scalar", "blocked", "speedup", "blocked trials/s"});
+    support::Table t({"trials", "tree", "blocked", "speedup", "blocked trials/s"});
     for (const std::size_t trials : kTrialCounts) {
       Row r;
       r.model = c.name;
       r.nodes = c.nodes;
       r.trials = trials;
-      const bench::Measurement scalar =
-          measure(c, trials, model::ir::SampleOrder::kScalarCompat);
-      const bench::Measurement blocked =
-          measure(c, trials, model::ir::SampleOrder::kBlocked);
-      r.scalar_s = scalar.mean;
+      const bench::Measurement tree = measure_tree(c, trials);
+      const bench::Measurement blocked = measure_blocked(c, trials);
+      r.tree_s = tree.mean;
       r.blocked_s = blocked.mean;
-      r.scalar_ci = scalar.ci_halfwidth;
+      r.tree_ci = tree.ci_halfwidth;
       r.blocked_ci = blocked.ci_halfwidth;
       if (c.name == "sor-p2" && trials == 10'000) gate_speedup = r.speedup();
       t.add_row({std::to_string(trials),
-                 support::fmt(r.scalar_s * 1e3, 2) + " ms",
+                 support::fmt(r.tree_s * 1e3, 2) + " ms",
                  support::fmt(r.blocked_s * 1e3, 2) + " ms ±" +
                      support::fmt(100.0 * r.blocked_ci /
                                       std::max(r.blocked_s, 1e-300), 1) + "%",
@@ -196,7 +230,7 @@ int main() {
   // Only optimized builds assert: debug/sanitizer timings say nothing
   // about the engine (the JSON still records which build produced it).
   const bool pass = gate_met || !bench::optimized_build();
-  std::printf("  gate: sor-p2 @ 10k trials, blocked >= %.1fx scalar\n",
+  std::printf("  gate: sor-p2 @ 10k trials, blocked >= %.1fx tree\n",
               kSpeedupFloor);
   std::printf("  measured: %.2fx (%s build)\n", gate_speedup,
               bench::build_type());

@@ -2,7 +2,9 @@
 // primitives — stochastic arithmetic, Clark max, normal quantiles, GMM
 // fitting, DES event processing, channel round-trips, load-trace
 // integration, the SOR sweep kernel, and tree-vs-compiled structural
-// model evaluation (results recorded in BENCH_compiled_ir.json).
+// model evaluation and Monte-Carlo (the tree sampler against the blocked
+// engine; bench_mc_engine sweeps that pair across trial counts and model
+// sizes). Results are recorded in BENCH_compiled_ir.json.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -244,22 +246,6 @@ void BM_ModelCompiledMonteCarlo10k(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10'000);
 }
 BENCHMARK(BM_ModelCompiledMonteCarlo10k)->Unit(benchmark::kMillisecond);
-
-void BM_ModelCompiledMonteCarlo10kScalarOrder(benchmark::State& state) {
-  // The pre-batching per-trial interpreter order, kept benchmarkable for
-  // direct comparison with the blocked default above (bench_mc_engine
-  // sweeps the comparison across trial counts and model sizes).
-  const SorFixture fx;
-  support::Rng rng(17);
-  model::ir::EvalWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.model.program().sample_trials(
-        *fx.slots, rng, 10'000, ws, model::ir::SampleOrder::kScalarCompat));
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_ModelCompiledMonteCarlo10kScalarOrder)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -37,7 +37,7 @@ using stoch::StochasticValue;
 struct PureValues {
   double stochastic = 0.0;  ///< exec_stochastic's mean (halfwidth is 0)
   double point = 0.0;       ///< exec_point
-  double sample = 0.0;      ///< exec_sample / exec_blocked
+  double sample = 0.0;      ///< exec_blocked
 };
 
 }  // namespace
@@ -413,13 +413,6 @@ ir::SlotEnvironment bind_environment(const ir::Program& program,
     slots.bind(s, env.lookup(names[s]));
   }
   return slots;
-}
-
-stoch::StochasticValue monte_carlo(const ir::Program& program,
-                                   const ir::SlotEnvironment& env,
-                                   support::Rng& rng, std::size_t trials,
-                                   ir::SampleOrder order) {
-  return program.sample_trials(env, rng, trials, order);
 }
 
 }  // namespace sspred::model

@@ -20,7 +20,7 @@
 namespace sspred::model {
 
 /// Per-pass switches for optimize(). All passes preserve results bit for
-/// bit in stochastic, point and Monte-Carlo modes (both sample orders):
+/// bit in stochastic, point and Monte-Carlo modes:
 ///  * fold_constants — rewrites point-valued (parameter- and draw-free)
 ///    subtrees to single literals, guarded per node on the three modes'
 ///    arithmetic agreeing exactly;
@@ -75,13 +75,5 @@ struct OptimizeStats {
 /// should bind slots directly instead.
 [[nodiscard]] ir::SlotEnvironment bind_environment(const ir::Program& program,
                                                    const Environment& env);
-
-/// Monte-Carlo over a compiled program (mean ± 2sd of `trials` samples).
-/// Runs the blocked trial-major engine by default; pass
-/// ir::SampleOrder::kScalarCompat to reproduce the per-trial tree stream.
-[[nodiscard]] stoch::StochasticValue monte_carlo(
-    const ir::Program& program, const ir::SlotEnvironment& env,
-    support::Rng& rng, std::size_t trials = 10'000,
-    ir::SampleOrder order = ir::SampleOrder::kBlocked);
 
 }  // namespace sspred::model

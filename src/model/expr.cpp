@@ -260,10 +260,10 @@ class DivExpr final : public Expr {
     den_->collect_params(out);
   }
   std::uint32_t lower(ir::Builder& builder) const override {
-    // Denominator region first: sample() above draws the denominator
-    // before the numerator, and the compiled sample walk executes the
-    // buffer linearly — emission order IS draw order. The operand ids
-    // keep num/den identity for the stochastic and point walks.
+    // Denominator region first, as sample() above draws it. The compiled
+    // Monte-Carlo walk executes the buffer linearly, so emission order is
+    // the blocked stream's draw order (changing it moves pinned goldens).
+    // The operand ids keep num/den identity for every walk.
     const std::uint32_t den = lower_child(den_, builder);
     const std::uint32_t num = lower_child(num_, builder);
     const std::uint32_t ids[] = {num, den};

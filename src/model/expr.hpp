@@ -130,8 +130,9 @@ class Expr {
 
 /// Full Monte-Carlo evaluation: `trials` samples summarized as mean ± 2sd.
 /// Routes through the compiled flat IR (one compile, then the blocked
-/// trial-major engine — see ir::SampleOrder in model/ir.hpp for the RNG
-/// stream contract and the scalar-compatible fallback order).
+/// trial-major engine — see ir::kBlockTrials in model/ir.hpp for its RNG
+/// stream contract). Expr::sample draws the same distribution one trial
+/// at a time and is the reference the engine is checked against.
 [[nodiscard]] stoch::StochasticValue monte_carlo(const Expr& expr,
                                                  const Environment& env,
                                                  support::Rng& rng,

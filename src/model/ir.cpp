@@ -3,17 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "stoch/montecarlo.hpp"
 #include "support/error.hpp"
-
-// Inner per-lane loops of the blocked engine are flat and alias-free;
-// with SSPRED_SIMD=ON the build defines SSPRED_USE_OMP_SIMD and marks them
-// for explicit vectorization (plain builds rely on auto-vectorization).
-#if defined(SSPRED_USE_OMP_SIMD)
-#define SSPRED_SIMD_LOOP _Pragma("omp simd")
-#else
-#define SSPRED_SIMD_LOOP
-#endif
 
 namespace sspred::model::ir {
 
@@ -167,8 +157,6 @@ void Program::reindex() {
 void Program::resize_workspace(EvalWorkspace& ws) const {
   ws.values.resize(nodes_.size());
   ws.point_values.resize(nodes_.size());
-  ws.slot_sample.resize(slot_names_->size());
-  ws.slot_drawn.resize(slot_names_->size());
 }
 
 // --- Stochastic walk (§2.3 calculus) --------------------------------------
@@ -412,156 +400,17 @@ double Program::evaluate_point(const SlotEnvironment& env) const {
   return evaluate_point(env, ws);
 }
 
-// --- Monte-Carlo walk -----------------------------------------------------
-
-void Program::exec_sample(const SlotEnvironment& env, support::Rng& rng,
-                          EvalWorkspace& ws, std::uint32_t lo,
-                          std::uint32_t hi) const {
-  std::uint32_t i = lo;
-  while (i < hi) {
-    // An unrelated-iterate body must NOT run under the enclosing per-slot
-    // cache — the tree gives each iteration an independent fresh cache —
-    // so the walk jumps over the body region to the iterate node, which
-    // drives the iterations itself. With nested bodies sharing a begin
-    // position, the outermost iterate inside the current region wins.
-    if (has_skip_[i] != 0) {
-      auto it = std::lower_bound(
-          sample_skips_.begin(), sample_skips_.end(),
-          std::pair<std::uint32_t, std::uint32_t>{i, 0});
-      std::uint32_t target = 0;
-      for (; it != sample_skips_.end() && it->first == i; ++it) {
-        if (it->second < hi) target = std::max(target, it->second);
-      }
-      if (target != 0) {
-        const Node& node = nodes_[target];
-        // Save the enclosing cache entries for every slot the body can
-        // touch; each iteration then starts from an all-fresh state.
-        const std::size_t mark = ws.saved_sample.size();
-        for (std::uint32_t k = 0; k < node.slots_count; ++k) {
-          const std::uint32_t s = body_slots_[node.slots_first + k];
-          ws.saved_sample.push_back(ws.slot_sample[s]);
-          ws.saved_drawn.push_back(ws.slot_drawn[s]);
-        }
-        double acc = 0.0;
-        for (std::uint32_t rep = 0; rep < node.payload; ++rep) {
-          for (std::uint32_t k = 0; k < node.slots_count; ++k) {
-            ws.slot_drawn[body_slots_[node.slots_first + k]] = 0;
-          }
-          exec_sample(env, rng, ws, node.body_begin, target);
-          acc += ws.point_values[target - 1];
-        }
-        for (std::uint32_t k = 0; k < node.slots_count; ++k) {
-          const std::uint32_t s = body_slots_[node.slots_first + k];
-          ws.slot_sample[s] = ws.saved_sample[mark + k];
-          ws.slot_drawn[s] = ws.saved_drawn[mark + k];
-        }
-        ws.saved_sample.resize(mark);
-        ws.saved_drawn.resize(mark);
-        ws.point_values[target] = acc;
-        i = target + 1;
-        continue;
-      }
-    }
-    const Node& node = nodes_[i];
-    switch (node.op) {
-      case OpCode::kConst:
-        ws.point_values[i] = stoch::sample(constants_[node.payload], rng);
-        break;
-      case OpCode::kParam: {
-        const std::uint32_t s = node.payload;
-        if (ws.slot_drawn[s] == 0) {
-          ws.slot_sample[s] = stoch::sample(env.lookup(s), rng);
-          ws.slot_drawn[s] = 1;
-        }
-        ws.point_values[i] = ws.slot_sample[s];
-        break;
-      }
-      case OpCode::kSum: {
-        double acc = 0.0;
-        for (std::uint32_t k = 0; k < node.count; ++k) {
-          acc += ws.point_values[operands_[node.first + k]];
-        }
-        ws.point_values[i] = acc;
-        break;
-      }
-      case OpCode::kProd: {
-        double acc = 1.0;
-        for (std::uint32_t k = 0; k < node.count; ++k) {
-          acc *= ws.point_values[operands_[node.first + k]];
-        }
-        ws.point_values[i] = acc;
-        break;
-      }
-      case OpCode::kMax:
-      case OpCode::kMin: {
-        double acc = ws.point_values[operands_[node.first]];
-        for (std::uint32_t k = 1; k < node.count; ++k) {
-          const double v = ws.point_values[operands_[node.first + k]];
-          acc = node.op == OpCode::kMax ? std::max(acc, v) : std::min(acc, v);
-        }
-        ws.point_values[i] = acc;
-        break;
-      }
-      case OpCode::kDiv: {
-        const double d = ws.point_values[operands_[node.first + 1]];
-        SSPRED_REQUIRE(d != 0.0, "sampled division by zero");
-        ws.point_values[i] = ws.point_values[operands_[node.first]] / d;
-        break;
-      }
-      case OpCode::kIterate:
-        // Only related iterates reach the linear walk (unrelated ones are
-        // handled through the skip above): one shared-cache body draw,
-        // repeated — the per-iteration quantities are coupled.
-        ws.point_values[i] =
-            static_cast<double>(node.payload) * ws.point_values[i - 1];
-        break;
-      case OpCode::kRef: {
-        // Sampling a shared subtree draws per occurrence (the tree
-        // re-walks it), so re-execute the referenced region. Its prior
-        // per-node values are saved and restored around the re-run: they
-        // may still be pending operands of consumers after this node.
-        // saved_values is kept separate from the iterate pair above, whose
-        // save/restore indexes saved_sample and saved_drawn in lockstep.
-        const std::uint32_t begin = node.body_begin;
-        const std::uint32_t target = node.payload;
-        const std::size_t mark = ws.saved_values.size();
-        ws.saved_values.insert(ws.saved_values.end(),
-                               ws.point_values.begin() + begin,
-                               ws.point_values.begin() + target + 1);
-        exec_sample(env, rng, ws, begin, target + 1);
-        ws.point_values[i] = ws.point_values[target];
-        std::copy(ws.saved_values.begin() + static_cast<std::ptrdiff_t>(mark),
-                  ws.saved_values.end(), ws.point_values.begin() + begin);
-        ws.saved_values.resize(mark);
-        break;
-      }
-    }
-    ++i;
-  }
-}
-
-double Program::sample(const SlotEnvironment& env, support::Rng& rng,
-                       EvalWorkspace& ws) const {
-  SSPRED_REQUIRE(env.size() == slot_count(),
-                 "slot environment shape does not match the program (create "
-                 "it with make_environment())");
-  resize_workspace(ws);
-  std::fill(ws.slot_drawn.begin(), ws.slot_drawn.end(),
-            static_cast<std::uint8_t>(0));
-  exec_sample(env, rng, ws, 0, static_cast<std::uint32_t>(nodes_.size()));
-  return ws.point_values[nodes_.size() - 1];
-}
-
-// --- Blocked trial-major engine ---------------------------------------------
+// --- Blocked trial-major Monte-Carlo engine ---------------------------------
 //
-// exec_blocked is exec_sample transposed: instead of one trial flowing
-// through all nodes, each node processes a whole block of trials against
-// structure-of-arrays rows (lane_values[node][lane], lane_slots[slot][lane],
-// both kBlockTrials wide). Group ops become flat elementwise kernels the
-// compiler can vectorize; every stochastic draw event becomes one batched
-// ziggurat fill. The skip/iterate/ref structure — and therefore the
-// per-trial sampling semantics — is identical to the scalar walk; only the
-// RNG stream order differs (see SampleOrder::kBlocked in the header).
+// Instead of one trial flowing through all nodes, each node processes a
+// whole block of trials against structure-of-arrays rows
+// (lane_values[node][lane], lane_slots[slot][lane], both kBlockTrials
+// wide). Group ops become flat elementwise kernels the compiler can
+// vectorize; every stochastic draw event becomes one batched ziggurat fill.
+// Per trial the semantics are Expr::sample's: parameters draw once per
+// trial, stochastic constants and shared subtrees per occurrence, and
+// unrelated iterations redraw their body's parameters. Only the RNG stream
+// order differs (see kBlockTrials in the header).
 
 void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
                            EvalWorkspace& ws, std::uint32_t lo,
@@ -577,9 +426,12 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
   };
   std::uint32_t i = lo;
   while (i < hi) {
-    // Same region-skip protocol as the scalar walk: an unrelated-iterate
-    // body runs under the iterate node's own repetition loop, with fresh
-    // per-slot draws (here: fresh rows) for every repetition.
+    // An unrelated-iterate body must not run under the enclosing trial's
+    // slot draws — the tree gives each iteration fresh parameter draws —
+    // so the walk jumps over the body region to the iterate node, which
+    // runs it under its own repetition loop with fresh slot rows for every
+    // repetition. With nested bodies sharing a begin position, the
+    // outermost iterate inside the current region wins.
     if (has_skip_[i] != 0) {
       auto it = std::lower_bound(
           sample_skips_.begin(), sample_skips_.end(),
@@ -605,7 +457,6 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
           }
           exec_blocked(env, rng, ws, node.body_begin, target, lanes);
           const double* const body = row(target - 1);
-          SSPRED_SIMD_LOOP
           for (std::size_t t = 0; t < lanes; ++t) acc[t] += body[t];
         }
         for (std::uint32_t k = 0; k < node.slots_count; ++k) {
@@ -621,7 +472,7 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
     switch (node.op) {
       case OpCode::kConst:
         // Stochastic constants draw per occurrence (per block), exactly
-        // like the scalar walk draws per occurrence per trial.
+        // like the tree draws per occurrence per trial.
         fill_lane(constants_[node.payload], rng, row(i), lanes);
         break;
       case OpCode::kParam:
@@ -632,7 +483,6 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
         std::copy_n(row(ops[node.first]), lanes, r);
         for (std::uint32_t k = 1; k < node.count; ++k) {
           const double* const b = row(ops[node.first + k]);
-          SSPRED_SIMD_LOOP
           for (std::size_t t = 0; t < lanes; ++t) r[t] += b[t];
         }
         break;
@@ -642,7 +492,6 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
         std::copy_n(row(ops[node.first]), lanes, r);
         for (std::uint32_t k = 1; k < node.count; ++k) {
           const double* const b = row(ops[node.first + k]);
-          SSPRED_SIMD_LOOP
           for (std::size_t t = 0; t < lanes; ++t) r[t] *= b[t];
         }
         break;
@@ -652,7 +501,6 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
         std::copy_n(row(ops[node.first]), lanes, r);
         for (std::uint32_t k = 1; k < node.count; ++k) {
           const double* const b = row(ops[node.first + k]);
-          SSPRED_SIMD_LOOP
           for (std::size_t t = 0; t < lanes; ++t) r[t] = std::max(r[t], b[t]);
         }
         break;
@@ -662,7 +510,6 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
         std::copy_n(row(ops[node.first]), lanes, r);
         for (std::uint32_t k = 1; k < node.count; ++k) {
           const double* const b = row(ops[node.first + k]);
-          SSPRED_SIMD_LOOP
           for (std::size_t t = 0; t < lanes; ++t) r[t] = std::min(r[t], b[t]);
         }
         break;
@@ -673,8 +520,7 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
         double* const r = row(i);
         // One pass with a branch-free guard: a zero lane leaves an
         // infinity or NaN in r, which the throw below keeps anything from
-        // reading. No SSPRED_SIMD_LOOP: `zero` is a reduction the pragma
-        // does not declare.
+        // reading.
         bool zero = false;
         for (std::size_t t = 0; t < lanes; ++t) {
           zero |= den[t] == 0.0;
@@ -689,7 +535,6 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
         const double n = static_cast<double>(node.payload);
         const double* const body = row(i - 1);
         double* const r = row(i);
-        SSPRED_SIMD_LOOP
         for (std::size_t t = 0; t < lanes; ++t) r[t] = n * body[t];
         break;
       }
@@ -724,22 +569,12 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
 }
 
 void Program::sample_into(const SlotEnvironment& env, support::Rng& rng,
-                          std::span<double> out, EvalWorkspace& ws,
-                          SampleOrder order) const {
+                          std::span<double> out, EvalWorkspace& ws) const {
   SSPRED_REQUIRE(env.size() == slot_count(),
                  "slot environment shape does not match the program (create "
                  "it with make_environment())");
   resize_workspace(ws);
   const auto n = static_cast<std::uint32_t>(nodes_.size());
-  if (order == SampleOrder::kScalarCompat) {
-    for (double& o : out) {
-      std::fill(ws.slot_drawn.begin(), ws.slot_drawn.end(),
-                static_cast<std::uint8_t>(0));
-      exec_sample(env, rng, ws, 0, n);
-      o = ws.point_values[n - 1];
-    }
-    return;
-  }
   ws.lane_values.resize(nodes_.size() * kBlockTrials);
   ws.lane_slots.resize(slot_count() * kBlockTrials);
   const double* const root =
@@ -762,30 +597,27 @@ void Program::sample_into(const SlotEnvironment& env, support::Rng& rng,
 
 StochasticValue Program::sample_trials(const SlotEnvironment& env,
                                        support::Rng& rng, std::size_t trials,
-                                       EvalWorkspace& ws,
-                                       SampleOrder order) const {
+                                       EvalWorkspace& ws) const {
   SSPRED_REQUIRE(trials >= 2, "sample_trials needs at least 2 trials");
   SSPRED_REQUIRE(env.size() == slot_count(),
                  "slot environment shape does not match the program (create "
                  "it with make_environment())");
   // A fully folded point program needs no sampling at all: every trial
-  // would be exactly the mean. Short-circuiting is observable only through
-  // summary rounding, so it is reserved for the blocked contract;
-  // kScalarCompat keeps the trial loop (and its bit-exact summary).
-  if (order == SampleOrder::kBlocked && nodes_.size() == 1 &&
-      nodes_[0].op == OpCode::kConst && constants_[0].is_point()) {
+  // would be exactly the mean, so return the constant without drawing.
+  if (nodes_.size() == 1 && nodes_[0].op == OpCode::kConst &&
+      constants_[0].is_point()) {
     return constants_[0];
   }
   ws.trial_results.resize(trials);
-  sample_into(env, rng, ws.trial_results, ws, order);
+  sample_into(env, rng, ws.trial_results, ws);
   return StochasticValue::from_sample(ws.trial_results);
 }
 
 StochasticValue Program::sample_trials(const SlotEnvironment& env,
-                                       support::Rng& rng, std::size_t trials,
-                                       SampleOrder order) const {
+                                       support::Rng& rng,
+                                       std::size_t trials) const {
   EvalWorkspace ws;
-  return sample_trials(env, rng, trials, ws, order);
+  return sample_trials(env, rng, trials, ws);
 }
 
 // --- Adaptive (sequentially stopped) Monte-Carlo ----------------------------
@@ -793,8 +625,8 @@ StochasticValue Program::sample_trials(const SlotEnvironment& env,
 // sample_adaptive runs the blocked engine in stats::next_block_width
 // blocks and consults the stop rule between blocks; the decision is a
 // pure function of the sampled values, so trial counts are reproducible
-// from the seed. A fixed rule walks the exact sample_trials(kBlocked)
-// schedule — same block widths, same draw order — and a precision rule
+// from the seed. A fixed rule walks the exact sample_trials() schedule —
+// same block widths, same draw order — and a precision rule
 // uses doubling checkpoints so easy targets stop in hundreds of trials.
 
 AdaptiveResult Program::sample_adaptive(const SlotEnvironment& env,
@@ -806,8 +638,8 @@ AdaptiveResult Program::sample_adaptive(const SlotEnvironment& env,
   SSPRED_REQUIRE(env.size() == slot_count(),
                  "slot environment shape does not match the program (create "
                  "it with make_environment())");
-  // Same fully-folded short-circuit as sample_trials' kBlocked contract:
-  // a point program samples to exactly its constant, drawing nothing.
+  // Same fully-folded short-circuit as sample_trials: a point program
+  // samples to exactly its constant, drawing nothing.
   if (nodes_.size() == 1 && nodes_[0].op == OpCode::kConst &&
       constants_[0].is_point()) {
     return AdaptiveResult{constants_[0], 0, 0.0, true};
@@ -825,7 +657,7 @@ AdaptiveResult Program::sample_adaptive(const SlotEnvironment& env,
         stats::next_block_width(est.count(), rule, kBlockTrials);
     if (lanes == 0) break;
     // Block prologue: one batched draw per live slot, ascending slot id
-    // (the kBlocked contract; see sample_into).
+    // (the stream contract; see sample_into).
     for (const std::uint32_t s : live_slots_) {
       fill_lane(
           env.lookup(s), rng,

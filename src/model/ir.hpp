@@ -14,14 +14,14 @@
 //                        structure-of-arrays buffers (one double[block]
 //                        row per node and per slot), so each node is a
 //                        flat arithmetic kernel over the whole block.
-// All three are semantically interchangeable with the tree evaluators.
-// Monte-Carlo additionally carries two versioned RNG stream contracts
-// (SampleOrder below): the default kBlocked order feeds whole blocks from
-// the batched ziggurat sampler, while kScalarCompat reproduces the exact
-// stream of repeated Expr::sample() calls, keeping the tree a bit-exact
-// differential-testing oracle for the compiled path
-// (tests/compile_test.cpp; the blocked order is pinned by
-// tests/mc_engine_test.cpp).
+// All three are semantically interchangeable with the tree evaluators:
+// evaluate() and evaluate_point() agree with them to 1e-12, and
+// sample_trials() draws the same distribution as Expr::sample(), checked
+// statistically on random DAGs (tests/compile_test.cpp). Monte-Carlo
+// carries one versioned RNG stream contract, the blocked order (see
+// kBlockTrials below), which feeds whole blocks from the batched ziggurat
+// sampler; hand replays of it in tests/mc_engine_test.cpp and pinned
+// goldens in tests/compile_test.cpp hold it bit for bit.
 //
 // Each entry point also has a lane-wise variant (evaluate_fused /
 // evaluate_point_fused / sample_fused / sample_adaptive_fused) that runs
@@ -76,8 +76,8 @@ enum class OpCode : std::uint8_t {
 ///  * kRef:     payload = root node of an earlier occurrence region
 ///    [body_begin, payload] compiled from the same authoring subtree.
 ///    Deterministic walks copy the occurrence's value; the Monte-Carlo
-///    walk re-executes the region so every occurrence draws independently,
-///    exactly like the tree re-walking a shared subtree.
+///    engine re-executes the region so every occurrence draws
+///    independently, exactly like the tree re-walking a shared subtree.
 struct Node {
   OpCode op = OpCode::kConst;
   stoch::Dependence dep = stoch::Dependence::kUnrelated;
@@ -92,27 +92,15 @@ struct Node {
 
 class Program;
 
-/// Which order Monte-Carlo sampling consumes the RNG stream in. Both
-/// orders draw the same distributions, so estimates agree statistically,
-/// but per-seed results differ; each order is a versioned determinism
-/// contract pinned by its own regression tests.
-enum class SampleOrder : std::uint8_t {
-  /// Trial-major blocks of kBlockTrials lanes over SoA buffers. Per draw
-  /// event the whole block's normals are drawn consecutively (ziggurat):
-  /// first every live parameter slot in ascending slot-id order, then the
-  /// node-major walk (stochastic constants per occurrence; unrelated
-  /// iterate repetitions redraw their body slots, ascending, per
-  /// repetition). The default and the fast path.
-  kBlocked,
-  /// One trial at a time, consuming the stream exactly like repeated
-  /// Expr::sample() calls on the authoring tree (the PR-2 differential
-  /// testing contract).
-  kScalarCompat,
-};
-
-/// Lanes per block of the blocked Monte-Carlo engine. Also its RNG
-/// batching unit, i.e. part of the kBlocked determinism contract —
-/// changing it changes every blocked stream.
+/// Lanes per block of the Monte-Carlo engine, which runs trial-major
+/// blocks of kBlockTrials lanes over SoA buffers. Its RNG stream contract:
+/// per draw event the whole block's normals are drawn consecutively
+/// (ziggurat), first every live parameter slot in ascending slot-id order,
+/// then the node-major walk (stochastic constants per occurrence; kRef
+/// nodes re-run their region unless it draws nothing; unrelated iterate
+/// repetitions redraw their body slots, ascending, per repetition). The
+/// block width is part of that contract: changing it changes every
+/// stream.
 inline constexpr std::size_t kBlockTrials = 1024;
 
 /// Dense parameter bindings for one compiled evaluation: a vector of
@@ -191,12 +179,7 @@ class LaneEnvironment {
 struct EvalWorkspace {
   std::vector<stoch::StochasticValue> values;   ///< per-node stochastic value
   std::vector<stoch::StochasticValue> scratch;  ///< operand gather buffer
-  std::vector<double> point_values;             ///< per-node point/sample
-  std::vector<double> slot_sample;              ///< per-slot trial draw
-  std::vector<std::uint8_t> slot_drawn;         ///< per-slot cache validity
-  std::vector<double> saved_sample;             ///< iterate slot save/restore
-  std::vector<std::uint8_t> saved_drawn;
-  std::vector<double> saved_values;             ///< ref region save/restore
+  std::vector<double> point_values;             ///< per-node point value
   std::vector<double> trial_results;            ///< sample_trials batch
   // Blocked-engine structure-of-arrays arenas (one kBlockTrials-wide row
   // per node / per slot; kept hot across calls, so serving workers pay no
@@ -234,37 +217,30 @@ class Program {
   [[nodiscard]] double evaluate_point(const SlotEnvironment& env,
                                       EvalWorkspace& ws) const;
 
-  /// `trials` Monte-Carlo samples summarized as mean ± 2sd. Workspace
+  /// `trials` Monte-Carlo samples summarized as mean ± 2sd, drawn by the
+  /// blocked engine (see kBlockTrials for the stream order). Workspace
   /// buffers are reused across all trials (and across calls when the
-  /// caller passes its own workspace). The RNG stream follows `order`:
-  /// kBlocked (default) is the trial-major SoA fast path, kScalarCompat
-  /// matches `trials` sequential Expr::sample() calls bit for bit.
+  /// caller passes its own workspace).
+  [[nodiscard]] stoch::StochasticValue sample_trials(
+      const SlotEnvironment& env, support::Rng& rng, std::size_t trials) const;
   [[nodiscard]] stoch::StochasticValue sample_trials(
       const SlotEnvironment& env, support::Rng& rng, std::size_t trials,
-      SampleOrder order = SampleOrder::kBlocked) const;
-  [[nodiscard]] stoch::StochasticValue sample_trials(
-      const SlotEnvironment& env, support::Rng& rng, std::size_t trials,
-      EvalWorkspace& ws, SampleOrder order = SampleOrder::kBlocked) const;
+      EvalWorkspace& ws) const;
 
   /// Writes one Monte-Carlo sample per element of `out` (out.size()
   /// trials). The raw-sample entry point for callers that reduce trials
   /// themselves (serve's chunked fan-out combines per-chunk partials).
   void sample_into(const SlotEnvironment& env, support::Rng& rng,
-                   std::span<double> out, EvalWorkspace& ws,
-                   SampleOrder order = SampleOrder::kBlocked) const;
+                   std::span<double> out, EvalWorkspace& ws) const;
 
-  /// One Monte-Carlo trial (the tree's Expr::sample analogue).
-  [[nodiscard]] double sample(const SlotEnvironment& env, support::Rng& rng,
-                              EvalWorkspace& ws) const;
-
-  /// Sequentially stopped Monte-Carlo (kBlocked order only): draws trial
-  /// blocks per stats::next_block_width and stops at the first
-  /// between-block checkpoint where `rule` is satisfied, or at its
-  /// max-trial clamp. The stop decision depends only on the sampled
-  /// values, so a fixed seed reproduces the exact trial count. A rule
-  /// with no precision target (`StopRule::fixed(n)`) consumes the RNG
-  /// identically to sample_trials(env, rng, n, kBlocked) and returns a
-  /// bit-identical summary. rule.max_trials must be >= 2.
+  /// Sequentially stopped Monte-Carlo: draws trial blocks per
+  /// stats::next_block_width and stops at the first between-block
+  /// checkpoint where `rule` is satisfied, or at its max-trial clamp. The
+  /// stop decision depends only on the sampled values, so a fixed seed
+  /// reproduces the exact trial count. A rule with no precision target
+  /// (`StopRule::fixed(n)`) consumes the RNG identically to
+  /// sample_trials(env, rng, n) and returns a bit-identical summary.
+  /// rule.max_trials must be >= 2.
   [[nodiscard]] AdaptiveResult sample_adaptive(const SlotEnvironment& env,
                                                support::Rng& rng,
                                                const stats::StopRule& rule,
@@ -288,7 +264,7 @@ class Program {
   void evaluate_point_fused(const LaneEnvironment& env, EvalWorkspace& ws,
                             std::span<double> out) const;
 
-  /// sample_trials(lane k, rngs[k], trials, kBlocked) per lane: lane k
+  /// sample_trials(lane k, rngs[k], trials) per lane: lane k
   /// draws only from rngs[k]. rngs.size() must equal env.lanes().
   void sample_fused(const LaneEnvironment& env, std::span<support::Rng> rngs,
                     std::size_t trials, EvalWorkspace& ws,
@@ -355,13 +331,10 @@ class Program {
   void resize_workspace(EvalWorkspace& ws) const;
   void exec_stochastic(const SlotEnvironment& env, EvalWorkspace& ws) const;
   void exec_point(const SlotEnvironment& env, EvalWorkspace& ws) const;
-  /// Executes nodes [lo, hi) of the sample walk, skipping regions that are
+  /// Executes nodes [lo, hi) of the Monte-Carlo walk for `lanes` trials at
+  /// once against the workspace's SoA rows, skipping regions that are
   /// bodies of unrelated-iterate nodes (those re-run under the iterate
   /// node's own loop, with fresh per-slot draws each iteration).
-  void exec_sample(const SlotEnvironment& env, support::Rng& rng,
-                   EvalWorkspace& ws, std::uint32_t lo, std::uint32_t hi) const;
-  /// Blocked analogue of exec_sample: executes nodes [lo, hi) for `lanes`
-  /// trials at once against the workspace's SoA rows.
   void exec_blocked(const SlotEnvironment& env, support::Rng& rng,
                     EvalWorkspace& ws, std::uint32_t lo, std::uint32_t hi,
                     std::size_t lanes) const;
@@ -372,8 +345,8 @@ class Program {
   std::vector<std::uint32_t> body_slots_;         ///< iterate body slot sets
   /// For each position that begins the body of one or more unrelated
   /// iterate nodes: the iterate node ids, ascending (nested bodies share a
-  /// begin position; the sample walk jumps to the largest id inside the
-  /// region being executed).
+  /// begin position; the Monte-Carlo walk jumps to the largest id inside
+  /// the region being executed).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> sample_skips_;
   std::vector<std::uint8_t> has_skip_;            ///< per-node skip flag
   /// Per-node flag, set only on kRef nodes whose occurrence region is
@@ -383,9 +356,7 @@ class Program {
   /// (which would reset the region's slot draws in between). Re-executing
   /// such a region consumes no RNG and recomputes the target's values bit
   /// for bit, so the blocked engine copies the target row instead —
-  /// skipping the region re-run and its lane save/restore. kScalarCompat
-  /// deliberately keeps the re-execution: it is the versioned image of the
-  /// pre-batching interpreter, preserved instruction for instruction.
+  /// skipping the region re-run and its lane save/restore.
   std::vector<std::uint8_t> ref_pure_;
   std::vector<std::uint32_t> live_slots_;         ///< referenced slots, asc
   std::shared_ptr<const std::vector<std::string>> slot_names_ =
@@ -418,7 +389,7 @@ class Builder {
 
   /// Reuse node for the already-emitted occurrence region
   /// [region_begin, target]: deterministic walks copy the target's value,
-  /// the sample walk re-executes the region for an independent draw.
+  /// the Monte-Carlo walk re-executes the region for an independent draw.
   [[nodiscard]] std::uint32_t emit_ref(std::uint32_t target,
                                        std::uint32_t region_begin);
 

@@ -204,15 +204,8 @@ double SorStructuralModel::predict_point(const model::Environment& env) const {
 
 StochasticValue SorStructuralModel::predict_monte_carlo(
     const model::ir::SlotEnvironment& env, support::Rng& rng,
-    std::size_t trials, model::ir::EvalWorkspace& ws,
-    model::ir::SampleOrder order) const {
-  return program_.sample_trials(env, rng, trials, ws, order);
-}
-
-StochasticValue SorStructuralModel::predict_monte_carlo(
-    const model::ir::SlotEnvironment& env, support::Rng& rng,
-    std::size_t trials, model::ir::SampleOrder order) const {
-  return program_.sample_trials(env, rng, trials, order);
+    std::size_t trials, model::ir::EvalWorkspace& ws) const {
+  return program_.sample_trials(env, rng, trials, ws);
 }
 
 SorStructuralModel::Breakdown SorStructuralModel::breakdown(

@@ -111,19 +111,12 @@ class SorStructuralModel {
       const model::ir::SlotEnvironment& env) const;
   [[nodiscard]] double predict_point(const model::Environment& env) const;
 
-  /// Monte-Carlo prediction: `trials` samples of the compiled program
-  /// summarized as mean ± 2sd. Runs the blocked trial-major engine by
-  /// default; pass kScalarCompat to reproduce the per-trial scalar stream
-  /// (see ir::SampleOrder). The workspace-less form allocates one
-  /// workspace per call — reuse `ws` in loops.
+  /// Monte-Carlo prediction: `trials` samples of the compiled program,
+  /// drawn by the blocked trial-major engine and summarized as mean ± 2sd.
+  /// `ws` keeps the engine's buffers across calls.
   [[nodiscard]] stoch::StochasticValue predict_monte_carlo(
       const model::ir::SlotEnvironment& env, support::Rng& rng,
-      std::size_t trials, model::ir::EvalWorkspace& ws,
-      model::ir::SampleOrder order = model::ir::SampleOrder::kBlocked) const;
-  [[nodiscard]] stoch::StochasticValue predict_monte_carlo(
-      const model::ir::SlotEnvironment& env, support::Rng& rng,
-      std::size_t trials = 10'000,
-      model::ir::SampleOrder order = model::ir::SampleOrder::kBlocked) const;
+      std::size_t trials, model::ir::EvalWorkspace& ws) const;
 
   [[nodiscard]] const sor::StripDecomposition& decomposition() const noexcept {
     return decomp_;

@@ -4,15 +4,20 @@
 // The core of the file is a differential property test: random expression
 // DAGs — nested sums/products/quotients/extremes/iterates with shared
 // subtrees and repeated parameters — must evaluate identically (to 1e-12
-// relative) through the tree walkers and the compiled program, for all
-// three evaluation modes. Monte-Carlo comparisons seed two identical RNGs,
-// which only agree if the compiled sample walk consumes the stream in
-// exactly the tree's order (per-occurrence draws, per-slot caching, fresh
-// draws inside unrelated iterations).
+// relative) through the tree walkers and the compiled program in the
+// stochastic and point modes, and the compiled blocked Monte-Carlo engine
+// must draw the same distribution as the tree sampler. The two samplers
+// consume their RNG streams in different orders, so that comparison is
+// statistical, on separate seeds (tests/sample_agreement.hpp). The blocked
+// stream itself is pinned bit for bit by the hand replays in
+// tests/mc_engine_test.cpp and by the goldens at the end of this file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "model/expr.hpp"
 #include "model/ir.hpp"
 #include "predict/sor_model.hpp"
+#include "sample_agreement.hpp"
 #include "stoch/stochastic_value.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -43,20 +49,6 @@ void expect_sv_close(const StochasticValue& a, const StochasticValue& b,
                      const std::string& what) {
   expect_close(a.mean(), b.mean(), what + " mean");
   expect_close(a.halfwidth(), b.halfwidth(), what + " halfwidth");
-}
-
-/// Monte-Carlo through the tree walker only (the oracle): model::
-/// monte_carlo() itself routes through the compiled program now.
-StochasticValue tree_monte_carlo(const Expr& expr, const Environment& env,
-                                 support::Rng& rng, std::size_t trials) {
-  std::vector<double> outcomes;
-  outcomes.reserve(trials);
-  SampleCache cache;
-  for (std::size_t t = 0; t < trials; ++t) {
-    cache.clear();
-    outcomes.push_back(expr.sample(env, cache, rng));
-  }
-  return StochasticValue::from_sample(outcomes);
 }
 
 // ---------------------------------------------------------------------------
@@ -204,89 +196,6 @@ TEST(Compiled, MatchesTreeOnIterateBothRegimes) {
     EXPECT_DOUBLE_EQ(prog.evaluate(slots).halfwidth(),
                      e->evaluate(env).halfwidth());
     EXPECT_DOUBLE_EQ(prog.evaluate_point(slots), e->evaluate_point(env));
-
-    // Unrelated iterations re-draw parameters each pass; related ones
-    // reuse the trial's draw. Either way the stream must match the tree.
-    support::Rng tree_rng(42);
-    support::Rng ir_rng(42);
-    ir::EvalWorkspace ws;
-    SampleCache cache;
-    for (int t = 0; t < 50; ++t) {
-      cache.clear();
-      EXPECT_DOUBLE_EQ(prog.sample(slots, ir_rng, ws),
-                       e->sample(env, cache, tree_rng));
-    }
-  }
-}
-
-TEST(Compiled, NestedUnrelatedIteratesMatchTreeSampling) {
-  // An unrelated iterate whose body contains another unrelated iterate:
-  // the inner body re-draws per inner pass, the outer per outer pass, and
-  // the enclosing trial's cache must survive both.
-  const ExprPtr inner = iterate(param("x"), 3, Dependence::kUnrelated);
-  const ExprPtr body = add(inner, param("y"), Dependence::kUnrelated);
-  const ExprPtr e =
-      add(iterate(body, 4, Dependence::kUnrelated), param("x"),
-          Dependence::kRelated);
-  Environment env;
-  env.bind("x", StochasticValue(1.0, 0.2));
-  env.bind("y", StochasticValue(2.0, 0.3));
-
-  const ir::Program prog = compile(*e);
-  const ir::SlotEnvironment slots = bind_environment(prog, env);
-  support::Rng tree_rng(11);
-  support::Rng ir_rng(11);
-  ir::EvalWorkspace ws;
-  SampleCache cache;
-  for (int t = 0; t < 50; ++t) {
-    cache.clear();
-    EXPECT_DOUBLE_EQ(prog.sample(slots, ir_rng, ws),
-                     e->sample(env, cache, tree_rng));
-  }
-}
-
-TEST(Compiled, SharedSubtreeDrawsPerOccurrenceLikeTheTree) {
-  // The same ExprPtr reached twice is sampled twice by the tree walker
-  // (only named parameters cache); compilation must preserve that.
-  const ExprPtr noisy = constant(StochasticValue(5.0, 1.0));
-  const ExprPtr e = add(noisy, noisy, Dependence::kUnrelated);
-  const ir::Program prog = compile(*e);
-  const Environment env;
-  const ir::SlotEnvironment slots = bind_environment(prog, env);
-
-  support::Rng tree_rng(3);
-  support::Rng ir_rng(3);
-  ir::EvalWorkspace ws;
-  SampleCache cache;
-  for (int t = 0; t < 20; ++t) {
-    cache.clear();
-    const double a = prog.sample(slots, ir_rng, ws);
-    const double b = e->sample(env, cache, tree_rng);
-    EXPECT_DOUBLE_EQ(a, b);
-  }
-}
-
-TEST(Compiled, SharedIterateRefKeepsIterateSaveRestoreIntact) {
-  // Regression: a shared unrelated iterate re-executed through a reuse
-  // node nests the iterate's slot save/restore inside the ref's region
-  // save/restore. The two must use separate buffers — an early version
-  // indexed the iterate's drawn-flag saves off the ref-extended value
-  // buffer, corrupting the restored cache state and desyncing the stream.
-  const ExprPtr it = iterate(param("p1"), 2, Dependence::kUnrelated);
-  const ExprPtr e = sum({it, it, param("p1")}, Dependence::kUnrelated);
-  Environment env;
-  env.bind("p1", StochasticValue(1.0, 0.2));
-
-  const ir::Program prog = compile(*e);
-  const ir::SlotEnvironment slots = bind_environment(prog, env);
-  support::Rng tree_rng(5);
-  support::Rng ir_rng(5);
-  ir::EvalWorkspace ws;
-  SampleCache cache;
-  for (int t = 0; t < 50; ++t) {
-    cache.clear();
-    EXPECT_DOUBLE_EQ(prog.sample(slots, ir_rng, ws),
-                     e->sample(env, cache, tree_rng));
   }
 }
 
@@ -304,18 +213,11 @@ TEST(Compiled, MonteCarloEntryPointsAgree) {
 
   support::Rng r1(99);
   support::Rng r2(99);
-  support::Rng r3(99);
-  support::Rng r4(99);
-  // The expr entry point runs the default blocked order, so its oracle is
-  // the program's blocked stream; the scalar-compat order remains
-  // bit-exact against the tree walker.
+  // The expr entry point compiles and runs the blocked engine, so it
+  // reproduces the program's stream.
   const StochasticValue via_expr_api = monte_carlo(*e, env, r1, 500);
-  const StochasticValue via_program =
-      monte_carlo(prog, slots, r2, 500, ir::SampleOrder::kScalarCompat);
-  const StochasticValue via_tree = tree_monte_carlo(*e, env, r3, 500);
-  const StochasticValue via_blocked = prog.sample_trials(slots, r4, 500);
+  const StochasticValue via_blocked = prog.sample_trials(slots, r2, 500);
   expect_sv_close(via_expr_api, via_blocked, "monte_carlo(expr) vs blocked");
-  expect_sv_close(via_program, via_tree, "monte_carlo(program) vs tree");
 }
 
 TEST(Compiled, SorModelServesIdenticalPredictions) {
@@ -425,19 +327,45 @@ struct Gen {
   }
 };
 
-TEST(Differential, RandomDagsAgreeAcrossAllThreeModes) {
-  constexpr int kCases = 40;
-  constexpr std::size_t kTrials = 200;
-  for (int c = 0; c < kCases; ++c) {
-    Gen gen(1000 + static_cast<std::uint64_t>(c));
-    const ExprPtr e = gen.expr(4);
-    const std::string label = "case " + std::to_string(c);
+/// Random DAG `c` of the property tests, with its four parameters bound
+/// well away from zero.
+struct RandomDag {
+  ExprPtr expr;
+  Environment env;
+};
 
-    Environment env;
-    for (const auto& name : gen.params) {
-      const double mean = gen.rng.uniform(0.5, 2.0);
-      env.bind(name, StochasticValue(mean, gen.rng.uniform(0.0, 0.2 * mean)));
-    }
+RandomDag random_dag(int c) {
+  Gen gen(1000 + static_cast<std::uint64_t>(c));
+  RandomDag dag;
+  dag.expr = gen.expr(4);
+  for (const auto& name : gen.params) {
+    const double mean = gen.rng.uniform(0.5, 2.0);
+    dag.env.bind(name,
+                 StochasticValue(mean, gen.rng.uniform(0.0, 0.2 * mean)));
+  }
+  return dag;
+}
+
+constexpr int kDagCases = 40;
+
+TEST(Differential, RandomDagsAgreeAcrossAllThreeModes) {
+  // Monte-Carlo: n = 20000 trials per side, each sampler on its own seed.
+  // Mean: |z| <= 4.5 standard errors of the mean difference, which at this
+  // n is 4.5 · sqrt(2/n) = 3.2% of one sd. Sd: |ln(sd_blocked / sd_tree)|
+  // <= 4.5 · sqrt((κ − 1)/(2n)), which is 3.2% for a normal (κ = 3) and
+  // 5.0% at κ = 6. Over the 40 DAGs the chance that a correct engine
+  // trips either bound is at most 40 · 6.8e-6 per bound (derivation in
+  // tests/sample_agreement.hpp). At these seeds the engine's worst |z| is
+  // 2.5 and its worst sd difference 2.1% (kurtosis 2.9 to 3.8). An engine
+  // that copies every shared subtree's row instead of drawing it again
+  // fails 13 of the 40 DAGs, with the sd off by up to 80% and the mean by
+  // up to 107 standard errors.
+  constexpr std::size_t kTrials = 20'000;
+  std::vector<double> blocked(kTrials);
+  ir::EvalWorkspace ws;
+  for (int c = 0; c < kDagCases; ++c) {
+    const auto [e, env] = random_dag(c);
+    const std::string label = "case " + std::to_string(c);
 
     const ir::Program prog = compile(*e);
     const ir::SlotEnvironment slots = bind_environment(prog, env);
@@ -448,12 +376,224 @@ TEST(Differential, RandomDagsAgreeAcrossAllThreeModes) {
                  label + " evaluate_point");
 
     support::Rng tree_rng(7000 + static_cast<std::uint64_t>(c));
-    support::Rng ir_rng(7000 + static_cast<std::uint64_t>(c));
-    const StochasticValue tree_mc =
-        tree_monte_carlo(*e, env, tree_rng, kTrials);
-    const StochasticValue ir_mc = prog.sample_trials(
-        slots, ir_rng, kTrials, ir::SampleOrder::kScalarCompat);
-    expect_sv_close(ir_mc, tree_mc, label + " monte_carlo");
+    support::Rng ir_rng(17000 + static_cast<std::uint64_t>(c));
+    const std::vector<double> tree =
+        testutil::tree_samples(*e, env, tree_rng, kTrials);
+    prog.sample_into(slots, ir_rng, blocked, ws);
+    const testutil::Agreement g = testutil::agreement(blocked, tree);
+    EXPECT_LE(std::abs(g.z), testutil::kSigmas)
+        << label << ": blocked mean " << g.a.mean << ", tree mean "
+        << g.b.mean;
+    EXPECT_LE(g.sd_log, g.sd_tol)
+        << label << ": blocked sd " << g.a.sd << ", tree sd " << g.b.sd
+        << ", kurtosis " << g.a.kurtosis << " / " << g.b.kurtosis;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned goldens: the exact bits of evaluate(), evaluate_point() and
+// blocked sample_trials() for the three structural models and the 40
+// random DAGs above, at fixed seeds and trial counts. They pin the served
+// outputs themselves, so a refactor of the evaluators can be checked
+// against them without keeping a second implementation alive. A change to
+// the calculus, the point walk, the optimizer, the blocked draw order or
+// the ziggurat moves some of these bits.
+
+/// One model's pinned outputs.
+struct Pinned {
+  double mean;          ///< evaluate()
+  double halfwidth;     ///< evaluate()
+  double point;         ///< evaluate_point()
+  double mc_mean;       ///< sample_trials(seed, trials)
+  double mc_halfwidth;  ///< sample_trials(seed, trials)
+};
+
+std::string hexfloat(double x) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+void expect_pinned(const ir::Program& prog, const ir::SlotEnvironment& env,
+                   std::uint64_t seed, std::size_t trials, const Pinned& want,
+                   const std::string& model) {
+  const StochasticValue sv = prog.evaluate(env);
+  support::Rng rng(seed);
+  const StochasticValue mc = prog.sample_trials(env, rng, trials);
+  const Pinned got{sv.mean(), sv.halfwidth(), prog.evaluate_point(env),
+                   mc.mean(), mc.halfwidth()};
+  const auto expect_bits = [&](double g, double w, const char* mode) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g), std::bit_cast<std::uint64_t>(w))
+        << model << ", " << mode << ", seed " << seed << ", " << trials
+        << " trials: got " << hexfloat(g) << ", pinned " << hexfloat(w);
+  };
+  expect_bits(got.mean, want.mean, "evaluate mean");
+  expect_bits(got.halfwidth, want.halfwidth, "evaluate halfwidth");
+  expect_bits(got.point, want.point, "evaluate_point");
+  expect_bits(got.mc_mean, want.mc_mean, "sample_trials mean");
+  expect_bits(got.mc_halfwidth, want.mc_halfwidth, "sample_trials halfwidth");
+}
+
+/// Two full blocks and a partial one.
+constexpr std::size_t kGoldenTrials = 2 * ir::kBlockTrials + 952;
+
+/// Loads mean 0.40, 0.47, 0.54, ... (cycling), halfwidth 8% of the mean.
+std::vector<StochasticValue> staggered_loads(std::size_t hosts) {
+  std::vector<StochasticValue> loads;
+  for (std::size_t h = 0; h < hosts; ++h) {
+    const double mean = 0.40 + 0.07 * static_cast<double>(h % 8);
+    loads.emplace_back(mean, 0.08 * mean);
+  }
+  return loads;
+}
+
+// Recorded with the blocked engine at kBlockTrials = 1024.
+constexpr Pinned kSorPlatform1{0x1.0980346dc5d64p+7, 0x1.4821eb99450c8p+3,
+                               0x1.0980346dc5d63p+7, 0x1.09950ce4a7a99p+7,
+                               0x1.50a6b65e03975p+3};
+constexpr Pinned kSorPlatform2Unrelated{0x1.13f08d5eda063p+4,
+                                        0x1.4443df92d6923p-2,
+                                        0x1.13f08d5eda063p+4,
+                                        0x1.1468bb698967dp+4,
+                                        0x1.4289c7ce0c667p-2};
+constexpr Pinned kBlock2x2{0x1.b5f9890c2793p+0, 0x1.c67bd96207d0fp-4,
+                           0x1.b5f9890c2793p+0, 0x1.b6db8e60271f2p+0,
+                           0x1.d09d97e69643dp-4};
+constexpr Pinned kJacobiPlatform1{0x1.13d52ae416b42p+2, 0x1.498dd49106818p-2,
+                                  0x1.13d52ae416b41p+2, 0x1.1420f91cb30e2p+2,
+                                  0x1.4c685b11ed105p-2};
+constexpr Pinned kRandomDags[kDagCases] = {
+    {0x1.02c7c8a7e199ap+2, 0x1.1200f0bd64ac4p-3, 0x1.02c7c8a7e199ap+2,
+     0x1.02ea652cf2001p+2, 0x1.5be93bf576403p-3},  // 0
+    {0x1.1d766c503d674p+1, 0x1.83b925c2b8501p-2, 0x1.1d766c503d674p+1,
+     0x1.1cf54d196ba48p+1, 0x1.72dbbd4dac434p-2},  // 1
+    {0x1.62d5e40bc16d3p+2, 0x1.2dee585afc293p-1, 0x1.62d5e40bc16d3p+2,
+     0x1.633a89895f727p+2, 0x1.85ffb724964f8p-2},  // 2
+    {0x1.331b10431e72cp+2, 0x1.21e2197a8e07bp-1, 0x1.331b10431e72cp+2,
+     0x1.32fc2f3795248p+2, 0x1.73cfdcc306abcp-2},  // 3
+    {0x1.2e93c7de96317p+4, 0x1.2583ee37016e3p+3, 0x1.2e93c7de96317p+4,
+     0x1.2ea22973d22dp+4, 0x1.612741a99b2acp+2},  // 4
+    {0x1.bacbde9e82869p+5, 0x1.6f434bcc8701cp+2, 0x1.bacbde9e82869p+5,
+     0x1.bae01d01f65b9p+5, 0x1.b2540aab50e76p+2},  // 5
+    {0x1.2419c80680446p+4, 0x1.57ca317617cb4p+2, 0x1.2419c80680446p+4,
+     0x1.24936509cc919p+4, 0x1.2587038c9ed77p+1},  // 6
+    {0x1.4022419cc23f1p+0, 0x1.56734618d4bfp-2, 0x1.4022419cc23f1p+0,
+     0x1.425549cfed651p+0, 0x1.e2cc2271bd3d4p-3},  // 7
+    {0x1.a41726d8fecaap+2, 0x1.faaa64c9314bap+0, 0x1.a41726d8fecaap+2,
+     0x1.a73d26c40466ap+2, 0x1.38517833ad14ep+0},  // 8
+    {0x1.0d95ebf8f57ccp+0, 0x1.6deb5e07f4e0bp-3, 0x1.0d95ebf8f57ccp+0,
+     0x1.0dbf3b20506f4p+0, 0x1.6fac8de5bdb58p-3},  // 9
+    {0x1.1714115aedc8ap+9, 0x1.cf941fe200031p+7, 0x1.1714115aedc8ap+9,
+     0x1.19f4714dcdaafp+9, 0x1.4bf85eeaa62bcp+7},  // 10
+    {0x1.8c913a93b332cp-1, 0x1.9ea27adc5e5fcp-4, 0x1.8c913a93b332cp-1,
+     0x1.8c6ae5cbe331fp-1, 0x1.a9f979d8b5974p-4},  // 11
+    {0x1.9f131a255c731p+2, 0x1.54113d7b091c3p+0, 0x1.9f131a255c73p+2,
+     0x1.a298ed2fd9a4fp+2, 0x1.8db164b8c8d2p-1},  // 12
+    {0x1.d5cd3a87c5902p+5, 0x1.c320a180c0ae9p+2, 0x1.d5cd3a87c5902p+5,
+     0x1.d536374d34132p+5, 0x1.c375a22a1e8d8p+2},  // 13
+    {0x1.b1aa0c8cdd4b8p+6, 0x1.5734306b5fcc2p+5, 0x1.b1aa0c8cdd4b8p+6,
+     0x1.b2b276b674dddp+6, 0x1.6273f15121699p+5},  // 14
+    {0x1.d753c7f1bb2a6p+0, 0x1.13ace91175d24p-2, 0x1.d753c7f1bb2a6p+0,
+     0x1.d6e0a9389e61fp+0, 0x1.13a60442a93c5p-2},  // 15
+    {0x1.0e8b371072f64p+2, 0x1.3ffd2367ddf49p-2, 0x1.0e8b371072f64p+2,
+     0x1.0e8ff40fd5196p+2, 0x1.3da42276567a3p-2},  // 16
+    {0x1.4a02cc9cae05ep-1, 0x1.1cd43ade6f7d1p-6, 0x1.4a02cc9cae05ep-1,
+     0x1.4a0af96a13463p-1, 0x1.1b859c099ae1ap-6},  // 17
+    {0x1.008c56729ff02p+3, 0x1.4020ac7d7a5e3p+1, 0x1.008c56729ff02p+3,
+     0x1.00b087b031b12p+3, 0x1.7fbf3814d4c52p+0},  // 18
+    {0x1.e54de2c6f9de7p+1, 0x1.bffe3a1cfcd71p-3, 0x1.e54de2c6f9de7p+1,
+     0x1.f2ef7d46fa2ap+1, 0x1.73e597f98fa02p-3},  // 19
+    {0x1.63338b561e247p+8, 0x1.acf88291dc1d3p+7, 0x1.63338b561e246p+8,
+     0x1.698190d725ffdp+8, 0x1.1878c3dd3900dp+6},  // 20
+    {0x1.43f8c7de88c2bp+5, 0x1.7a21508155f1ep+4, 0x1.43f8c7de88c2bp+5,
+     0x1.457b488291f51p+5, 0x1.2e7caa2ebbe8fp+3},  // 21
+    {0x1.8dfa90044fe7fp-1, 0x1.cc1bb3958de53p-4, 0x1.8dfa90044fe7fp-1,
+     0x1.8de49cc23a63fp-1, 0x1.cd59e7a5d8318p-4},  // 22
+    {0x1.c3c04ff48d7bbp+3, 0x1.d16616bafdf85p-2, 0x1.c3c04ff48d7bbp+3,
+     0x1.c3d39c523b584p+3, 0x1.755b3c29ffa94p-2},  // 23
+    {0x1.0d4d656074b88p+9, 0x1.f85c005a7a99cp+7, 0x1.0d4d656074b8ap+9,
+     0x1.114fee81b9591p+9, 0x1.4806f104a9616p+7},  // 24
+    {0x1.1b602740783abp-1, 0x1.08a36951cb8ep-2, 0x1.1b602740783aap-1,
+     0x1.1c472da0d2951p-1, 0x1.8e6b37aa1337fp-4},  // 25
+    {0x1.5b6c70801214ep+6, 0x1.a3b6a39f483aap+4, 0x1.5b6c70801214ep+6,
+     0x1.5b6f4c5ec32eap+6, 0x1.6056fedd696b8p+1},  // 26
+    {0x1.211c965a38e35p+5, 0x1.230003ef59e95p+1, 0x1.211c965a38e35p+5,
+     0x1.21455792dfa91p+5, 0x1.629ddba20685p+0},  // 27
+    {0x1.042607c09024ap+2, 0x1.4bd98ded0bap+0, 0x1.042607c09024ap+2,
+     0x1.05b7d43d0cc0ap+2, 0x1.ac73fe15cb174p-1},  // 28
+    {0x1.4aafce2789308p-1, 0x1.7443dab4bef45p-4, 0x1.4aafce2789308p-1,
+     0x1.4af4cea9aba8fp-1, 0x1.fde0b049c91a3p-5},  // 29
+    {0x1.9835e7ee3d4c9p+0, 0x1.bbc0de995b409p-4, 0x1.9835e7ee3d4c9p+0,
+     0x1.984e9a0c866bcp+0, 0x1.bd019bedebcdap-4},  // 30
+    {0x1.960b1ae208679p-1, 0x1.274d2a12e703cp-3, 0x1.960b1ae208679p-1,
+     0x1.96345f4d86256p-1, 0x1.851671c3720b1p-6},  // 31
+    {0x1.4afec0b831539p+2, 0x1.9d8d5510c6d3fp-1, 0x1.4afec0b831539p+2,
+     0x1.4b6692c8a1751p+2, 0x1.af1cc5c329a1fp-2},  // 32
+    {0x1.0669e616bed8fp-1, 0x1.6dd0c15fa5081p-3, 0x1.0669e616bed8fp-1,
+     0x1.060d920a5ec4cp-1, 0x1.b8fa9d5184323p-4},  // 33
+    {0x1.d1ffa71f21ad5p+2, 0x1.5fa387b629b4fp+0, 0x1.d1ffa71f21ad5p+2,
+     0x1.d2087626d9823p+2, 0x1.9e3d3dd12a27ep-1},  // 34
+    {0x1.ebbea6ccea046p+0, 0x1.a697350059fd6p-3, 0x1.ebbea6ccea046p+0,
+     0x1.eccafbee7fc56p+0, 0x1.22e4282d955efp-3},  // 35
+    {0x1.91276ef2e0a8dp+6, 0x1.1f71e8687f4a1p+7, 0x1.91276ef2e0a8dp+6,
+     0x1.93904db8429bdp+6, 0x1.478b9073f292dp+5},  // 36
+    {0x1.6eb07400fbaap-1, 0x1.0ffd81afd9946p-3, 0x1.6eb07400fbaap-1,
+     0x1.6ead6a2bc0936p-1, 0x1.0edf540b596dp-3},  // 37
+    {0x1.ff4a62e0e3775p+3, 0x1.b3d06a440c4a6p+1, 0x1.ff4a62e0e3773p+3,
+     0x1.ffa11505f11e6p+3, 0x1.bb19cf495f977p+0},  // 38
+    {0x1.755d148f7ba2bp+2, 0x1.3258a4cc5d6c6p-3, 0x1.755d148f7ba2bp+2,
+     0x1.75894f0a7d4c3p+2, 0x1.20d38e11dc465p-3},  // 39
+};
+
+TEST(Golden, StructuralModelsKeepTheirBits) {
+  const StochasticValue bw(0.525, 0.06);
+  {
+    sor::SorConfig cfg;
+    cfg.n = 1600;
+    cfg.iterations = 20;
+    const predict::SorStructuralModel model(cluster::platform1(), cfg);
+    const auto loads = staggered_loads(model.hosts());
+    expect_pinned(model.program(), model.make_slot_env(loads, bw), 501,
+                  kGoldenTrials, kSorPlatform1, "sor platform1");
+  }
+  {
+    // Unrelated iterations and Clark's max: the other dependence regime
+    // and policy of the same skeleton.
+    sor::SorConfig cfg;
+    cfg.n = 1000;
+    cfg.iterations = 15;
+    predict::SorModelOptions options;
+    options.iteration_dependence = Dependence::kUnrelated;
+    options.max_policy = ExtremePolicy::kClark;
+    const predict::SorStructuralModel model(cluster::platform2(), cfg,
+                                            options);
+    const auto loads = staggered_loads(model.hosts());
+    expect_pinned(model.program(), model.make_slot_env(loads, bw), 502,
+                  kGoldenTrials, kSorPlatform2Unrelated,
+                  "sor platform2 unrelated/clark");
+  }
+  {
+    const predict::BlockStructuralModel model(cluster::dedicated_platform(4),
+                                              400, 12, 2, 2);
+    expect_pinned(model.program(),
+                  model.make_slot_env(staggered_loads(4), bw), 503,
+                  kGoldenTrials, kBlock2x2, "block 2x2");
+  }
+  {
+    const predict::JacobiStructuralModel model(cluster::platform1(), 400, 10);
+    expect_pinned(model.program(),
+                  model.make_slot_env(staggered_loads(4), bw), 504,
+                  kGoldenTrials, kJacobiPlatform1, "jacobi platform1");
+  }
+}
+
+TEST(Golden, RandomDagsKeepTheirBits) {
+  for (int c = 0; c < kDagCases; ++c) {
+    const auto [e, env] = random_dag(c);
+    const ir::Program prog = compile(*e);
+    expect_pinned(prog, bind_environment(prog, env),
+                  7000 + static_cast<std::uint64_t>(c), kGoldenTrials,
+                  kRandomDags[c], "random dag " + std::to_string(c));
   }
 }
 

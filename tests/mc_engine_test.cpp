@@ -2,20 +2,22 @@
 // the ziggurat batch sampler behind it (support/rng.hpp), and the IR
 // optimization pipeline (model/compile.hpp).
 //
-// The blocked RNG stream (ir::SampleOrder::kBlocked) is a versioned
+// The blocked RNG stream (documented at ir::kBlockTrials) is a versioned
 // determinism contract with two halves. The values of the ziggurat
 // itself are pinned against a test-local reference ziggurat (the table
 // recurrence plus the accept/reject loop, written over Rng's public raw
 // stream), which normal_fill and normal_ziggurat must match bit for bit.
 // The draw order is pinned by golden tests that REPLAY it by hand — per
 // block: every live parameter slot in ascending slot-id order, then the
-// node-major walk (stochastic constants per occurrence, unrelated
-// iterate repetitions redrawing their body slots per repetition) — and
-// require sample_into() to match bit for bit. The replays call
-// normal_fill on both sides, so they catch a change to the block size or
-// the draw order but not to the ziggurat's values; the reference test
-// catches that. Either failing means the contract must be bumped. The
-// scalar-compatible order is pinned by compile_test.cpp.
+// node-major walk (stochastic constants per occurrence, kRef nodes
+// re-running their region unless it draws nothing, unrelated iterate
+// repetitions redrawing their body slots per repetition) — and require
+// sample_into() to match bit for bit. The replays call normal_fill on
+// both sides, so they catch a change to the block size or the draw order
+// but not to the ziggurat's values; the reference test catches that. Either failing means the contract must be bumped. What
+// the engine draws is checked against the Expr tree sampler statistically
+// (here and on random DAGs in compile_test.cpp, which also pins goldens of
+// the served outputs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +34,7 @@
 #include "model/compile.hpp"
 #include "model/expr.hpp"
 #include "model/ir.hpp"
+#include "sample_agreement.hpp"
 #include "stats/sequential.hpp"
 #include "stoch/stochastic_value.hpp"
 #include "support/rng.hpp"
@@ -348,6 +351,124 @@ TEST(McEngineBlocked, RelatedIterateScalesOneSharedDraw) {
   }
 }
 
+TEST(McEngineBlocked, NestedUnrelatedIteratesRedrawPerInnerAndOuterPass) {
+  // An unrelated iterate whose body holds another: the inner body redraws
+  // "x" per inner pass, the outer body redraws "x" and "y" per outer pass
+  // (its "x" draw is shadowed by the inner redraws), and the enclosing
+  // trial's prologue draw of "x" survives both for the final term.
+  const auto inner = iterate(param("x"), 3, Dependence::kUnrelated);
+  const auto body = add(inner, param("y"), Dependence::kUnrelated);
+  const auto expr = add(iterate(body, 4, Dependence::kUnrelated), param("x"),
+                        Dependence::kRelated);
+  const ir::Program prog = compile(*expr);
+  ASSERT_LT(prog.slot("x"), prog.slot("y"));
+  ir::SlotEnvironment env = prog.make_environment();
+  env.bind(prog.slot("x"), StochasticValue(1.0, 0.2));
+  env.bind(prog.slot("y"), StochasticValue(2.0, 0.3));
+
+  constexpr std::size_t kTrials = 16;
+  std::vector<double> got(kTrials);
+  support::Rng rng(11);
+  ir::EvalWorkspace ws;
+  prog.sample_into(env, rng, got, ws);
+
+  support::Rng replay(11);
+  std::vector<double> px(kTrials), py(kTrials), rx(kTrials), ry(kTrials),
+      ix(kTrials), outer(kTrials, 0.0);
+  replay.normal_fill(px, 1.0, 0.1);  // prologue, ascending slot id
+  replay.normal_fill(py, 2.0, 0.15);
+  for (int o = 0; o < 4; ++o) {
+    replay.normal_fill(rx, 1.0, 0.1);  // outer body slots, ascending
+    replay.normal_fill(ry, 2.0, 0.15);
+    std::vector<double> inner_sum(kTrials, 0.0);
+    for (int i = 0; i < 3; ++i) {
+      replay.normal_fill(ix, 1.0, 0.1);
+      for (std::size_t t = 0; t < kTrials; ++t) inner_sum[t] += ix[t];
+    }
+    for (std::size_t t = 0; t < kTrials; ++t) outer[t] += inner_sum[t] + ry[t];
+  }
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    ASSERT_EQ(got[t], outer[t] + px[t]) << "trial " << t;
+  }
+}
+
+TEST(McEngineBlocked, SharedStochasticConstantDrawsPerOccurrence) {
+  // add(noisy, noisy): the second occurrence is a kRef to the first, and
+  // re-executing its region fills the constant's row a second time.
+  const auto noisy = constant(StochasticValue(5.0, 1.0));
+  const auto expr = add(noisy, noisy, Dependence::kUnrelated);
+  const ir::Program prog = compile(*expr);
+  const ir::SlotEnvironment env = prog.make_environment();
+
+  constexpr std::size_t kTrials = 16;
+  std::vector<double> got(kTrials);
+  support::Rng rng(3);
+  ir::EvalWorkspace ws;
+  prog.sample_into(env, rng, got, ws);
+
+  support::Rng replay(3);
+  std::vector<double> c1(kTrials), c2(kTrials);
+  replay.normal_fill(c1, 5.0, 0.5);
+  replay.normal_fill(c2, 5.0, 0.5);
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    ASSERT_EQ(got[t], c1[t] + c2[t]) << "trial " << t;
+  }
+}
+
+TEST(McEngineBlocked, SharedUnrelatedIterateNestsItsSaveInsideTheRef) {
+  // sum({it, it, p1}) with it = iterate(p1, 2, unrelated): the ref to `it`
+  // re-runs the iterate, whose slot save/restore then nests inside the
+  // ref's row save/restore on the one lane_saved stack. Per block: P (the
+  // prologue draw of p1), R1 R2 for the first occurrence, R3 R4 through
+  // the ref, and the last term reads P again.
+  const auto it = iterate(param("p1"), 2, Dependence::kUnrelated);
+  const auto expr = sum({it, it, param("p1")}, Dependence::kUnrelated);
+  const ir::Program prog = compile(*expr);
+  ir::SlotEnvironment env = prog.make_environment();
+  env.bind(prog.slot("p1"), StochasticValue(1.0, 0.2));
+
+  constexpr std::size_t kTrials = 16;
+  std::vector<double> got(kTrials);
+  support::Rng rng(5);
+  ir::EvalWorkspace ws;
+  prog.sample_into(env, rng, got, ws);
+
+  support::Rng replay(5);
+  std::vector<double> p(kTrials), r1(kTrials), r2(kTrials), r3(kTrials),
+      r4(kTrials);
+  for (auto* row : {&p, &r1, &r2, &r3, &r4}) replay.normal_fill(*row, 1.0, 0.1);
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    ASSERT_EQ(got[t], (r1[t] + r2[t]) + (r3[t] + r4[t]) + p[t])
+        << "trial " << t;
+  }
+}
+
+TEST(McEngineBlocked, RefAfterUnrelatedIterateReadsTheTrialDraw) {
+  // add(iterate(x, 3, unrelated), x) with one shared `x`: the second `x`
+  // is a kRef into the iterate's body region. Re-running that region
+  // after the iterate reads the restored prologue draw P, not the last
+  // repetition's R3 still sitting in the region's row: R1 + R2 + R3 + P.
+  const auto x = param("x");
+  const auto expr = add(iterate(x, 3, Dependence::kUnrelated), x,
+                        Dependence::kUnrelated);
+  const ir::Program prog = compile(*expr);
+  ir::SlotEnvironment env = prog.make_environment();
+  env.bind(prog.slot("x"), StochasticValue(1.0, 0.4));
+
+  constexpr std::size_t kTrials = 16;
+  std::vector<double> got(kTrials);
+  support::Rng rng(21);
+  ir::EvalWorkspace ws;
+  prog.sample_into(env, rng, got, ws);
+
+  support::Rng replay(21);
+  std::vector<double> p(kTrials), r1(kTrials), r2(kTrials), r3(kTrials);
+  for (auto* row : {&p, &r1, &r2, &r3}) replay.normal_fill(*row, 1.0, 0.2);
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    ASSERT_EQ(got[t], (r1[t] + r2[t] + r3[t]) + p[t]) << "trial " << t;
+  }
+}
+
 TEST(McEngineBlocked, SameSeedSameResultAcrossWorkspaces) {
   const auto expr = add(mul(param("a"), param("b")),
                         constant(StochasticValue(3.0, 0.6)));
@@ -366,24 +487,34 @@ TEST(McEngineBlocked, SameSeedSameResultAcrossWorkspaces) {
   EXPECT_NE(a.mean(), c.mean());
 }
 
-TEST(McEngineBlocked, AgreesWithScalarOrderStatistically) {
-  // Same distributions, different stream order: the two estimators must
-  // agree on the underlying quantity, not bit for bit.
+TEST(McEngineBlocked, AgreesWithTreeSamplerStatistically) {
+  // Same distribution, different stream order: the blocked engine and
+  // Expr::sample must agree on the underlying quantity, not bit for bit.
+  // n = 40000 per side; the mean within 4.5 standard errors of the
+  // difference and the sd within 4.5 standard errors of the log sd ratio
+  // (tests/sample_agreement.hpp derives both from n).
   const auto phase = vmax({mul(param("a"), constant(StochasticValue(2.0))),
                            mul(param("b"), constant(StochasticValue(1.5)))});
   const auto expr = iterate(phase, 10, Dependence::kUnrelated);
   const ir::Program prog = compile(*expr);
-  ir::SlotEnvironment env = prog.make_environment();
-  env.bind(prog.slot("a"), StochasticValue(1.0, 0.3));
-  env.bind(prog.slot("b"), StochasticValue(1.2, 0.4));
+  Environment tree_env;
+  tree_env.bind("a", StochasticValue(1.0, 0.3));
+  tree_env.bind("b", StochasticValue(1.2, 0.4));
+  const ir::SlotEnvironment env = bind_environment(prog, tree_env);
 
-  support::Rng rb(303), rs(404);
-  const auto blocked = prog.sample_trials(env, rb, 40'000);
-  const auto scalar =
-      prog.sample_trials(env, rs, 40'000, ir::SampleOrder::kScalarCompat);
-  EXPECT_NEAR(blocked.mean(), scalar.mean(), 0.02 * scalar.mean());
-  EXPECT_NEAR(blocked.halfwidth(), scalar.halfwidth(),
-              0.10 * scalar.halfwidth());
+  constexpr std::size_t kTrials = 40'000;
+  std::vector<double> blocked(kTrials);
+  support::Rng rb(303);
+  ir::EvalWorkspace ws;
+  prog.sample_into(env, rb, blocked, ws);
+  support::Rng rt(404);
+  const std::vector<double> tree =
+      testutil::tree_samples(*expr, tree_env, rt, kTrials);
+  const testutil::Agreement g = testutil::agreement(blocked, tree);
+  EXPECT_LE(std::abs(g.z), testutil::kSigmas)
+      << "blocked mean " << g.a.mean << ", tree mean " << g.b.mean;
+  EXPECT_LE(g.sd_log, g.sd_tol)
+      << "blocked sd " << g.a.sd << ", tree sd " << g.b.sd;
 }
 
 /// The text of the exception `f` throws; empty when it returns normally.
@@ -429,12 +560,6 @@ TEST(McEngineBlocked, SampledDivisionByZeroInAnyLaneThrows) {
               std::string::npos)
         << trials << " trials";
   }
-  support::Rng scalar(kSeed);
-  EXPECT_NE(thrown_message([&] {
-              (void)prog.sample_trials(env, scalar, 200,
-                                       ir::SampleOrder::kScalarCompat);
-            }).find(want),
-            std::string::npos);
   support::Rng adaptive(kSeed);
   EXPECT_NE(thrown_message([&] {
               (void)prog.sample_adaptive(
@@ -544,21 +669,11 @@ TEST(OptimizerPasses, EveryPassIsBitExactInAllModesOnRandomDags) {
       expect_sv_eq(opt.evaluate(env), base.evaluate(env), what + " stochastic");
       EXPECT_DOUBLE_EQ(opt.evaluate_point(env), base.evaluate_point(env))
           << what << " point";
-      // Bit-exact per seed in BOTH sample orders: no pass may add, drop,
-      // or reorder a draw event.
-      {
-        support::Rng ra(100 + d), rb(100 + d);
-        expect_sv_eq(opt.sample_trials(env, ra, kTrials),
-                     base.sample_trials(env, rb, kTrials), what + " blocked");
-      }
-      {
-        support::Rng ra(200 + d), rb(200 + d);
-        expect_sv_eq(
-            opt.sample_trials(env, ra, kTrials, ir::SampleOrder::kScalarCompat),
-            base.sample_trials(env, rb, kTrials,
-                               ir::SampleOrder::kScalarCompat),
-            what + " scalar");
-      }
+      // Bit-exact per seed: no pass may add, drop, or reorder a draw
+      // event.
+      support::Rng ra(100 + d), rb(100 + d);
+      expect_sv_eq(opt.sample_trials(env, ra, kTrials),
+                   base.sample_trials(env, rb, kTrials), what + " blocked");
     }
   }
 }
