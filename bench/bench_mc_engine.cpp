@@ -20,7 +20,12 @@
 //
 // Timing uses bench::measure_until (bench/measure.*): warm-up-trimmed,
 // autocorrelation-corrected, CI-driven run length instead of the old
-// hand-picked best-of-3 reps.
+// hand-picked best-of-3 reps. One measurement's CI understates the spread
+// between runs, so the gate case is also timed in kRounds interleaved
+// rounds (tree, blocked, and the block prologue's slot fills alone, in
+// turn), which record the speedup of every round (min/median/max) and
+// split the blocked time into slot fill and walk + summary.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -34,6 +39,7 @@
 #include "model/expr.hpp"
 #include "model/ir.hpp"
 #include "predict/sor_model.hpp"
+#include "stats/descriptive.hpp"
 #include "stoch/stochastic_value.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -44,6 +50,9 @@ using namespace sspred;
 using stoch::StochasticValue;
 
 constexpr double kSpeedupFloor = 10.2;
+constexpr const char* kGateModel = "sor-p2";
+constexpr std::size_t kGateTrials = 10'000;
+constexpr std::size_t kRounds = 5;
 constexpr std::size_t kTrialCounts[] = {1'000, 10'000, 100'000};
 // Every measurement samples this many trials in total (small counts loop
 // more), so short calls still time a >= millisecond region.
@@ -142,6 +151,48 @@ bench::Measurement measure_tree(const Case& c, std::size_t trials) {
   });
 }
 
+/// The blocked engine's slot prologue alone: per block, one batched draw
+/// per live slot (the fills sample_trials makes before each walk), into a
+/// scratch row.
+bench::Measurement measure_slot_fill(const Case& c, std::size_t trials) {
+  support::Rng rng(20260806);
+  std::vector<double> row(model::ir::kBlockTrials);
+  return measure(trials, [&] {
+    for (std::size_t done = 0; done < trials;) {
+      const std::size_t lanes =
+          std::min(model::ir::kBlockTrials, trials - done);
+      for (const std::uint32_t s : c.program.live_slots()) {
+        const StochasticValue& v = c.env.lookup(s);
+        if (v.is_point()) {
+          std::fill_n(row.begin(), lanes, v.mean());
+        } else {
+          rng.normal_fill({row.data(), lanes}, v.mean(), v.sd());
+        }
+      }
+      done += lanes;
+    }
+  });
+}
+
+/// kRounds interleaved rounds of the gate case.
+struct Rounds {
+  std::vector<double> speedups;     ///< tree / blocked, per round
+  std::vector<double> blocked_s;    ///< per round
+  std::vector<double> slot_fill_s;  ///< per round
+};
+
+Rounds measure_rounds(const Case& c, std::size_t trials) {
+  Rounds r;
+  for (std::size_t i = 0; i < kRounds; ++i) {
+    const double tree = measure_tree(c, trials).mean;
+    const double blocked = measure_blocked(c, trials).mean;
+    r.speedups.push_back(tree / blocked);
+    r.blocked_s.push_back(blocked);
+    r.slot_fill_s.push_back(measure_slot_fill(c, trials).mean);
+  }
+  return r;
+}
+
 struct Row {
   std::string model;
   std::size_t nodes = 0;
@@ -156,7 +207,8 @@ struct Row {
   }
 };
 
-void emit_json(const std::vector<Row>& rows, double gate_speedup, bool pass) {
+void emit_json(const std::vector<Row>& rows, const Rounds& rounds,
+               double gate_speedup, bool pass) {
   std::ofstream out("BENCH_mc_engine.json");
   out.precision(6);
   out << "{\n"
@@ -167,7 +219,21 @@ void emit_json(const std::vector<Row>& rows, double gate_speedup, bool pass) {
       << "  \"speedup_floor\": " << kSpeedupFloor << ",\n"
       << "  \"gate\": \"sor-p2 @ 10000 trials\",\n"
       << "  \"gate_speedup\": " << gate_speedup << ",\n"
-      << "  \"pass\": " << (pass ? "true" : "false") << ",\n"
+      << "  \"pass\": " << (pass ? "true" : "false") << ",\n";
+  const auto [lo, hi] =
+      std::minmax_element(rounds.speedups.begin(), rounds.speedups.end());
+  const double blocked = stats::median(rounds.blocked_s);
+  const double fill = stats::median(rounds.slot_fill_s);
+  out << "  \"gate_rounds\": {\"count\": " << rounds.speedups.size()
+      << ", \"speedup_min\": " << *lo
+      << ", \"speedup_median\": " << stats::median(rounds.speedups)
+      << ", \"speedup_max\": " << *hi << ", \"speedups\": [";
+  for (std::size_t i = 0; i < rounds.speedups.size(); ++i) {
+    out << (i > 0 ? ", " : "") << rounds.speedups[i];
+  }
+  out << "], \"blocked_sec_median\": " << blocked
+      << ", \"slot_fill_sec_median\": " << fill
+      << ", \"walk_summary_sec_median\": " << blocked - fill << "},\n"
       << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -212,7 +278,9 @@ int main() {
       r.blocked_s = blocked.mean;
       r.tree_ci = tree.ci_halfwidth;
       r.blocked_ci = blocked.ci_halfwidth;
-      if (c.name == "sor-p2" && trials == 10'000) gate_speedup = r.speedup();
+      if (c.name == kGateModel && trials == kGateTrials) {
+        gate_speedup = r.speedup();
+      }
       t.add_row({std::to_string(trials),
                  support::fmt(r.tree_s * 1e3, 2) + " ms",
                  support::fmt(r.blocked_s * 1e3, 2) + " ms ±" +
@@ -221,6 +289,27 @@ int main() {
                  support::fmt(r.speedup(), 2) + "x",
                  support::fmt(r.blocked_trials_per_s() / 1e6, 2) + "M"});
       rows.push_back(r);
+    }
+    std::printf("%s", t.render().c_str());
+  }
+
+  bench::section(std::string(kGateModel) + " @ 10k trials, " +
+                 std::to_string(kRounds) + " interleaved rounds");
+  const auto gate_case =
+      std::find_if(cases.begin(), cases.end(),
+                   [](const Case& c) { return c.name == kGateModel; });
+  const Rounds rounds = measure_rounds(*gate_case, kGateTrials);
+  {
+    support::Table t({"round", "speedup", "blocked", "slot fill",
+                      "walk + summary"});
+    for (std::size_t i = 0; i < kRounds; ++i) {
+      const double blocked = rounds.blocked_s[i];
+      const double fill = rounds.slot_fill_s[i];
+      t.add_row({std::to_string(i + 1),
+                 support::fmt(rounds.speedups[i], 2) + "x",
+                 support::fmt(blocked * 1e3, 3) + " ms",
+                 support::fmt(fill * 1e3, 3) + " ms",
+                 support::fmt((blocked - fill) * 1e3, 3) + " ms"});
     }
     std::printf("%s", t.render().c_str());
   }
@@ -240,6 +329,6 @@ int main() {
   std::printf("  => %s (BENCH_mc_engine.json written)\n",
               pass ? "PASS" : "FAIL");
 
-  emit_json(rows, gate_speedup, pass);
+  emit_json(rows, rounds, gate_speedup, pass);
   return pass ? 0 : 1;
 }

@@ -1,7 +1,9 @@
 #include "model/ir.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "support/error.hpp"
 
@@ -152,11 +154,27 @@ void Program::reindex() {
     }
     ref_pure_[i] = pure ? 1 : 0;
   }
+  // Read rows (see the member note in ir.hpp). Slot rows follow the node
+  // rows in the arena; a pure ref's target precedes it, so its read row
+  // is already resolved.
+  const auto slot_base = static_cast<std::uint32_t>(nodes_.size());
+  read_row_.resize(nodes_.size());
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
+    if (node.op == OpCode::kParam) {
+      read_row_[i] = slot_base + node.payload;
+    } else if (node.op == OpCode::kRef && ref_pure_[i] != 0) {
+      read_row_[i] = read_row_[node.payload];
+    } else {
+      read_row_[i] = i;
+    }
+  }
 }
 
-void Program::resize_workspace(EvalWorkspace& ws) const {
-  ws.values.resize(nodes_.size());
-  ws.point_values.resize(nodes_.size());
+void Program::check_shape(const SlotEnvironment& env) const {
+  SSPRED_REQUIRE(env.size() == slot_count(),
+                 "slot environment shape does not match the program (create "
+                 "it with make_environment())");
 }
 
 // --- Stochastic walk (§2.3 calculus) --------------------------------------
@@ -317,10 +335,8 @@ void Program::exec_stochastic(const SlotEnvironment& env,
 
 StochasticValue Program::evaluate(const SlotEnvironment& env,
                                   EvalWorkspace& ws) const {
-  SSPRED_REQUIRE(env.size() == slot_count(),
-                 "slot environment shape does not match the program (create "
-                 "it with make_environment())");
-  resize_workspace(ws);
+  check_shape(env);
+  ws.values.resize(nodes_.size());
   exec_stochastic(env, ws);
   return ws.values[nodes_.size() - 1];
 }
@@ -387,10 +403,8 @@ void Program::exec_point(const SlotEnvironment& env, EvalWorkspace& ws) const {
 
 double Program::evaluate_point(const SlotEnvironment& env,
                                EvalWorkspace& ws) const {
-  SSPRED_REQUIRE(env.size() == slot_count(),
-                 "slot environment shape does not match the program (create "
-                 "it with make_environment())");
-  resize_workspace(ws);
+  check_shape(env);
+  ws.point_values.resize(nodes_.size());
   exec_point(env, ws);
   return ws.point_values[nodes_.size() - 1];
 }
@@ -403,26 +417,30 @@ double Program::evaluate_point(const SlotEnvironment& env) const {
 // --- Blocked trial-major Monte-Carlo engine ---------------------------------
 //
 // Instead of one trial flowing through all nodes, each node processes a
-// whole block of trials against structure-of-arrays rows
-// (lane_values[node][lane], lane_slots[slot][lane], both kBlockTrials
-// wide). Group ops become flat elementwise kernels the compiler can
-// vectorize; every stochastic draw event becomes one batched ziggurat fill.
-// Per trial the semantics are Expr::sample's: parameters draw once per
-// trial, stochastic constants and shared subtrees per occurrence, and
-// unrelated iterations redraw their body's parameters. Only the RNG stream
-// order differs (see kBlockTrials in the header).
+// whole block of trials against structure-of-arrays rows of one arena
+// (lane_values: a kBlockTrials-wide row per node, then one per slot).
+// Group ops become flat elementwise kernels the compiler can vectorize;
+// every stochastic draw event becomes one batched ziggurat fill. Per trial
+// the semantics are Expr::sample's: parameters draw once per trial,
+// stochastic constants and shared subtrees per occurrence, and unrelated
+// iterations redraw their body's parameters. Only the RNG stream order
+// differs (see kBlockTrials in the header).
 
 void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
                            EvalWorkspace& ws, std::uint32_t lo,
                            std::uint32_t hi, std::size_t lanes) const {
   double* const vals = ws.lane_values.data();
-  double* const slots = ws.lane_slots.data();
   const std::uint32_t* const ops = operands_.data();
-  const auto row = [vals](std::uint32_t i) {
-    return vals + static_cast<std::size_t>(i) * kBlockTrials;
+  const auto row = [vals](std::uint32_t r) {
+    return vals + static_cast<std::size_t>(r) * kBlockTrials;
   };
-  const auto slot_row = [slots](std::uint32_t s) {
-    return slots + static_cast<std::size_t>(s) * kBlockTrials;
+  // Where node i's values are read: its own row, or the slot or target row
+  // a kParam or pure kRef aliases (read_row_).
+  const auto src = [&](std::uint32_t i) -> const double* {
+    return row(read_row_[i]);
+  };
+  const auto slot_row = [&](std::uint32_t s) {
+    return row(static_cast<std::uint32_t>(nodes_.size()) + s);
   };
   std::uint32_t i = lo;
   while (i < hi) {
@@ -444,9 +462,9 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
         const Node& node = nodes_[target];
         const std::size_t mark = ws.lane_saved.size();
         for (std::uint32_t k = 0; k < node.slots_count; ++k) {
-          const double* const src =
+          const double* const saved =
               slot_row(body_slots_[node.slots_first + k]);
-          ws.lane_saved.insert(ws.lane_saved.end(), src, src + lanes);
+          ws.lane_saved.insert(ws.lane_saved.end(), saved, saved + lanes);
         }
         double* const acc = row(target);
         std::fill(acc, acc + lanes, 0.0);
@@ -456,7 +474,7 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
             fill_lane(env.lookup(s), rng, slot_row(s), lanes);
           }
           exec_blocked(env, rng, ws, node.body_begin, target, lanes);
-          const double* const body = row(target - 1);
+          const double* const body = src(target - 1);
           for (std::size_t t = 0; t < lanes; ++t) acc[t] += body[t];
         }
         for (std::uint32_t k = 0; k < node.slots_count; ++k) {
@@ -476,76 +494,79 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
         fill_lane(constants_[node.payload], rng, row(i), lanes);
         break;
       case OpCode::kParam:
-        std::copy_n(slot_row(node.payload), lanes, row(i));
+        // Readers take the slot row in place (read_row_).
         break;
       case OpCode::kSum: {
         double* const r = row(i);
-        std::copy_n(row(ops[node.first]), lanes, r);
+        std::copy_n(src(ops[node.first]), lanes, r);
         for (std::uint32_t k = 1; k < node.count; ++k) {
-          const double* const b = row(ops[node.first + k]);
+          const double* const b = src(ops[node.first + k]);
           for (std::size_t t = 0; t < lanes; ++t) r[t] += b[t];
         }
         break;
       }
       case OpCode::kProd: {
         double* const r = row(i);
-        std::copy_n(row(ops[node.first]), lanes, r);
+        std::copy_n(src(ops[node.first]), lanes, r);
         for (std::uint32_t k = 1; k < node.count; ++k) {
-          const double* const b = row(ops[node.first + k]);
+          const double* const b = src(ops[node.first + k]);
           for (std::size_t t = 0; t < lanes; ++t) r[t] *= b[t];
         }
         break;
       }
       case OpCode::kMax: {
         double* const r = row(i);
-        std::copy_n(row(ops[node.first]), lanes, r);
+        std::copy_n(src(ops[node.first]), lanes, r);
         for (std::uint32_t k = 1; k < node.count; ++k) {
-          const double* const b = row(ops[node.first + k]);
+          const double* const b = src(ops[node.first + k]);
           for (std::size_t t = 0; t < lanes; ++t) r[t] = std::max(r[t], b[t]);
         }
         break;
       }
       case OpCode::kMin: {
         double* const r = row(i);
-        std::copy_n(row(ops[node.first]), lanes, r);
+        std::copy_n(src(ops[node.first]), lanes, r);
         for (std::uint32_t k = 1; k < node.count; ++k) {
-          const double* const b = row(ops[node.first + k]);
+          const double* const b = src(ops[node.first + k]);
           for (std::size_t t = 0; t < lanes; ++t) r[t] = std::min(r[t], b[t]);
         }
         break;
       }
       case OpCode::kDiv: {
-        const double* const num = row(ops[node.first]);
-        const double* const den = row(ops[node.first + 1]);
+        const double* const num = src(ops[node.first]);
+        const double* const den = src(ops[node.first + 1]);
         double* const r = row(i);
-        // One pass with a branch-free guard: a zero lane leaves an
-        // infinity or NaN in r, which the throw below keeps anything from
-        // reading.
-        bool zero = false;
+        // One vectorizable pass divides and ORs in the bits of r - r:
+        // +0 for a finite quotient, NaN for an infinite or NaN one. Only
+        // a non-finite lane pays for the rescan that tells a zero
+        // denominator (an error; its lane's infinity or NaN is never read
+        // past the throw) from an overflow or a NaN operand (passed on).
+        std::uint64_t non_finite = 0;
         for (std::size_t t = 0; t < lanes; ++t) {
-          zero |= den[t] == 0.0;
           r[t] = num[t] / den[t];
+          non_finite |= std::bit_cast<std::uint64_t>(r[t] - r[t]);
         }
-        SSPRED_REQUIRE(!zero, "sampled division by zero");
+        if (non_finite != 0) {
+          SSPRED_REQUIRE(std::none_of(den, den + lanes,
+                                      [](double d) { return d == 0.0; }),
+                         "sampled division by zero");
+        }
         break;
       }
       case OpCode::kIterate: {
         // Only related iterates reach the linear walk (see the skip above):
         // one shared body draw per trial, repeated n times.
         const double n = static_cast<double>(node.payload);
-        const double* const body = row(i - 1);
+        const double* const body = src(i - 1);
         double* const r = row(i);
         for (std::size_t t = 0; t < lanes; ++t) r[t] = n * body[t];
         break;
       }
       case OpCode::kRef: {
         // A pure region (no draw events at re-execution time; see
-        // reindex()) would recompute the target row bit for bit while
-        // consuming no RNG — copy it instead of re-running the region.
-        if (ref_pure_[i] != 0) {
-          std::copy_n(row(node.payload), lanes, row(i));
-          break;
-        }
+        // reindex()) would recompute the target's values bit for bit
+        // while consuming no RNG: readers take them in place (read_row_).
+        if (ref_pure_[i] != 0) break;
         // Re-execute the occurrence region for an independent draw, with
         // the region's rows — contiguous in node-major layout — saved
         // around the re-run: they may still be pending operands of later
@@ -558,7 +579,7 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
         ws.lane_saved.insert(ws.lane_saved.end(), row(begin),
                              row(begin) + span_len);
         exec_blocked(env, rng, ws, begin, target + 1, lanes);
-        std::copy_n(row(target), lanes, row(i));
+        std::copy_n(src(target), lanes, row(i));
         std::copy_n(ws.lane_saved.data() + mark, span_len, row(begin));
         ws.lane_saved.resize(mark);
         break;
@@ -568,29 +589,33 @@ void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
   }
 }
 
+void Program::prepare_blocked(EvalWorkspace& ws) const {
+  ws.lane_values.resize((nodes_.size() + slot_count()) * kBlockTrials);
+}
+
+const double* Program::run_block(const SlotEnvironment& env,
+                                 support::Rng& rng, EvalWorkspace& ws,
+                                 std::size_t lanes) const {
+  // Block prologue: one batched draw per live slot, ascending slot id.
+  // Dead slots (present in the table, read by no node) draw nothing.
+  double* const vals = ws.lane_values.data();
+  for (const std::uint32_t s : live_slots_) {
+    fill_lane(env.lookup(s), rng, vals + (nodes_.size() + s) * kBlockTrials,
+              lanes);
+  }
+  const auto n = static_cast<std::uint32_t>(nodes_.size());
+  exec_blocked(env, rng, ws, 0, n, lanes);
+  return vals + static_cast<std::size_t>(read_row_[n - 1]) * kBlockTrials;
+}
+
 void Program::sample_into(const SlotEnvironment& env, support::Rng& rng,
                           std::span<double> out, EvalWorkspace& ws) const {
-  SSPRED_REQUIRE(env.size() == slot_count(),
-                 "slot environment shape does not match the program (create "
-                 "it with make_environment())");
-  resize_workspace(ws);
-  const auto n = static_cast<std::uint32_t>(nodes_.size());
-  ws.lane_values.resize(nodes_.size() * kBlockTrials);
-  ws.lane_slots.resize(slot_count() * kBlockTrials);
-  const double* const root =
-      ws.lane_values.data() + static_cast<std::size_t>(n - 1) * kBlockTrials;
-  std::size_t done = 0;
-  while (done < out.size()) {
+  check_shape(env);
+  prepare_blocked(ws);
+  for (std::size_t done = 0; done < out.size();) {
     const std::size_t lanes = std::min(kBlockTrials, out.size() - done);
-    // Block prologue: one batched draw per live slot, ascending slot id.
-    // Dead slots (present in the table, read by no node) draw nothing.
-    for (const std::uint32_t s : live_slots_) {
-      fill_lane(env.lookup(s), rng,
-                ws.lane_slots.data() + static_cast<std::size_t>(s) * kBlockTrials,
-                lanes);
-    }
-    exec_blocked(env, rng, ws, 0, n, lanes);
-    std::copy_n(root, lanes, out.begin() + static_cast<std::ptrdiff_t>(done));
+    std::copy_n(run_block(env, rng, ws, lanes), lanes,
+                out.begin() + static_cast<std::ptrdiff_t>(done));
     done += lanes;
   }
 }
@@ -599,18 +624,7 @@ StochasticValue Program::sample_trials(const SlotEnvironment& env,
                                        support::Rng& rng, std::size_t trials,
                                        EvalWorkspace& ws) const {
   SSPRED_REQUIRE(trials >= 2, "sample_trials needs at least 2 trials");
-  SSPRED_REQUIRE(env.size() == slot_count(),
-                 "slot environment shape does not match the program (create "
-                 "it with make_environment())");
-  // A fully folded point program needs no sampling at all: every trial
-  // would be exactly the mean, so return the constant without drawing.
-  if (nodes_.size() == 1 && nodes_[0].op == OpCode::kConst &&
-      constants_[0].is_point()) {
-    return constants_[0];
-  }
-  ws.trial_results.resize(trials);
-  sample_into(env, rng, ws.trial_results, ws);
-  return StochasticValue::from_sample(ws.trial_results);
+  return sample_adaptive(env, rng, stats::StopRule::fixed(trials), ws).value;
 }
 
 StochasticValue Program::sample_trials(const SlotEnvironment& env,
@@ -623,11 +637,13 @@ StochasticValue Program::sample_trials(const SlotEnvironment& env,
 // --- Adaptive (sequentially stopped) Monte-Carlo ----------------------------
 //
 // sample_adaptive runs the blocked engine in stats::next_block_width
-// blocks and consults the stop rule between blocks; the decision is a
-// pure function of the sampled values, so trial counts are reproducible
-// from the seed. A fixed rule walks the exact sample_trials() schedule —
-// same block widths, same draw order — and a precision rule
-// uses doubling checkpoints so easy targets stop in hundreds of trials.
+// blocks, merges each block's moments into the summary (the contract at
+// kBlockTrials) and consults the stop rule between blocks; the decision
+// is a pure function of the sampled values, so trial counts are
+// reproducible from the seed. A fixed rule walks straight kBlockTrials
+// blocks with a partial last one — sample_trials() is exactly that — and
+// a precision rule uses doubling checkpoints so easy targets stop in
+// hundreds of trials.
 
 AdaptiveResult Program::sample_adaptive(const SlotEnvironment& env,
                                         support::Rng& rng,
@@ -635,42 +651,25 @@ AdaptiveResult Program::sample_adaptive(const SlotEnvironment& env,
                                         EvalWorkspace& ws) const {
   SSPRED_REQUIRE(rule.max_trials >= 2,
                  "sample_adaptive needs rule.max_trials >= 2");
-  SSPRED_REQUIRE(env.size() == slot_count(),
-                 "slot environment shape does not match the program (create "
-                 "it with make_environment())");
-  // Same fully-folded short-circuit as sample_trials: a point program
-  // samples to exactly its constant, drawing nothing.
+  check_shape(env);
+  // A fully folded point program needs no sampling at all: every trial
+  // would be exactly the mean, so return the constant without drawing.
   if (nodes_.size() == 1 && nodes_[0].op == OpCode::kConst &&
       constants_[0].is_point()) {
     return AdaptiveResult{constants_[0], 0, 0.0, true};
   }
-  resize_workspace(ws);
-  ws.lane_values.resize(nodes_.size() * kBlockTrials);
-  ws.lane_slots.resize(slot_count() * kBlockTrials);
-  const auto n = static_cast<std::uint32_t>(nodes_.size());
-  const double* const root =
-      ws.lane_values.data() + static_cast<std::size_t>(n - 1) * kBlockTrials;
+  prepare_blocked(ws);
   stats::SequentialEstimator est(rule);
-  ws.trial_results.clear();
   for (;;) {
     const std::size_t lanes =
         stats::next_block_width(est.count(), rule, kBlockTrials);
     if (lanes == 0) break;
-    // Block prologue: one batched draw per live slot, ascending slot id
-    // (the stream contract; see sample_into).
-    for (const std::uint32_t s : live_slots_) {
-      fill_lane(
-          env.lookup(s), rng,
-          ws.lane_slots.data() + static_cast<std::size_t>(s) * kBlockTrials,
-          lanes);
-    }
-    exec_blocked(env, rng, ws, 0, n, lanes);
-    ws.trial_results.insert(ws.trial_results.end(), root, root + lanes);
-    est.add({root, lanes});
+    est.merge(stats::OnlineStats::from_block(
+        {run_block(env, rng, ws, lanes), lanes}));
     if (est.should_stop()) break;
   }
   AdaptiveResult result;
-  result.value = StochasticValue::from_sample(ws.trial_results);
+  result.value = StochasticValue::from_mean_sd(est.mean(), est.sd());
   result.trials = est.count();
   result.ci_halfwidth = est.ci_halfwidth();
   result.converged = rule.target <= 0.0 || est.precision_met();

@@ -18,10 +18,12 @@
 // evaluate() and evaluate_point() agree with them to 1e-12, and
 // sample_trials() draws the same distribution as Expr::sample(), checked
 // statistically on random DAGs (tests/compile_test.cpp). Monte-Carlo
-// carries one versioned RNG stream contract, the blocked order (see
-// kBlockTrials below), which feeds whole blocks from the batched ziggurat
-// sampler; hand replays of it in tests/mc_engine_test.cpp and pinned
-// goldens in tests/compile_test.cpp hold it bit for bit.
+// carries two versioned contracts (see kBlockTrials below): the blocked
+// RNG stream order, which feeds whole blocks from the batched ziggurat
+// sampler and fixes every raw trial, and the summary, which fixes how
+// blocks reduce to a served mean ± 2sd. Hand replays in
+// tests/mc_engine_test.cpp and pinned goldens in tests/compile_test.cpp
+// hold both bit for bit.
 //
 // Each entry point also has a lane-wise variant (evaluate_fused /
 // evaluate_point_fused / sample_fused / sample_adaptive_fused) that runs
@@ -101,6 +103,15 @@ class Program;
 /// repetitions redraw their body slots, ascending, per repetition). The
 /// block width is part of that contract: changing it changes every
 /// stream.
+///
+/// Its summary contract: each block's trials reduce to their moments by
+/// stats::OnlineStats::from_block (two passes, the mean and then the
+/// squared deviations about it, each in 4 interleaved accumulators), and
+/// blocks merge in draw order by Chan's update (OnlineStats::merge). The
+/// precision stop rule reads that merged summary between blocks, and
+/// sample_trials / sample_adaptive report its mean ± 2sd. The summary
+/// fixes the served bits, not the raw trials, which depend only on the
+/// stream contract (sample_into).
 inline constexpr std::size_t kBlockTrials = 1024;
 
 /// Dense parameter bindings for one compiled evaluation: a vector of
@@ -174,25 +185,25 @@ class LaneEnvironment {
 
 /// Reusable evaluation buffers. Every Program entry point has an overload
 /// taking one of these; the overloads without it allocate a fresh
-/// workspace per call. Reuse across calls (and across the trials of one
-/// sample_trials batch) makes evaluation allocation-free after warmup.
+/// workspace per call. Each walk sizes only the buffers it reads, and
+/// reuse across calls makes evaluation allocation-free after warmup.
 struct EvalWorkspace {
-  std::vector<stoch::StochasticValue> values;   ///< per-node stochastic value
+  std::vector<stoch::StochasticValue> values;   ///< evaluate(): per node
   std::vector<stoch::StochasticValue> scratch;  ///< operand gather buffer
-  std::vector<double> point_values;             ///< per-node point value
-  std::vector<double> trial_results;            ///< sample_trials batch
-  // Blocked-engine structure-of-arrays arenas (one kBlockTrials-wide row
-  // per node / per slot; kept hot across calls, so serving workers pay no
-  // per-request allocation on the Monte-Carlo path after warmup).
-  std::vector<double> lane_values;              ///< node-major value rows
-  std::vector<double> lane_slots;               ///< slot-major draw rows
-  std::vector<double> lane_saved;               ///< row save/restore stack
+  std::vector<double> point_values;             ///< evaluate_point(): per node
+  // Monte-Carlo structure-of-arrays arenas, kBlockTrials-wide rows kept
+  // hot across calls, so serving workers pay no per-request allocation on
+  // the Monte-Carlo path after warmup.
+  std::vector<double> lane_values;  ///< one row per node, then per slot
+  std::vector<double> lane_saved;   ///< row save/restore stack
 };
 
 /// Outcome of one adaptively stopped Monte-Carlo run: the summary plus
 /// how much work the stop rule actually bought.
 struct AdaptiveResult {
-  stoch::StochasticValue value;  ///< mean ± 2sd over the executed trials
+  /// mean ± 2sd of the executed trials' merged block summary (see
+  /// kBlockTrials)
+  stoch::StochasticValue value;
   std::size_t trials = 0;        ///< trials actually executed
   double ci_halfwidth = 0.0;     ///< achieved CI half-width of the mean
   /// False only when a precision target was set and still unmet at the
@@ -218,9 +229,10 @@ class Program {
                                       EvalWorkspace& ws) const;
 
   /// `trials` Monte-Carlo samples summarized as mean ± 2sd, drawn by the
-  /// blocked engine (see kBlockTrials for the stream order). Workspace
-  /// buffers are reused across all trials (and across calls when the
-  /// caller passes its own workspace).
+  /// blocked engine (see kBlockTrials for the stream order and the
+  /// summary): sample_adaptive(env, rng, StopRule::fixed(trials)).value.
+  /// Workspace buffers are reused across all trials (and across calls
+  /// when the caller passes its own workspace).
   [[nodiscard]] stoch::StochasticValue sample_trials(
       const SlotEnvironment& env, support::Rng& rng, std::size_t trials) const;
   [[nodiscard]] stoch::StochasticValue sample_trials(
@@ -234,13 +246,12 @@ class Program {
                    std::span<double> out, EvalWorkspace& ws) const;
 
   /// Sequentially stopped Monte-Carlo: draws trial blocks per
-  /// stats::next_block_width and stops at the first between-block
-  /// checkpoint where `rule` is satisfied, or at its max-trial clamp. The
-  /// stop decision depends only on the sampled values, so a fixed seed
-  /// reproduces the exact trial count. A rule with no precision target
-  /// (`StopRule::fixed(n)`) consumes the RNG identically to
-  /// sample_trials(env, rng, n) and returns a bit-identical summary.
-  /// rule.max_trials must be >= 2.
+  /// stats::next_block_width, merges each block's moments into the
+  /// summary, and stops at the first between-block checkpoint where `rule`
+  /// is satisfied, or at its max-trial clamp. The stop decision depends
+  /// only on the sampled values, so a fixed seed reproduces the exact
+  /// trial count. A rule with no precision target (`StopRule::fixed(n)`)
+  /// is sample_trials(env, rng, n). rule.max_trials must be >= 2.
   [[nodiscard]] AdaptiveResult sample_adaptive(const SlotEnvironment& env,
                                                support::Rng& rng,
                                                const stats::StopRule& rule,
@@ -326,11 +337,19 @@ class Program {
   friend class LaneEnvironment;  ///< reset() shares slot_names_
 
   /// Recomputes the derived indexes (sample skips, per-node skip flags,
-  /// live slots) from nodes_; called after building and after rewrites.
+  /// live slots, pure refs, read rows) from nodes_; called after building
+  /// and after rewrites.
   void reindex();
-  void resize_workspace(EvalWorkspace& ws) const;
+  /// Throws unless `env` was made for this program's slot table.
+  void check_shape(const SlotEnvironment& env) const;
   void exec_stochastic(const SlotEnvironment& env, EvalWorkspace& ws) const;
   void exec_point(const SlotEnvironment& env, EvalWorkspace& ws) const;
+  /// Sizes the Monte-Carlo arenas.
+  void prepare_blocked(EvalWorkspace& ws) const;
+  /// Draws one block of `lanes` trials (the slot prologue, then the walk)
+  /// and returns the row holding the root's values.
+  const double* run_block(const SlotEnvironment& env, support::Rng& rng,
+                          EvalWorkspace& ws, std::size_t lanes) const;
   /// Executes nodes [lo, hi) of the Monte-Carlo walk for `lanes` trials at
   /// once against the workspace's SoA rows, skipping regions that are
   /// bodies of unrelated-iterate nodes (those re-run under the iterate
@@ -355,9 +374,15 @@ class Program {
   /// ref), and no unrelated-iterate body separates the ref from its region
   /// (which would reset the region's slot draws in between). Re-executing
   /// such a region consumes no RNG and recomputes the target's values bit
-  /// for bit, so the blocked engine copies the target row instead —
-  /// skipping the region re-run and its lane save/restore.
+  /// for bit, so the blocked engine reads the target's values in place
+  /// instead, skipping the region re-run and its lane save/restore.
   std::vector<std::uint8_t> ref_pure_;
+  /// Per-node arena row the blocked engine reads the node's values from:
+  /// a kParam's slot row (slot s is row node_count() + s), a pure kRef's
+  /// target's read row, otherwise the node's own row. Every operand read,
+  /// the unrelated-iterate body read and the root read go through it, so
+  /// neither kind of node copies a row.
+  std::vector<std::uint32_t> read_row_;
   std::vector<std::uint32_t> live_slots_;         ///< referenced slots, asc
   std::shared_ptr<const std::vector<std::string>> slot_names_ =
       std::make_shared<const std::vector<std::string>>();

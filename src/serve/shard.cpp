@@ -713,23 +713,19 @@ void PredictionShard::execute_chunk(const McChunk& chunk, WorkerState& state) {
   mc_chunks_.increment();
 
   PredictResult failure;
-  double sum = 0.0;
-  double sum_sq = 0.0;
+  stats::OnlineStats moments;
   try {
     model::ir::SlotEnvironment& env = state.env_for(shared.model);
     bind(env, *shared.model, shared.loads, shared.bwavail);
     support::Rng rng(chunk_seed(shared.seed, chunk.index));
     // Whole-block execution on the worker's pooled SoA arenas: after the
     // first chunk of a model's shape, the Monte-Carlo path allocates
-    // nothing. Per-chunk seeds plus index-ordered combine keep the result
+    // nothing. Per-chunk seeds plus index-ordered merges keep the result
     // deterministic for a fixed request seed at any worker count.
-    state.ws.trial_results.resize(chunk.trials);
-    shared.model->program().sample_into(env, rng, state.ws.trial_results,
+    state.chunk_trials.resize(chunk.trials);
+    shared.model->program().sample_into(env, rng, state.chunk_trials,
                                         state.ws);
-    for (const double x : state.ws.trial_results) {
-      sum += x;
-      sum_sq += x * x;
-    }
+    moments = stats::OnlineStats::from_block(state.chunk_trials);
   } catch (const std::exception& e) {
     failure.status = PredictResult::Status::kError;
     failure.error = e.what();
@@ -738,7 +734,7 @@ void PredictionShard::execute_chunk(const McChunk& chunk, WorkerState& state) {
   bool last = false;
   {
     const std::lock_guard lock(shared.m);
-    shared.partials[chunk.index] = {sum, sum_sq};
+    shared.partials[chunk.index] = moments;
     last = (--shared.remaining == 0);
     if (failure.status == PredictResult::Status::kError &&
         !shared.promises.empty()) {
@@ -755,20 +751,15 @@ void PredictionShard::execute_chunk(const McChunk& chunk, WorkerState& state) {
 
   const std::lock_guard lock(shared.m);
   if (shared.promises.empty()) return;  // a failing chunk already resolved it
-  double total = 0.0;
-  double total_sq = 0.0;
-  for (const auto& [s, q] : shared.partials) {
-    total += s;
-    total_sq += q;
-  }
+  // Chan's pairwise merge keeps a narrow spread around a large mean
+  // accurate, where (sum of squares - n mean^2) would cancel it away.
+  stats::OnlineStats total;
+  for (const stats::OnlineStats& part : shared.partials) total.merge(part);
   const auto n = static_cast<double>(shared.total_trials);
-  const double mean = total / n;
-  const double var =
-      std::max(0.0, (total_sq - n * mean * mean) / (n - 1.0));
   PredictResult base;
   base.status = PredictResult::Status::kOk;
-  base.value = stoch::StochasticValue::from_mean_sd(mean, std::sqrt(var));
-  base.point = mean;
+  base.value = stoch::StochasticValue::from_mean_sd(total.mean(), total.sd());
+  base.point = total.mean();
   base.mc_trials = shared.total_trials;
   base.mc_ci_halfwidth = base.value.halfwidth() / std::sqrt(n);
   mc_trials_.observe(n);

@@ -45,6 +45,7 @@
 #include "serve/metrics.hpp"
 #include "serve/program_cache.hpp"
 #include "serve/request.hpp"
+#include "stats/descriptive.hpp"
 #include "support/clock.hpp"
 #include "support/rng.hpp"
 
@@ -268,9 +269,10 @@ class PredictionShard {
     std::vector<Pending> promises;  ///< whole batch
 
     std::mutex m;
-    /// Per-chunk (sum, sum of squares); combined in index order at the
-    /// end so the result is independent of worker scheduling.
-    std::vector<std::pair<double, double>> partials;
+    /// Per-chunk moments (OnlineStats::from_block over the chunk's
+    /// trials); merged in index order at the end so the result is
+    /// independent of worker scheduling.
+    std::vector<stats::OnlineStats> partials;
     std::size_t remaining = 0;
   };
 
@@ -282,12 +284,14 @@ class PredictionShard {
   };
 
   /// Per-worker reusable evaluation state (slot environments keyed by
-  /// compiled model, one workspace) — keeps the hot path allocation-free.
+  /// compiled model, one workspace, a chunk's raw trials) — keeps the hot
+  /// path allocation-free.
   struct WorkerState {
     std::map<const CompiledModel*,
              std::pair<CompiledModelPtr, model::ir::SlotEnvironment>>
         envs;
     model::ir::EvalWorkspace ws;
+    std::vector<double> chunk_trials;
 
     [[nodiscard]] model::ir::SlotEnvironment& env_for(
         const CompiledModelPtr& model);

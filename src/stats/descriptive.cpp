@@ -88,6 +88,48 @@ double autocorrelation(std::span<const double> xs, std::size_t lag) {
   return den > 0.0 ? num / den : 0.0;
 }
 
+OnlineStats OnlineStats::from_block(std::span<const double> xs) noexcept {
+  constexpr std::size_t kAcc = 4;
+  OnlineStats s;
+  const std::size_t n = xs.size();
+  if (n == 0) return s;
+  // step(j, i) for every value i, with j = i mod kAcc. Each accumulator
+  // is its own chain of additions in value order, so the compiler may
+  // vectorize across chains without changing a bit of the result.
+  const auto fold = [n](auto&& step) {
+    std::size_t i = 0;
+    for (; i + kAcc <= n; i += kAcc) {
+      for (std::size_t j = 0; j < kAcc; ++j) step(j, i + j);
+    }
+    for (std::size_t j = 0; i + j < n; ++j) step(j, i + j);
+  };
+  const auto combine = [](const double(&a)[kAcc]) {
+    return (a[0] + a[1]) + (a[2] + a[3]);
+  };
+  double sum[kAcc] = {};
+  double lo[kAcc];
+  double hi[kAcc];
+  std::fill_n(lo, kAcc, xs[0]);
+  std::fill_n(hi, kAcc, xs[0]);
+  fold([&](std::size_t j, std::size_t i) {
+    sum[j] += xs[i];
+    lo[j] = std::min(lo[j], xs[i]);
+    hi[j] = std::max(hi[j], xs[i]);
+  });
+  const double mean = combine(sum) / static_cast<double>(n);
+  double m2[kAcc] = {};
+  fold([&](std::size_t j, std::size_t i) {
+    const double d = xs[i] - mean;
+    m2[j] += d * d;
+  });
+  s.n_ = n;
+  s.mean_ = mean;
+  s.m2_ = combine(m2);
+  s.min_ = std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3]));
+  s.max_ = std::max(std::max(hi[0], hi[1]), std::max(hi[2], hi[3]));
+  return s;
+}
+
 void OnlineStats::add(std::span<const double> xs) noexcept {
   std::size_t n = n_;
   double mu = mean_;

@@ -47,6 +47,16 @@ struct Summary {
 /// Numerically stable online accumulator (Welford) with min/max tracking.
 class OnlineStats {
  public:
+  /// The moments of one block of values, reduced in two passes with no
+  /// per-value divide: the mean, from a sum in 4 interleaved accumulators
+  /// (value i into accumulator i mod 4, combined as (a0 + a1) + (a2 + a3))
+  /// divided by the count; then the sum of squared deviations about that
+  /// mean, accumulated the same way. Min and max are tracked too. merge()
+  /// the results in order to summarize a stream block by block. Empty
+  /// `xs` gives an empty accumulator.
+  [[nodiscard]] static OnlineStats from_block(
+      std::span<const double> xs) noexcept;
+
   void add(double x) noexcept { add(std::span<const double>(&x, 1)); }
   /// Adds the values of `xs` in order: bit-identical to one add(x) per
   /// value, with the accumulators held in locals across the span.
@@ -60,7 +70,8 @@ class OnlineStats {
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 
-  /// Merges another accumulator into this one (parallel-friendly).
+  /// Merges another accumulator into this one by Chan et al.'s pairwise
+  /// update (parallel-friendly).
   void merge(const OnlineStats& other) noexcept;
 
  private:

@@ -96,6 +96,9 @@ class SequentialEstimator {
 
   void add(double x) noexcept { stats_.add(x); }
   void add(std::span<const double> xs) noexcept { stats_.add(xs); }
+  /// Folds in a whole block's moments (OnlineStats::from_block), the way
+  /// the blocked Monte-Carlo engine feeds the rule.
+  void merge(const OnlineStats& block) noexcept { stats_.merge(block); }
 
   [[nodiscard]] std::size_t count() const noexcept { return stats_.count(); }
   [[nodiscard]] double mean() const noexcept { return stats_.mean(); }

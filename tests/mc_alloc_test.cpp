@@ -4,11 +4,12 @@
 //
 // The serving layer pools one EvalWorkspace per worker (WorkerState in
 // serve/service.cpp) precisely so that the blocked engine's SoA arenas —
-// lane_values / lane_slots / lane_saved plus the trial-results buffer —
-// are paid for once per worker and reused across requests. This test pins
-// the contract that makes the pooling worth it: after a warmup call has
-// sized the arenas, sample_trials()/sample_into() on the same workspace
-// must not allocate at all.
+// lane_values and lane_saved — are paid for once per worker and reused
+// across requests. These tests pin the contract that makes the pooling
+// worth it: after a warmup call has sized the arenas, sample_trials() /
+// sample_into() on the same workspace must not allocate at all, and a
+// workspace that only samples never sizes the deterministic walks'
+// buffers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -205,6 +206,30 @@ TEST(McEngineAlloc, WarmAdaptiveSamplingIsAllocationFree) {
   EXPECT_LT(out[0].trials, out[3].trials);
   EXPECT_EQ(out[1].trials, 600u);
   EXPECT_EQ(out[2].trials, 3'000u);
+}
+
+TEST(McEngineAlloc, MonteCarloOnlyWorkspaceKeepsTheWalkBuffersEmpty) {
+  // The blocked engine reads neither evaluate()'s per-node values nor
+  // evaluate_point()'s, so every Monte-Carlo entry point leaves both
+  // unallocated.
+  const auto shared = mul(param("a"), constant(StochasticValue(2.0, 0.5)));
+  const auto expr = iterate(add(shared, mul(param("b"), shared)), 6,
+                            Dependence::kUnrelated);
+  const ir::Program prog = compile(*expr);
+  ir::SlotEnvironment env = prog.make_environment();
+  env.bind(prog.slot("a"), StochasticValue(1.0, 0.3));
+  env.bind(prog.slot("b"), StochasticValue(0.8, 0.2));
+
+  support::Rng rng(5);
+  ir::EvalWorkspace ws;
+  std::vector<double> out(3000);
+  prog.sample_into(env, rng, out, ws);
+  (void)prog.sample_trials(env, rng, 3000, ws);
+  (void)prog.sample_adaptive(
+      env, rng, stats::StopRule::relative_width(0.02, 20'000, 64), ws);
+  EXPECT_EQ(ws.values.capacity(), 0u);
+  EXPECT_EQ(ws.point_values.capacity(), 0u);
+  EXPECT_GT(ws.lane_values.size(), 0u);
 }
 
 TEST(McEngineAlloc, WorkspaceReuseAcrossTrialCountsOnlyGrows) {

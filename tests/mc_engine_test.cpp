@@ -17,7 +17,10 @@
 // but not to the ziggurat's values; the reference test catches that. Either failing means the contract must be bumped. What
 // the engine draws is checked against the Expr tree sampler statistically
 // (here and on random DAGs in compile_test.cpp, which also pins goldens of
-// the served outputs).
+// the served outputs). How blocks reduce to the served mean ± 2sd is the
+// second contract at ir::kBlockTrials: the precision-stop replay merges
+// block moments by hand, and McEngineSummary checks them against a
+// long double reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +31,7 @@
 #include <exception>
 #include <iterator>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +39,7 @@
 #include "model/expr.hpp"
 #include "model/ir.hpp"
 #include "sample_agreement.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/sequential.hpp"
 #include "stoch/stochastic_value.hpp"
 #include "support/rng.hpp"
@@ -256,8 +261,9 @@ TEST(McEngineBlocked, PrecisionStopReplaysCheckpointsDrawOrderAndStopCount) {
   // sample_adaptive under a precision rule: blocks grow through
   // stats::next_block_width's doubling checkpoints, each block draws in
   // the kBlocked order at its own width (slot "x", then the stochastic
-  // constant), and the run stops at the first checkpoint that meets the
-  // target.
+  // constant), each block's moments merge into the summary in order (the
+  // summary contract at ir::kBlockTrials), and the run stops at the first
+  // checkpoint where that summary meets the target.
   const auto expr =
       add(param("x"), constant(StochasticValue(2.0, 0.5)));
   const ir::Program prog = compile(*expr);
@@ -272,9 +278,9 @@ TEST(McEngineBlocked, PrecisionStopReplaysCheckpointsDrawOrderAndStopCount) {
 
   support::Rng replay(4242);
   stats::SequentialEstimator est(rule);
-  std::vector<double> samples;
   std::vector<std::size_t> widths;
-  std::vector<double> xs(ir::kBlockTrials), cs(ir::kBlockTrials);
+  std::vector<double> xs(ir::kBlockTrials), cs(ir::kBlockTrials),
+      block(ir::kBlockTrials);
   for (;;) {
     const std::size_t width =
         stats::next_block_width(est.count(), rule, ir::kBlockTrials);
@@ -282,10 +288,8 @@ TEST(McEngineBlocked, PrecisionStopReplaysCheckpointsDrawOrderAndStopCount) {
     widths.push_back(width);
     replay.normal_fill({xs.data(), width}, 0.8, 0.1);
     replay.normal_fill({cs.data(), width}, 2.0, 0.25);
-    for (std::size_t i = 0; i < width; ++i) {
-      samples.push_back(xs[i] + cs[i]);
-      est.add(xs[i] + cs[i]);
-    }
+    for (std::size_t i = 0; i < width; ++i) block[i] = xs[i] + cs[i];
+    est.merge(stats::OnlineStats::from_block({block.data(), width}));
     if (est.should_stop()) break;
   }
   // The target, not the clamp, stopped the run, past the doubling phase.
@@ -298,7 +302,8 @@ TEST(McEngineBlocked, PrecisionStopReplaysCheckpointsDrawOrderAndStopCount) {
   EXPECT_EQ(got.trials, est.count());
   EXPECT_TRUE(got.converged);
   EXPECT_EQ(got.ci_halfwidth, est.ci_halfwidth());
-  const StochasticValue want = StochasticValue::from_sample(samples);
+  const StochasticValue want =
+      StochasticValue::from_mean_sd(est.mean(), est.sd());
   EXPECT_EQ(got.value.mean(), want.mean());
   EXPECT_EQ(got.value.halfwidth(), want.halfwidth());
   EXPECT_EQ(rng.uniform(), replay.uniform()) << "stream position";
@@ -567,6 +572,213 @@ TEST(McEngineBlocked, SampledDivisionByZeroInAnyLaneThrows) {
                   stats::StopRule::relative_width(0.01, 4096, kPartial));
             }).find(want),
             std::string::npos);
+}
+
+TEST(McEngineBlocked, DivideGuardPassesOverflowAndCatchesAZeroInTheLastLane) {
+  // The kDiv guard throws for a zero denominator and for nothing else: a
+  // quotient that overflows to +inf over a non-zero denominator passes
+  // through, and a zero in the last lane of a 63-lane block (a vectorized
+  // loop's scalar tail) throws.
+  {
+    const auto expr =
+        quotient(constant(StochasticValue(1e300)), param("x"));
+    const ir::Program prog = compile(*expr);
+    ir::SlotEnvironment env = prog.make_environment();
+    env.bind(prog.slot("x"), StochasticValue(1e-10, 2e-11));  // 10 sd > 0
+    for (const std::size_t trials : {std::size_t{63}, ir::kBlockTrials}) {
+      std::vector<double> out(trials);
+      support::Rng rng(5);
+      ir::EvalWorkspace ws;
+      EXPECT_EQ(thrown_message([&] { prog.sample_into(env, rng, out, ws); }),
+                "")
+          << trials << " trials";
+      EXPECT_TRUE(std::all_of(out.begin(), out.end(), [](double q) {
+        return std::isinf(q) && q > 0.0;
+      })) << trials << " trials";
+    }
+  }
+  // vmax({x, 0}) is exactly zero where x <= 0. At this seed the block
+  // prologue's draw of "x" (mean 2, sd 1) is positive in lanes 0-61 and
+  // negative in lane 62 only.
+  const auto expr =
+      quotient(constant(StochasticValue(1.0)),
+               vmax({param("x"), constant(StochasticValue(0.0))}));
+  const ir::Program prog = compile(*expr);
+  ir::SlotEnvironment env = prog.make_environment();
+  env.bind(prog.slot("x"), StochasticValue(2.0, 2.0));
+  constexpr std::uint64_t kSeed = 183;
+  constexpr std::size_t kLanes = 63;
+  support::Rng replay(kSeed);
+  std::vector<double> xs(kLanes);
+  replay.normal_fill(xs, 2.0, 1.0);
+  ASSERT_TRUE(std::all_of(xs.begin(), xs.end() - 1,
+                          [](double x) { return x > 0.0; }));
+  ASSERT_LE(xs.back(), 0.0);
+  std::vector<double> out(kLanes);
+  support::Rng rng(kSeed);
+  ir::EvalWorkspace ws;
+  EXPECT_NE(thrown_message([&] { prog.sample_into(env, rng, out, ws); })
+                .find("sampled division by zero"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The summary contract (ir::kBlockTrials): block moments from
+// OnlineStats::from_block, merged in order by OnlineStats::merge, checked
+// against a long double two-pass reference on adversarial data — a mean
+// of 1e6 with an sd of 1e-3, where a sum-of-squares formula cancels to
+// noise.
+
+/// Mean and sum of squared deviations of `xs`, two passes in long double
+/// (64-bit significand: its own error is ~2^11 below the bounds below).
+struct Reference {
+  long double mean = 0.0L;
+  long double m2 = 0.0L;
+};
+
+Reference two_pass(std::span<const double> xs) {
+  Reference r;
+  for (const double x : xs) r.mean += x;
+  r.mean /= static_cast<long double>(xs.size());
+  for (const double x : xs) r.m2 += (x - r.mean) * (x - r.mean);
+  return r;
+}
+
+/// How far the merged summary of normal data (sd `sigma`, |x| <= `x_max`)
+/// drawn in blocks of at most `w` values with `merges` merges may sit from
+/// the reference. With u = 2^-53 and to first order in u:
+///  * A block's 4-accumulator sum adds at most ceil(w/4) - 1 values per
+///    accumulator plus two combining adds, so with the divide its mean is
+///    within e = (ceil(w/4) + 2) u x_max of the block's exact mean.
+///  * Each merge adds at most 2 u x_max of rounding to the running mean
+///    (the add at |mean| <= x_max and the increment's own, smaller one),
+///    so |mean - reference| <= e + 2 merges u x_max.
+///  * x - mean is exact (Sterbenz: both within a factor 2 of each other),
+///    and a block's squared deviations carry ceil(w/4) + 3 roundings; about
+///    a mean off by e they exceed the block's true M2 by at most w e^2.
+///  * Chan's update adds d^2 na nb / n for the difference d of two means,
+///    each off by e, so d is off by 2e. With |d| within 6 standard errors,
+///    sigma sqrt(n / (na nb)), and na nb / n <= nb <= w, each merge moves
+///    M2 by at most 24 e sigma sqrt(w) + 4 w e^2, plus a few roundings.
+/// The sd's relative error is half of M2's, plus the square root's and the
+/// divide's roundings.
+struct SummaryBound {
+  double mean = 0.0;    ///< absolute
+  double sd_rel = 0.0;  ///< relative to the reference sd
+};
+
+SummaryBound summary_bound(std::size_t w, std::size_t merges, double x_max,
+                           double sigma, long double m2_ref) {
+  constexpr double u = 0x1p-53;
+  const auto blocks = static_cast<double>(merges + 1);
+  const auto wd = static_cast<double>(w);
+  const double quarter = std::ceil(wd / 4.0);
+  const auto k = static_cast<double>(merges);
+  const double e = (quarter + 2.0) * u * x_max;
+  const double per_merge = 24.0 * e * sigma * std::sqrt(wd) + 4.0 * wd * e * e;
+  const double m2_rel =
+      (blocks * wd * e * e + k * per_merge) / static_cast<double>(m2_ref) +
+      (quarter + 3.0 + 4.0 * k) * u;
+  return {e + 2.0 * k * u * x_max, 0.5 * m2_rel + 2.0 * u};
+}
+
+/// 1e6 + 1e-3 z for standard normal z.
+std::vector<double> adversarial(std::size_t n, std::uint64_t seed) {
+  std::vector<double> xs(n);
+  support::Rng rng(seed);
+  rng.normal_fill(xs, 1e6, 1e-3);
+  return xs;
+}
+
+/// A summary (count, mean, sd) of the adversarial trials `xs`, drawn in
+/// blocks of at most `w` with `merges` merges, against the reference.
+void expect_matches_reference(std::size_t count, double mean, double sd,
+                              std::span<const double> xs, std::size_t w,
+                              std::size_t merges, const std::string& what) {
+  const Reference ref = two_pass(xs);
+  const double x_max = std::abs(*std::max_element(
+      xs.begin(), xs.end(),
+      [](double a, double b) { return std::abs(a) < std::abs(b); }));
+  const SummaryBound bound = summary_bound(w, merges, x_max, 1e-3, ref.m2);
+  const auto n = static_cast<long double>(xs.size());
+  const auto sd_ref = static_cast<double>(std::sqrt(ref.m2 / (n - 1.0L)));
+  ASSERT_EQ(count, xs.size()) << what;
+  EXPECT_LE(std::abs(static_cast<double>(mean - ref.mean)), bound.mean)
+      << what;
+  EXPECT_LE(std::abs(sd - sd_ref), bound.sd_rel * sd_ref)
+      << what << ": sd " << sd << ", reference " << sd_ref;
+}
+
+TEST(McEngineSummary, BlockMomentsMatchLongDoubleTwoPassAtEveryWidth) {
+  // Merge blocks of w values, the last one partial, as the engine merges
+  // its blocks; min and max are exact.
+  for (const std::size_t w : {2u, 3u, 4u, 5u, 7u, 8u, 63u, 64u, 100u, 255u,
+                              512u, 1000u, 1023u, 1024u}) {
+    const std::vector<double> xs = adversarial(3 * w + (w + 1) / 2, 90 + w);
+    stats::OnlineStats merged;
+    std::size_t merges = 0;
+    for (std::size_t b = 0; b < xs.size(); b += w) {
+      const std::size_t width = std::min(w, xs.size() - b);
+      merges += merged.count() > 0 ? 1 : 0;
+      merged.merge(stats::OnlineStats::from_block({xs.data() + b, width}));
+    }
+    expect_matches_reference(merged.count(), merged.mean(), merged.sd(), xs,
+                             w, merges, "width " + std::to_string(w));
+    EXPECT_EQ(merged.min(), *std::min_element(xs.begin(), xs.end()));
+    EXPECT_EQ(merged.max(), *std::max_element(xs.begin(), xs.end()));
+  }
+}
+
+TEST(McEngineSummary, EngineMatchesReferenceAndFixedRuleIsSampleTrials) {
+  // A one-slot program draws one normal per trial, in order, whatever the
+  // block widths, so sample_into replays the raw trials of any schedule.
+  const ir::Program prog = compile(*param("x"));
+  ir::SlotEnvironment env = prog.make_environment();
+  env.bind(prog.slot("x"), StochasticValue(1e6, 2e-3));  // sd 1e-3
+  ir::EvalWorkspace ws;
+  const auto raw = [&](std::size_t n, std::uint64_t seed) {
+    std::vector<double> xs(n);
+    support::Rng rng(seed);
+    prog.sample_into(env, rng, xs, ws);
+    return xs;
+  };
+  // The served value is mean ± 2 sd; halving the half-width is exact.
+  const auto check = [](const ir::AdaptiveResult& r,
+                        std::span<const double> xs, std::size_t w,
+                        std::size_t merges, const std::string& what) {
+    expect_matches_reference(r.trials, r.value.mean(),
+                             r.value.halfwidth() / 2.0, xs, w, merges, what);
+  };
+
+  // Fixed rules: straight kBlockTrials blocks with a partial last one, and
+  // sample_trials is that rule bit for bit.
+  for (const std::size_t n : {std::size_t{2}, std::size_t{1023},
+                              ir::kBlockTrials, ir::kBlockTrials + 1,
+                              std::size_t{3000}}) {
+    const std::uint64_t seed = 500 + n;
+    support::Rng a(seed);
+    support::Rng b(seed);
+    const ir::AdaptiveResult fixed =
+        prog.sample_adaptive(env, a, stats::StopRule::fixed(n), ws);
+    const StochasticValue trials = prog.sample_trials(env, b, n, ws);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fixed.value.mean()),
+              std::bit_cast<std::uint64_t>(trials.mean()))
+        << n;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fixed.value.halfwidth()),
+              std::bit_cast<std::uint64_t>(trials.halfwidth()))
+        << n;
+    const std::size_t blocks = (n + ir::kBlockTrials - 1) / ir::kBlockTrials;
+    check(fixed, raw(n, seed), std::min(n, ir::kBlockTrials), blocks - 1,
+          "fixed " + std::to_string(n));
+  }
+
+  // A precision rule that never stops early walks every doubling width:
+  // 2, 2, 4, ..., 512, then 1024-wide blocks and a partial 904.
+  const stats::StopRule rule = stats::StopRule::absolute(1e-300, 5000, 2);
+  support::Rng rng(77);
+  const ir::AdaptiveResult run = prog.sample_adaptive(env, rng, rule, ws);
+  EXPECT_FALSE(run.converged);
+  check(run, raw(5000, 77), ir::kBlockTrials, 13, "doubling widths");
 }
 
 // ---------------------------------------------------------------------------

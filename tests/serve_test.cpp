@@ -602,6 +602,38 @@ TEST(ServeService, ChunkedMonteCarloIsIndependentOfWorkerCount) {
   EXPECT_DOUBLE_EQ(one.value.halfwidth(), four.value.halfwidth());
 }
 
+TEST(ServeService, ChunkedHalfwidthMatchesSoloAtANarrowSpread) {
+  // Loads and bandwidth with a relative spread of 1e-9: every sampled
+  // runtime sits within a few 1e-9 of the mean, where combining chunks as
+  // (sum of squares - n mean^2) / (n - 1) cancels to rounding noise. The
+  // per-chunk moments merged by Chan's update keep the chunked run's
+  // half-width at the solo run's. Both estimate the same 2 sd, from 8192
+  // and 2048 trials: their sampling errors (about 1/sqrt(2n), 0.8% and
+  // 1.6%) sit far inside the 10% tolerance.
+  ServiceOptions options;
+  options.workers = 2;
+  options.mc_chunk_trials = 2048;
+  PredictionService service(options);
+  service.register_model("sor", small_spec(200, 4));
+  auto request = stochastic_request(
+      "sor", std::vector<stoch::StochasticValue>(
+                 4, stoch::StochasticValue(0.7, 0.7e-9)));
+  request.bwavail = stoch::StochasticValue(0.6, 0.6e-9);
+  request.mode = Mode::kMonteCarlo;
+  request.seed = 2026;
+  request.trials = 8192;
+  const auto chunked = service.submit(request).get();
+  request.trials = 2048;
+  const auto solo = service.submit(request).get();
+  ASSERT_TRUE(chunked.ok()) << chunked.error;
+  ASSERT_TRUE(solo.ok()) << solo.error;
+  EXPECT_EQ(service.metrics().counter("mc_chunks_executed").value(), 4u);
+  ASSERT_GT(solo.value.halfwidth(), 0.0);
+  EXPECT_NEAR(chunked.value.halfwidth() / solo.value.halfwidth(), 1.0, 0.1)
+      << "chunked " << chunked.value.halfwidth() << ", solo "
+      << solo.value.halfwidth();
+}
+
 TEST(ServeService, UnknownModelIdIsStructuredErrorAndPoolSurvives) {
   PredictionService service(options_with(2));
   service.register_model("sor", small_spec());
