@@ -32,7 +32,7 @@ const std::uint8_t* reply_payload(const std::vector<std::uint8_t>& reply,
 ClusterFrontend::ClusterFrontend(ClusterOptions options, FaultPlan plan)
     : options_(std::move(options)),
       replicas_(clamp_replicas(options_)),
-      ring_(options_.nodes, options_.ring_vnodes),
+      ring_(options_.nodes),
       membership_(options_.nodes, metrics_, options_.ewma_alpha,
                   options_.ewma_floor, options_.down_after_failures),
       plan_(std::move(plan)),

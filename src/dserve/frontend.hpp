@@ -71,8 +71,6 @@ struct ClusterOptions {
   /// Replica-set width R: nodes tried, in ring order, before a request
   /// is lost. Capped at the node count.
   std::size_t replicas = 2;
-  /// Virtual nodes per ServingNode on the placement ring.
-  std::size_t ring_vnodes = 64;
   /// Configuration of each node's inner PredictionService.
   serve::ServiceOptions node_options;
   // Health tuning (see membership.hpp).

@@ -15,8 +15,8 @@
 // and it sheds a frame (kRejected) only when its service is stopped or
 // the routed shard is unavailable — admission capacity, queue-full
 // shedding, coalescing, pause() and drain() belong to the queued
-// submit() path, which nodes do not use. Only a fixed-trial Monte-Carlo
-// request above mc_chunk_trials reaches the node's workers, as chunks.
+// submit() path, which nodes do not use: a node's workers run nothing
+// for cluster frames.
 //
 // Fault model (fail-stop with drain):
 //   crash()   — the node stops answering: every subsequent handle_frame

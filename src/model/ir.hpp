@@ -240,8 +240,9 @@ class Program {
       EvalWorkspace& ws) const;
 
   /// Writes one Monte-Carlo sample per element of `out` (out.size()
-  /// trials). The raw-sample entry point for callers that reduce trials
-  /// themselves (serve's chunked fan-out combines per-chunk partials).
+  /// trials): the stream contract's raw trials, before any summary. The
+  /// tests that pin the draw order and the allocation-free warm path
+  /// read trials through it.
   void sample_into(const SlotEnvironment& env, support::Rng& rng,
                    std::span<double> out, EvalWorkspace& ws) const;
 

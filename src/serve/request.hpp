@@ -19,7 +19,7 @@ namespace sspred::serve {
 enum class Mode {
   kStochastic,  ///< compiled §2.3 stochastic calculus
   kPoint,       ///< conventional point prediction (means only)
-  kMonteCarlo,  ///< sampled mean ± 2sd, chunked across workers
+  kMonteCarlo,  ///< sampled mean ± 2sd (Program::sample_trials/_adaptive)
 };
 
 /// One prediction query. Loads are bound either explicitly (`loads`,

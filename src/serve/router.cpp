@@ -8,15 +8,20 @@
 
 namespace sspred::serve {
 
-ShardRouter::ShardRouter(std::size_t shards, std::size_t vnodes)
-    : shards_(shards) {
+namespace {
+
+/// Ring points per shard (see router.hpp).
+constexpr std::size_t kVnodes = 64;
+
+}  // namespace
+
+ShardRouter::ShardRouter(std::size_t shards) : shards_(shards) {
   SSPRED_REQUIRE(shards >= 1, "router needs at least one shard");
-  SSPRED_REQUIRE(vnodes >= 1, "router needs at least one vnode per shard");
   if (shards == 1) return;  // ring unused; route() short-circuits
-  ring_.reserve(shards * vnodes);
+  ring_.reserve(shards * kVnodes);
   std::string label;
   for (std::size_t s = 0; s < shards; ++s) {
-    for (std::size_t v = 0; v < vnodes; ++v) {
+    for (std::size_t v = 0; v < kVnodes; ++v) {
       // The vnode position is the digest of a canonical "shard/vnode"
       // label, so ring layout is deterministic across runs and across
       // ring sizes (shard s's points don't move when shard s+1 joins).

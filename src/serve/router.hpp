@@ -9,9 +9,9 @@
 // interleave families.
 //
 // The ring is the classic consistent-hash construction: each shard owns
-// `vnodes` pseudo-random points on the 64-bit ring; a key routes to the
-// first shard point clockwise from the key's hash. With vnodes ~ 64 the
-// keyspace splits evenly (CV of shard share ~ 1/sqrt(vnodes)), and
+// 64 pseudo-random points (vnodes) on the 64-bit ring; a key routes to
+// the first shard point clockwise from the key's hash. With 64 vnodes
+// the keyspace splits evenly (CV of shard share ~ 1/sqrt(64)), and
 // adding/removing a shard moves only ~1/S of the keyspace — routing for
 // surviving shards is stable, which keeps their caches warm.
 //
@@ -28,8 +28,8 @@ namespace sspred::serve {
 
 class ShardRouter {
  public:
-  /// Builds the ring for `shards` shards with `vnodes` points each.
-  explicit ShardRouter(std::size_t shards, std::size_t vnodes = 64);
+  /// Builds the ring for `shards` shards with 64 points each.
+  explicit ShardRouter(std::size_t shards);
 
   /// Shard owning `structure_key`'s hash. O(log(S * vnodes)).
   [[nodiscard]] std::size_t route(std::string_view structure_key) const;

@@ -11,9 +11,10 @@
 // drain() apply to it. serve() is for a caller that would only block on
 // the future anyway (a dserve node answering one wire frame): it pins the
 // epoch the same way and runs the same evaluation on the calling thread,
-// so its concurrency is bounded by its callers and it sheds only when
-// the shard is unavailable or the service has stopped. Both return the
-// same bits for the same request.
+// so its concurrency is bounded by its callers, it never waits on a
+// worker, and it sheds only when the shard is unavailable or the service
+// has stopped. Both return the same bits for the same request, and both
+// evaluate a request exactly once, on its home shard.
 //
 // Behind them the stack is four layers (DESIGN.md §13):
 //
@@ -22,8 +23,8 @@
 //   routing    — consistent-hash ShardRouter sending every request for
 //                one model structure to one shard        (router.hpp)
 //   execution  — S PredictionShards, each a complete engine: worker
-//                pool, program cache, coalescing, MC chunk
-//                fan-out, epoch pin, observation FIFO      (shard.hpp)
+//                pool, program cache, coalescing, epoch pin,
+//                observation FIFO                         (shard.hpp)
 //   frontend   — optional wire codec for remote clients     (wire.hpp)
 //
 // The facade itself only registers models (ModelTable, shared by all
@@ -89,9 +90,7 @@ class PredictionService {
   /// Serves a request on the calling thread (see the file comment):
   /// routes, stamps the id, checks shard availability and pins the epoch
   /// as submit() does, then evaluates it here instead of on a worker.
-  /// Bit-exact against submit().get(). A fixed-trial Monte-Carlo request
-  /// above mc_chunk_trials still fans out to the shard's workers, and
-  /// this call waits for them.
+  /// Bit-exact against submit().get(); answers on a paused service too.
   [[nodiscard]] PredictResult serve(PredictRequest request);
 
   /// Installs `epoch` as the bindings epoch for subsequently submitted
@@ -182,7 +181,6 @@ class PredictionService {
   ShardRouter router_;
   Counter& epochs_published_;
   Counter& observations_unmatched_;
-  Counter& requests_stolen_;
   std::vector<std::unique_ptr<PredictionShard>> shards_;
   std::unique_ptr<std::atomic<bool>[]> available_;
 

@@ -13,13 +13,8 @@ namespace sspred::serve {
 
 namespace {
 
-/// Independent, deterministic RNG seed for Monte-Carlo chunk `index`:
-/// fixed (request seed, index) -> fixed stream, whatever worker runs it.
-[[nodiscard]] std::uint64_t chunk_seed(std::uint64_t seed,
-                                       std::size_t index) noexcept {
-  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL * (index + 1));
-  return support::splitmix64(state);
-}
+/// Top of the latency histogram range, seconds.
+constexpr double kLatencyRangeSeconds = 1.0;
 
 }  // namespace
 
@@ -101,8 +96,6 @@ PredictionShard::PredictionShard(std::size_t index,
           local_.counter("rejected_shard_unavailable")},
       coalesced_{global.counter("requests_coalesced"),
                  local_.counter("requests_coalesced")},
-      mc_chunks_{global.counter("mc_chunks_executed"),
-                 local_.counter("mc_chunks_executed")},
       mc_trials_saved_{global.counter("mc_trials_saved"),
                        local_.counter("mc_trials_saved")},
       epochs_published_(local_.counter("epochs_published")),
@@ -129,10 +122,8 @@ PredictionShard::PredictionShard(std::size_t index,
       queue_depth_{global.gauge("queue_depth"), local_.gauge("queue_depth")},
       workers_busy_{global.gauge("workers_busy"),
                     local_.gauge("workers_busy")},
-      latency_{global.histogram("latency_seconds",
-                                options.latency_range_seconds, 512),
-               local_.histogram("latency_seconds",
-                                options.latency_range_seconds, 512)},
+      latency_{global.histogram("latency_seconds", kLatencyRangeSeconds, 512),
+               local_.histogram("latency_seconds", kLatencyRangeSeconds, 512)},
       batch_sizes_{
           global.histogram("batch_size",
                            static_cast<double>(options.max_batch) + 1.0,
@@ -143,9 +134,6 @@ PredictionShard::PredictionShard(std::size_t index,
       mc_trials_{global.histogram("mc_trials_executed", 32769.0, 256),
                  local_.histogram("mc_trials_executed", 32769.0, 256)} {
   SSPRED_REQUIRE(options_.workers >= 1, "shard needs at least one worker");
-  SSPRED_REQUIRE(options_.mc_chunk_trials >= 2,
-                 "mc_chunk_trials must be at least 2");
-  paused_ = options_.start_paused;
   threads_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
@@ -170,21 +158,6 @@ PredictionShard::~PredictionShard() {
   }
   staging_.clear();
   queue_depth_.add(-drained);
-  for (auto& chunk : chunks_) {
-    auto& shared = *chunk.shared;
-    const std::lock_guard lock(shared.m);
-    if (shared.promises.empty()) continue;
-    requests_rejected_.increment(shared.promises.size());
-    rejected_stopped_.increment(shared.promises.size());
-    PredictResult rejected;
-    rejected.status = PredictResult::Status::kRejected;
-    rejected.error = "service stopped";
-    for (auto& p : shared.promises) {
-      rejected.request_id = p.id;
-      p.promise.set_value(rejected);
-    }
-    shared.promises.clear();
-  }
   idle_cv_.notify_all();
 }
 
@@ -256,8 +229,7 @@ PredictResult PredictionShard::serve(Job job) {
     const std::lock_guard lock(states_mutex_);
     spare_states_.push_back(std::move(state));
   }
-  // Resolved already unless the request fanned out as Monte-Carlo chunks.
-  return result.get();
+  return result.get();  // execute_job resolved it
 }
 
 void PredictionShard::reject_unavailable(Job job) {
@@ -293,7 +265,7 @@ void PredictionShard::resume() {
 }
 
 bool PredictionShard::has_work() const {
-  return !chunks_.empty() || !staging_.empty() || ring_.size() > 0;
+  return !staging_.empty() || ring_.size() > 0;
 }
 
 void PredictionShard::drain() {
@@ -340,7 +312,7 @@ void PredictionShard::worker_loop() {
     for (;;) {
       if (stop_) return;
       if (!paused_) {
-        if (!chunks_.empty() || !staging_.empty()) break;
+        if (!staging_.empty()) break;
         stage_admitted();
         if (!staging_.empty()) break;
       }
@@ -353,37 +325,26 @@ void PredictionShard::worker_loop() {
       idle_.fetch_sub(1, std::memory_order_seq_cst);
     }
 
-    if (!chunks_.empty()) {
-      // Internal Monte-Carlo chunks jump the external queue: they
-      // complete requests that were already admitted.
-      const McChunk chunk = std::move(chunks_.front());
-      chunks_.pop_front();
-      ++busy_;
-      workers_busy_.add(1);
-      lock.unlock();
-      execute_chunk(chunk, state);
-    } else {
-      Job job = std::move(staging_.front());
-      staging_.pop_front();
-      // Dequeue-time coalescing: identical staged requests share this
-      // evaluation, up to max_batch requests in all.
-      std::vector<Pending> extra;
-      stage_admitted();  // scan late arrivals too, like the old queue
-      for (auto it = staging_.begin();
-           it != staging_.end() && extra.size() + 1 < options_.max_batch;) {
-        if (coalescable(job, *it)) {
-          extra.push_back(Pending{it->id, std::move(it->promise)});
-          it = staging_.erase(it);
-        } else {
-          ++it;
-        }
+    Job job = std::move(staging_.front());
+    staging_.pop_front();
+    // Dequeue-time coalescing: identical staged requests share this
+    // evaluation, up to max_batch requests in all.
+    std::vector<Pending> extra;
+    stage_admitted();  // scan late arrivals too, like the old queue
+    for (auto it = staging_.begin();
+         it != staging_.end() && extra.size() + 1 < options_.max_batch;) {
+      if (coalescable(job, *it)) {
+        extra.push_back(Pending{it->id, std::move(it->promise)});
+        it = staging_.erase(it);
+      } else {
+        ++it;
       }
-      queue_depth_.add(-static_cast<std::int64_t>(1 + extra.size()));
-      ++busy_;
-      workers_busy_.add(1);
-      lock.unlock();
-      execute_job(std::move(job), std::move(extra), state);
     }
+    queue_depth_.add(-static_cast<std::int64_t>(1 + extra.size()));
+    ++busy_;
+    workers_busy_.add(1);
+    lock.unlock();
+    execute_job(std::move(job), std::move(extra), state);
 
     lock.lock();
     --busy_;
@@ -598,40 +559,6 @@ void PredictionShard::execute_job(Job&& job, std::vector<Pending>&& extra,
     resolve_bindings(job, *model, loads, bwavail);
 
     const auto& request = job.request;
-    if (request.mode == Mode::kMonteCarlo && request.precision <= 0.0 &&
-        request.trials > options_.mc_chunk_trials) {
-      // Fan the trials out as chunk tasks; the last chunk to finish
-      // combines the partials and resolves the whole batch. Chunking is
-      // NOT gated on the worker count: per-chunk seeds make the result a
-      // pure function of (seed, trials, chunk size), so one worker
-      // draining the chunks bit-matches any pool size.
-      auto shared = std::make_shared<McShared>();
-      shared->model = model;
-      shared->model_id = request.model_id;
-      shared->structure_key = entry->structure_key;
-      shared->loads = std::move(loads);
-      shared->bwavail = bwavail;
-      shared->seed = request.seed;
-      shared->total_trials = request.trials;
-      shared->epoch_version = base.epoch_version;
-      shared->enqueue_time = job.enqueue_time;
-      shared->promises = std::move(promises);
-      const std::size_t chunk = options_.mc_chunk_trials;
-      const std::size_t chunks = (request.trials + chunk - 1) / chunk;
-      shared->partials.resize(chunks);
-      shared->remaining = chunks;
-      {
-        const std::lock_guard lock(mutex_);
-        for (std::size_t i = 0; i < chunks; ++i) {
-          const std::size_t begin = i * chunk;
-          chunks_.push_back(McChunk{
-              shared, i, std::min(chunk, request.trials - begin)});
-        }
-      }
-      cv_.notify_all();
-      return;
-    }
-
     model::ir::SlotEnvironment& env = state.env_for(model);
     bind(env, *model, loads, bwavail);
 
@@ -650,11 +577,8 @@ void PredictionShard::execute_job(Job&& job, std::vector<Pending>&& extra,
         support::Rng rng(request.seed);
         if (request.precision > 0.0) {
           // Sequential stopping: run trial blocks until the CI target is
-          // met, clamped to [min_trials, trials]. Precision targets
-          // bypass the chunk fan-out above — the stop rule needs the
-          // single-stream block schedule, and it typically finishes far
-          // below any clamp worth chunking. Hitting the clamp with the
-          // target unmet is a partial-precision kOk, never an error.
+          // met, clamped to [min_trials, trials]. Hitting the clamp with
+          // the target unmet is a partial-precision kOk, never an error.
           const model::ir::AdaptiveResult adaptive =
               model->program().sample_adaptive(
                   env, rng, stop_rule_for(request), state.ws);
@@ -706,73 +630,6 @@ void PredictionShard::record_mc(const PredictRequest& request,
   if (request.precision > 0.0 && executed < request.trials) {
     mc_trials_saved_.increment(request.trials - executed);
   }
-}
-
-void PredictionShard::execute_chunk(const McChunk& chunk, WorkerState& state) {
-  auto& shared = *chunk.shared;
-  mc_chunks_.increment();
-
-  PredictResult failure;
-  stats::OnlineStats moments;
-  try {
-    model::ir::SlotEnvironment& env = state.env_for(shared.model);
-    bind(env, *shared.model, shared.loads, shared.bwavail);
-    support::Rng rng(chunk_seed(shared.seed, chunk.index));
-    // Whole-block execution on the worker's pooled SoA arenas: after the
-    // first chunk of a model's shape, the Monte-Carlo path allocates
-    // nothing. Per-chunk seeds plus index-ordered merges keep the result
-    // deterministic for a fixed request seed at any worker count.
-    state.chunk_trials.resize(chunk.trials);
-    shared.model->program().sample_into(env, rng, state.chunk_trials,
-                                        state.ws);
-    moments = stats::OnlineStats::from_block(state.chunk_trials);
-  } catch (const std::exception& e) {
-    failure.status = PredictResult::Status::kError;
-    failure.error = e.what();
-  }
-
-  bool last = false;
-  {
-    const std::lock_guard lock(shared.m);
-    shared.partials[chunk.index] = moments;
-    last = (--shared.remaining == 0);
-    if (failure.status == PredictResult::Status::kError &&
-        !shared.promises.empty()) {
-      // First failing chunk resolves the batch; stragglers see promises
-      // already cleared and just finish their arithmetic.
-      failure.epoch_version = shared.epoch_version;
-      failure.batch_size = shared.promises.size();
-      finish_batch(shared.promises, std::move(failure), shared.enqueue_time,
-                   shared.model_id, LearnOverlay{});
-      return;
-    }
-  }
-  if (!last) return;
-
-  const std::lock_guard lock(shared.m);
-  if (shared.promises.empty()) return;  // a failing chunk already resolved it
-  // Chan's pairwise merge keeps a narrow spread around a large mean
-  // accurate, where (sum of squares - n mean^2) would cancel it away.
-  stats::OnlineStats total;
-  for (const stats::OnlineStats& part : shared.partials) total.merge(part);
-  const auto n = static_cast<double>(shared.total_trials);
-  PredictResult base;
-  base.status = PredictResult::Status::kOk;
-  base.value = stoch::StochasticValue::from_mean_sd(total.mean(), total.sd());
-  base.point = total.mean();
-  base.mc_trials = shared.total_trials;
-  base.mc_ci_halfwidth = base.value.halfwidth() / std::sqrt(n);
-  mc_trials_.observe(n);
-  base.epoch_version = shared.epoch_version;
-  base.batch_size = shared.promises.size();
-  LearnOverlay overlay;
-  if (learning_active()) {
-    learn::extract_features(shared.loads, shared.bwavail,
-                            shared.model->uses_bandwidth(), overlay.features);
-    apply_learning(shared.structure_key, shared.model_id, base, overlay);
-  }
-  finish_batch(shared.promises, std::move(base), shared.enqueue_time,
-               shared.model_id, std::move(overlay));
 }
 
 }  // namespace sspred::serve

@@ -5,17 +5,23 @@
 // (service.hpp) owns a ShardRouter and S PredictionShards; each shard
 // owns the full per-request machinery the old monolith had — a
 // lock-free bounded AdmissionQueue, a worker pool, a structure-keyed
-// ProgramCache, dequeue-time coalescing, Monte-Carlo chunk fan-out, its
-// own bindings-epoch pin and completed-prediction FIFO — over a
-// *structure-affine* slice of the request stream: consistent-hash
-// routing sends every request for one model structure to one shard, so
-// its program cache holds exactly the structures it serves.
+// ProgramCache, dequeue-time coalescing, its own bindings-epoch pin and
+// completed-prediction FIFO — over a *structure-affine* slice of the
+// request stream: consistent-hash routing sends every request for one
+// model structure to one shard, so its program cache holds exactly the
+// structures it serves.
+//
+// One evaluation per request: a request (or a coalesced batch of
+// identical ones) runs exactly one execute_job on its home shard, on
+// whichever thread evaluates it — a worker for submit(), the caller for
+// serve(). A fixed-trial Monte-Carlo request of any size is one
+// Program::sample_trials(env, Rng(seed), trials) call, so its bits depend
+// only on the model, the bindings, the seed and the trial count.
 //
 // Determinism: a shard processes its slice exactly as the unsharded
-// service processed the whole stream (same scan, same kernels, same
-// chunk seeding), and routing is a pure function of the structure key —
-// so for a fixed request set, per-request results are bit-exact at any
-// shard count.
+// service processed the whole stream (same scan, same kernels), and
+// routing is a pure function of the structure key — so for a fixed
+// request set, per-request results are bit-exact at any shard count.
 //
 // Metrics are dual-written: every instrument bumps both the service-wide
 // registry (rolled-up totals, the names tests and dashboards already
@@ -45,7 +51,7 @@
 #include "serve/metrics.hpp"
 #include "serve/program_cache.hpp"
 #include "serve/request.hpp"
-#include "stats/descriptive.hpp"
+#include "stats/sequential.hpp"
 #include "support/clock.hpp"
 #include "support/rng.hpp"
 
@@ -60,24 +66,11 @@ struct ServiceOptions {
   std::size_t workers = 4;  ///< worker threads per shard
   /// Queued external requests beyond this (per shard) are rejected.
   std::size_t queue_capacity = 1024;
-  /// Virtual nodes per shard on the routing ring (see router.hpp).
-  std::size_t router_vnodes = 64;
   /// Requests per evaluation: at dequeue, queued requests identical to
   /// the dequeued one (same model, epoch, bindings and sampling
   /// parameters) coalesce onto its evaluation, up to this many in all.
   /// 1 evaluates every request alone.
   std::size_t max_batch = 64;
-  /// Work stealing between co-located shards: when the routed shard's
-  /// admission backlog exceeds the least-loaded available shard's by at
-  /// least this many requests, the request is submitted to that shard
-  /// instead (counted as requests_stolen). Trades structure affinity
-  /// (cache locality on the thief) for queue balance under skewed
-  /// family load; per-request results stay bit-exact on any shard.
-  /// 0 disables stealing — affinity is strict.
-  std::size_t steal_threshold = 0;
-  /// Monte-Carlo requests with more trials than this are split into
-  /// chunks executed across the shard's pool (when workers > 1).
-  std::size_t mc_chunk_trials = 2048;
   /// Time source for latency metrics; null selects support::real_clock().
   std::shared_ptr<support::Clock> clock;
   /// Accuracy ledger fed by report_observation(); null disables the
@@ -97,11 +90,6 @@ struct ServiceOptions {
   bool enable_learning = false;
   std::shared_ptr<learn::PredictorBank> bank;
   std::shared_ptr<learn::Arbiter> arbiter;
-  /// Top of the latency histogram range, seconds.
-  double latency_range_seconds = 1.0;
-  /// Construct with workers blocked; resume() starts processing. Lets
-  /// tests (and benchmarks) stage a queue deterministically.
-  bool start_paused = false;
 };
 
 /// Registered models, shared (read-mostly) by the facade and every
@@ -173,10 +161,9 @@ class PredictionShard {
   /// Caller-runs admission: counts the job and pins the shard's current
   /// epoch exactly as submit() does, then evaluates it on the CALLING
   /// thread with a WorkerState borrowed from the shard's pool — no
-  /// admission ring, no coalescing, no handoff to a worker. A fixed-trial
-  /// Monte-Carlo request above mc_chunk_trials still fans its chunks out
-  /// to the workers, and the caller waits for them (through a pause(),
-  /// too). Sheds (rejected_stopped) only once the shard is stopping.
+  /// admission ring, no coalescing, no handoff to a worker, so it never
+  /// waits on one (not even through a pause()). Sheds (rejected_stopped)
+  /// only once the shard is stopping.
   [[nodiscard]] PredictResult serve(Job job);
 
   /// Routing-layer shed: accounts the job against this shard
@@ -200,12 +187,6 @@ class PredictionShard {
   [[nodiscard]] ProgramCache& cache() noexcept { return cache_; }
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return local_; }
   [[nodiscard]] std::size_t index() const noexcept { return index_; }
-
-  /// Admitted requests not yet staged for execution — the lock-free
-  /// imbalance signal the facade's work stealing compares across
-  /// co-located shards (transiently overshoots by in-flight pushes,
-  /// see AdmissionQueue::size()).
-  [[nodiscard]] std::size_t queue_depth() const { return ring_.size(); }
 
  private:
   // Dual instruments: one bump updates the rolled-up service-wide
@@ -255,43 +236,13 @@ class PredictionShard {
     bool has_learned = false;
   };
 
-  /// Shared state of one fanned-out Monte-Carlo evaluation.
-  struct McShared {
-    CompiledModelPtr model;
-    std::string model_id;
-    std::string structure_key;  ///< bank training key (learning only)
-    std::vector<stoch::StochasticValue> loads;  ///< resolved bindings
-    stoch::StochasticValue bwavail;
-    std::uint64_t seed = 0;
-    std::size_t total_trials = 0;
-    std::uint64_t epoch_version = 0;
-    double enqueue_time = 0.0;
-    std::vector<Pending> promises;  ///< whole batch
-
-    std::mutex m;
-    /// Per-chunk moments (OnlineStats::from_block over the chunk's
-    /// trials); merged in index order at the end so the result is
-    /// independent of worker scheduling.
-    std::vector<stats::OnlineStats> partials;
-    std::size_t remaining = 0;
-  };
-
-  /// One queued Monte-Carlo chunk (internal; not admission-controlled).
-  struct McChunk {
-    std::shared_ptr<McShared> shared;
-    std::size_t index = 0;
-    std::size_t trials = 0;
-  };
-
   /// Per-worker reusable evaluation state (slot environments keyed by
-  /// compiled model, one workspace, a chunk's raw trials) — keeps the hot
-  /// path allocation-free.
+  /// compiled model, one workspace) — keeps the hot path allocation-free.
   struct WorkerState {
     std::map<const CompiledModel*,
              std::pair<CompiledModelPtr, model::ir::SlotEnvironment>>
         envs;
     model::ir::EvalWorkspace ws;
-    std::vector<double> chunk_trials;
 
     [[nodiscard]] model::ir::SlotEnvironment& env_for(
         const CompiledModelPtr& model);
@@ -304,7 +255,6 @@ class PredictionShard {
   /// promises of the identical requests coalesced onto it.
   void execute_job(Job&& job, std::vector<Pending>&& extra,
                    WorkerState& state);
-  void execute_chunk(const McChunk& chunk, WorkerState& state);
   /// The request's sequential stop rule: precision target + relative flag,
   /// `min_trials` floor, `trials` as the max clamp (a fixed rule when no
   /// target is set).
@@ -382,7 +332,6 @@ class PredictionShard {
   /// Admitted jobs staged for the dequeue-time coalescing scan (the
   /// ring itself is not scannable; workers drain it here first).
   std::deque<Job> staging_;
-  std::deque<McChunk> chunks_;  ///< internal MC chunks; jump the queue
   bool paused_ = false;
   bool stop_ = false;
   std::size_t busy_ = 0;
@@ -410,7 +359,6 @@ class PredictionShard {
   DualCounter rejected_stopped_;
   DualCounter rejected_shard_unavailable_;
   DualCounter coalesced_;
-  DualCounter mc_chunks_;
   /// Trials a precision target let the engine skip (request clamp minus
   /// executed count, summed over adaptive evaluations).
   DualCounter mc_trials_saved_;

@@ -107,15 +107,7 @@ OnlineStats OnlineStats::from_block(std::span<const double> xs) noexcept {
     return (a[0] + a[1]) + (a[2] + a[3]);
   };
   double sum[kAcc] = {};
-  double lo[kAcc];
-  double hi[kAcc];
-  std::fill_n(lo, kAcc, xs[0]);
-  std::fill_n(hi, kAcc, xs[0]);
-  fold([&](std::size_t j, std::size_t i) {
-    sum[j] += xs[i];
-    lo[j] = std::min(lo[j], xs[i]);
-    hi[j] = std::max(hi[j], xs[i]);
-  });
+  fold([&](std::size_t j, std::size_t i) { sum[j] += xs[i]; });
   const double mean = combine(sum) / static_cast<double>(n);
   double m2[kAcc] = {};
   fold([&](std::size_t j, std::size_t i) {
@@ -125,8 +117,6 @@ OnlineStats OnlineStats::from_block(std::span<const double> xs) noexcept {
   s.n_ = n;
   s.mean_ = mean;
   s.m2_ = combine(m2);
-  s.min_ = std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3]));
-  s.max_ = std::max(std::max(hi[0], hi[1]), std::max(hi[2], hi[3]));
   return s;
 }
 
@@ -134,16 +124,7 @@ void OnlineStats::add(std::span<const double> xs) noexcept {
   std::size_t n = n_;
   double mu = mean_;
   double m2 = m2_;
-  double lo = min_;
-  double hi = max_;
   for (const double x : xs) {
-    if (n == 0) {
-      lo = x;
-      hi = x;
-    } else {
-      lo = std::min(lo, x);
-      hi = std::max(hi, x);
-    }
     ++n;
     const double delta = x - mu;
     mu += delta / static_cast<double>(n);
@@ -152,8 +133,6 @@ void OnlineStats::add(std::span<const double> xs) noexcept {
   n_ = n;
   mean_ = mu;
   m2_ = m2;
-  min_ = lo;
-  max_ = hi;
 }
 
 double OnlineStats::variance() const noexcept {
@@ -175,8 +154,6 @@ void OnlineStats::merge(const OnlineStats& other) noexcept {
   mean_ += delta * nb / total;
   m2_ += other.m2_ + delta * delta * na * nb / total;
   n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 P2Quantile::P2Quantile(double p) : p_(p) {

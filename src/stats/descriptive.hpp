@@ -44,16 +44,16 @@ struct Summary {
 /// Lag-k sample autocorrelation; requires xs.size() > k.
 [[nodiscard]] double autocorrelation(std::span<const double> xs, std::size_t lag);
 
-/// Numerically stable online accumulator (Welford) with min/max tracking.
+/// Numerically stable online accumulator (Welford): count, mean and M2.
 class OnlineStats {
  public:
   /// The moments of one block of values, reduced in two passes with no
   /// per-value divide: the mean, from a sum in 4 interleaved accumulators
   /// (value i into accumulator i mod 4, combined as (a0 + a1) + (a2 + a3))
   /// divided by the count; then the sum of squared deviations about that
-  /// mean, accumulated the same way. Min and max are tracked too. merge()
-  /// the results in order to summarize a stream block by block. Empty
-  /// `xs` gives an empty accumulator.
+  /// mean, accumulated the same way. merge() the results in order to
+  /// summarize a stream block by block. Empty `xs` gives an empty
+  /// accumulator.
   [[nodiscard]] static OnlineStats from_block(
       std::span<const double> xs) noexcept;
 
@@ -67,8 +67,6 @@ class OnlineStats {
   /// Unbiased sample variance; 0 when count() < 2.
   [[nodiscard]] double variance() const noexcept;
   [[nodiscard]] double sd() const noexcept;
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
 
   /// Merges another accumulator into this one by Chan et al.'s pairwise
   /// update (parallel-friendly).
@@ -78,8 +76,6 @@ class OnlineStats {
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Fraction of values inside the closed interval [lo, hi].

@@ -2,13 +2,13 @@
 //
 // A `StopRule` names a precision target (CI half-width of the estimated
 // mean, absolute or relative) plus min/max-trial clamps; a
-// `SequentialEstimator` streams samples through Welford accumulators and
-// answers "have we sampled enough?". The stopping decision is a pure
-// function of the sampled values and the rule — no clocks, no global
-// state — so a fixed RNG seed reproduces the exact trial count, run
-// after run. That determinism is load-bearing: the blocked MC engine
-// (model/ir.*) and the serving tier both lean on it for bit-exact
-// fused-vs-solo differentials and reproducible artifacts.
+// `SequentialEstimator` merges the moments of each sampled block
+// (OnlineStats::from_block) and answers "have we sampled enough?". The
+// stopping decision is a pure function of the sampled values and the
+// rule — no clocks, no global state — so a fixed RNG seed reproduces the
+// exact trial count, run after run. That determinism is load-bearing:
+// the blocked MC engine (model/ir.*) and the serving tier both lean on it
+// for bit-exact fused-vs-solo differentials and reproducible artifacts.
 //
 // Quantile targets use distribution-free order-statistic (binomial) CI
 // bounds: `quantile_ci_ranks` gives the rank interval whose order
@@ -89,15 +89,14 @@ struct StopRule {
                                            const StopRule& rule,
                                            std::size_t block_cap) noexcept;
 
-/// Streaming mean/variance with the stop rule attached.
+/// Block-merged mean/variance with the stop rule attached.
 class SequentialEstimator {
  public:
   explicit SequentialEstimator(StopRule rule) noexcept : rule_(rule) {}
 
-  void add(double x) noexcept { stats_.add(x); }
-  void add(std::span<const double> xs) noexcept { stats_.add(xs); }
   /// Folds in a whole block's moments (OnlineStats::from_block), the way
-  /// the blocked Monte-Carlo engine feeds the rule.
+  /// the blocked Monte-Carlo engine and the stopped stoch::empirical_*
+  /// helpers feed the rule.
   void merge(const OnlineStats& block) noexcept { stats_.merge(block); }
 
   [[nodiscard]] std::size_t count() const noexcept { return stats_.count(); }

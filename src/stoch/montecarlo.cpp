@@ -15,26 +15,25 @@ namespace {
 /// counts are a pure deterministic function of rule + seed).
 constexpr std::size_t kEmpiricalBlockCap = 1024;
 
+/// Draws each block into one reused buffer, merges its moments
+/// (OnlineStats::from_block) and reports mean ± 2sd of the merged
+/// summary — the IR engine's summary contract (model/ir.hpp).
 template <class Draw>
 EmpiricalResult run_adaptive(const stats::StopRule& rule, Draw&& draw) {
   SSPRED_REQUIRE(rule.max_trials >= 2, "need at least 2 samples");
   stats::SequentialEstimator est(rule);
-  std::vector<double> results;
-  results.reserve(std::min<std::size_t>(rule.max_trials,
-                                        4 * kEmpiricalBlockCap));
+  std::vector<double> block;
   for (;;) {
     const std::size_t width =
         stats::next_block_width(est.count(), rule, kEmpiricalBlockCap);
     if (width == 0) break;
-    for (std::size_t i = 0; i < width; ++i) {
-      const double x = draw();
-      results.push_back(x);
-      est.add(x);
-    }
+    block.resize(width);
+    for (double& x : block) x = draw();
+    est.merge(stats::OnlineStats::from_block(block));
     if (est.should_stop()) break;
   }
   EmpiricalResult out;
-  out.value = StochasticValue::from_sample(results);
+  out.value = StochasticValue::from_mean_sd(est.mean(), est.sd());
   out.samples = est.count();
   out.ci_halfwidth = est.ci_halfwidth();
   out.converged = rule.target <= 0.0 || est.precision_met();

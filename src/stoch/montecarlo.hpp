@@ -11,9 +11,10 @@
 //    stats::SequentialEstimator: sampling proceeds in the shared
 //    stats::next_block_width schedule and stops once the CI half-width
 //    of the estimated mean (for coverage: of the inside-fraction) meets
-//    the rule's target, or at its max-trial clamp. The achieved width
-//    and sample count come back in the result struct, so the Table-2
-//    bench reports "± what" instead of "ran N".
+//    the rule's target, or at its max-trial clamp. Each block's moments
+//    merge into the summary, as in the IR engine. The achieved width and
+//    sample count come back in the result struct, so the Table-2 bench
+//    reports "± what" instead of "ran N".
 #pragma once
 
 #include <functional>
@@ -84,9 +85,10 @@ struct EmpiricalResult {
     const stats::StopRule& rule);
 
 /// Adaptive coverage: `value.mean()` is the inside-fraction and the stop
-/// rule targets the CI half-width of that fraction (binomial via Welford
-/// over 0/1 samples). `value`'s halfwidth is 2sd of the indicator — use
-/// `ci_halfwidth` for the precision of the fraction itself.
+/// rule targets the CI half-width of that fraction (binomial, from the
+/// moments of the 0/1 samples). `value`'s halfwidth is 2sd of the
+/// indicator — use `ci_halfwidth` for the precision of the fraction
+/// itself.
 [[nodiscard]] EmpiricalResult empirical_coverage(const StochasticValue& v,
                                                  const StochasticValue& range,
                                                  support::Rng& rng,

@@ -308,11 +308,12 @@ TEST(ServeBatched, BatchedResultsBitMatchOneAtATimeServing) {
   for (const Mode mode : {Mode::kStochastic, Mode::kPoint, Mode::kMonteCarlo}) {
     ServiceOptions batched_options;
     batched_options.workers = 2;
-    batched_options.start_paused = true;
     ServiceOptions solo_options = batched_options;
     solo_options.max_batch = 1;
     PredictionService batched(batched_options);
     PredictionService solo(solo_options);
+    batched.pause();
+    solo.pause();
     batched.register_model("sor", small_spec());
     solo.register_model("sor", small_spec());
 
@@ -337,8 +338,8 @@ TEST(ServeBatched, ResultsAreInvariantToWorkerCountAndBatchSize) {
     ServiceOptions options;
     options.workers = workers;
     options.max_batch = max_batch;
-    options.start_paused = true;
     PredictionService service(options);
+    service.pause();
     service.register_model("sor", small_spec());
     std::vector<std::future<PredictResult>> futures;
     for (std::size_t i = 0; i < 30; ++i) {
@@ -371,8 +372,8 @@ TEST(ServeBatched, ResultsAreInvariantToWorkerCountAndBatchSize) {
 TEST(ServeBatched, IdenticalRequestsCoalesceAndStructureEqualOnesRunAlone) {
   ServiceOptions options;
   options.workers = 1;  // one dequeue scan sees the whole staged queue
-  options.start_paused = true;
   PredictionService service(options);
+  service.pause();
   service.register_model("sor", small_spec());
   service.register_model("sor-alias", small_spec());  // same structure
 
@@ -407,8 +408,8 @@ TEST(ServeBatched, BindingErrorIsIsolatedFromItsBatchNeighbours) {
   // its structured error while the requests staged beside it succeed.
   ServiceOptions options;
   options.workers = 1;
-  options.start_paused = true;
   PredictionService service(options);
+  service.pause();
   service.register_model("sor", small_spec());
   auto good0 = service.submit(distinct_request("sor", 2, 0));
   PredictRequest bad = distinct_request("sor", 2, 1);

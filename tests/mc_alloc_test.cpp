@@ -3,7 +3,7 @@
 // process).
 //
 // The serving layer pools one EvalWorkspace per worker (WorkerState in
-// serve/service.cpp) precisely so that the blocked engine's SoA arenas —
+// serve/shard.hpp) precisely so that the blocked engine's SoA arenas —
 // lane_values and lane_saved — are paid for once per worker and reused
 // across requests. These tests pin the contract that makes the pooling
 // worth it: after a warmup call has sized the arenas, sample_trials() /

@@ -711,7 +711,7 @@ void expect_matches_reference(std::size_t count, double mean, double sd,
 
 TEST(McEngineSummary, BlockMomentsMatchLongDoubleTwoPassAtEveryWidth) {
   // Merge blocks of w values, the last one partial, as the engine merges
-  // its blocks; min and max are exact.
+  // its blocks.
   for (const std::size_t w : {2u, 3u, 4u, 5u, 7u, 8u, 63u, 64u, 100u, 255u,
                               512u, 1000u, 1023u, 1024u}) {
     const std::vector<double> xs = adversarial(3 * w + (w + 1) / 2, 90 + w);
@@ -724,8 +724,6 @@ TEST(McEngineSummary, BlockMomentsMatchLongDoubleTwoPassAtEveryWidth) {
     }
     expect_matches_reference(merged.count(), merged.mean(), merged.sd(), xs,
                              w, merges, "width " + std::to_string(w));
-    EXPECT_EQ(merged.min(), *std::min_element(xs.begin(), xs.end()));
-    EXPECT_EQ(merged.max(), *std::max_element(xs.begin(), xs.end()));
   }
 }
 

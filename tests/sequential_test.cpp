@@ -13,13 +13,11 @@
 //     sample_adaptive_fused is byte-identical to its solo adaptive run.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "model/compile.hpp"
@@ -45,10 +43,13 @@ struct StoppedRun {
 StoppedRun run_sequential(const StopRule& rule,
                           const std::function<double()>& draw) {
   SequentialEstimator est(rule);
+  std::vector<double> block;
   for (;;) {
     const std::size_t width = next_block_width(est.count(), rule, 1024);
     if (width == 0) break;
-    for (std::size_t i = 0; i < width; ++i) est.add(draw());
+    block.resize(width);
+    for (double& x : block) x = draw();
+    est.merge(OnlineStats::from_block(block));
     if (est.should_stop()) break;
   }
   return {est.mean(), est.ci_halfwidth(), est.count()};
@@ -75,8 +76,7 @@ TEST(AdaptiveStop, PrecisionStopHonorsMinAndMaxClamps) {
   run = run_sequential(rule, [&] { return rng.normal(); });
   EXPECT_EQ(run.count, 512u);
   SequentialEstimator est(rule);
-  est.add(0.0);
-  est.add(1.0);
+  est.merge(OnlineStats::from_block(std::vector<double>{0.0, 1.0}));
   EXPECT_FALSE(est.precision_met());
 }
 
@@ -113,31 +113,6 @@ TEST(AdaptiveStop, DeterministicTrialCountUnderFixedSeed) {
   EXPECT_EQ(counts[0], counts[1]);
   EXPECT_GT(counts[0], 64u);
   EXPECT_LT(counts[0], 100'000u);
-}
-
-TEST(AdaptiveStop, SpanAndPerElementFeedsStopAtTheSameCount) {
-  // The engine feeds whole blocks; the per-element feed is the reference.
-  const StopRule rule = StopRule::relative_width(0.01, 100'000, 64);
-  support::Rng rng(31);
-  SequentialEstimator by_span(rule);
-  SequentialEstimator by_element(rule);
-  std::vector<double> block(1024);
-  for (;;) {
-    const std::size_t width = next_block_width(by_span.count(), rule, 1024);
-    if (width == 0) break;
-    for (std::size_t i = 0; i < width; ++i) block[i] = rng.lognormal(0.0, 0.8);
-    by_span.add(std::span<const double>(block.data(), width));
-    for (std::size_t i = 0; i < width; ++i) by_element.add(block[i]);
-    ASSERT_EQ(by_span.should_stop(), by_element.should_stop());
-    if (by_span.should_stop()) break;
-  }
-  EXPECT_EQ(by_span.count(), by_element.count());
-  EXPECT_GT(by_span.count(), 64u);
-  EXPECT_LT(by_span.count(), rule.max_trials);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(by_span.ci_halfwidth()),
-            std::bit_cast<std::uint64_t>(by_element.ci_halfwidth()));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(by_span.mean()),
-            std::bit_cast<std::uint64_t>(by_element.mean()));
 }
 
 TEST(AdaptiveStop, TrialCountIsMonotoneInTargetWidth) {

@@ -1,8 +1,9 @@
 // Tests for the concurrent prediction service (src/serve/): metrics,
 // bindings epochs, the compiled-program cache (including the concurrent
-// first-compilation race), coalescing, admission control, Monte-Carlo
-// fan-out, structured worker-side errors, the caller-runs serve() path
-// against submit(), and the nws::Service multi-reader contract.
+// first-compilation race), coalescing, admission control, served
+// Monte-Carlo bits against Program::sample_trials, structured worker-side
+// errors, the caller-runs serve() path against submit(), and the
+// nws::Service multi-reader contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,6 +26,7 @@
 #include "serve/service.hpp"
 #include "support/clock.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace sspred::serve {
 namespace {
@@ -516,11 +518,9 @@ TEST(ServeService, ServedValuesEqualTreeEvaluationAloneTwinnedAndBatched) {
           EXPECT_EQ(r.batch_size, 1u);
         }
       }
-      ServiceOptions staged;
-      staged.workers = 1;
-      staged.start_paused = true;
       {
-        PredictionService service(staged);
+        PredictionService service(options_with(1));
+        service.pause();
         service.register_model("m", spec);
         std::vector<std::future<PredictResult>> futures;
         for (const auto& request : requests) {
@@ -535,7 +535,8 @@ TEST(ServeService, ServedValuesEqualTreeEvaluationAloneTwinnedAndBatched) {
         }
       }
       {
-        PredictionService service(staged);
+        PredictionService service(options_with(1));
+        service.pause();
         service.register_model("m", spec);
         std::vector<std::future<PredictResult>> futures;
         for (const auto& request : requests) {
@@ -551,69 +552,15 @@ TEST(ServeService, ServedValuesEqualTreeEvaluationAloneTwinnedAndBatched) {
   }
 }
 
-TEST(ServeService, ChunkedMonteCarloIsDeterministicAndSane) {
-  ServiceOptions options;
-  options.workers = 4;
-  options.mc_chunk_trials = 1000;
-  PredictionService service(options);
-  service.register_model("sor", small_spec());
-  auto request = stochastic_request("sor", loads_for(2));
-  request.mode = Mode::kMonteCarlo;
-  request.trials = 8000;
-  request.seed = 42;
-  const auto a = service.submit(request).get();
-  const auto b = service.submit(request).get();
-  ASSERT_TRUE(a.ok()) << a.error;
-  // Fixed (seed, chunk layout) -> identical result, independent of which
-  // worker ran which chunk.
-  EXPECT_DOUBLE_EQ(a.value.mean(), b.value.mean());
-  EXPECT_DOUBLE_EQ(a.value.halfwidth(), b.value.halfwidth());
-  EXPECT_EQ(service.metrics().counter("mc_chunks_executed").value(), 16u);
-
-  // The sampled mean should agree with the stochastic calculus roughly.
-  const auto calc =
-      service.submit(stochastic_request("sor", loads_for(2))).get();
-  EXPECT_NEAR(a.value.mean(), calc.value.mean(),
-              0.25 * calc.value.mean() + 1e-9);
-}
-
-TEST(ServeService, ChunkedMonteCarloIsIndependentOfWorkerCount) {
-  // The blocked engine samples each chunk from its own derived seed and
-  // the partials combine in chunk-index order, so the result is a pure
-  // function of (seed, trials, chunk size) — scheduling, worker count and
-  // which worker's pooled arenas ran a chunk must all be invisible.
-  auto run_with = [](std::size_t workers) {
-    ServiceOptions options;
-    options.workers = workers;
-    options.mc_chunk_trials = 1000;
-    PredictionService service(options);
-    service.register_model("sor", small_spec());
-    auto request = stochastic_request("sor", loads_for(2));
-    request.mode = Mode::kMonteCarlo;
-    request.trials = 7500;  // uneven tail chunk included
-    request.seed = 1234;
-    return service.submit(std::move(request)).get();
-  };
-  const auto one = run_with(1);
-  const auto four = run_with(4);
-  ASSERT_TRUE(one.ok()) << one.error;
-  ASSERT_TRUE(four.ok()) << four.error;
-  EXPECT_DOUBLE_EQ(one.value.mean(), four.value.mean());
-  EXPECT_DOUBLE_EQ(one.value.halfwidth(), four.value.halfwidth());
-}
-
-TEST(ServeService, ChunkedHalfwidthMatchesSoloAtANarrowSpread) {
+TEST(ServeService, NarrowSpreadHalfwidthHoldsFrom2048To8192Trials) {
   // Loads and bandwidth with a relative spread of 1e-9: every sampled
-  // runtime sits within a few 1e-9 of the mean, where combining chunks as
+  // runtime sits within a few 1e-9 of the mean, where combining blocks as
   // (sum of squares - n mean^2) / (n - 1) cancels to rounding noise. The
-  // per-chunk moments merged by Chan's update keep the chunked run's
-  // half-width at the solo run's. Both estimate the same 2 sd, from 8192
-  // and 2048 trials: their sampling errors (about 1/sqrt(2n), 0.8% and
-  // 1.6%) sit far inside the 10% tolerance.
-  ServiceOptions options;
-  options.workers = 2;
-  options.mc_chunk_trials = 2048;
-  PredictionService service(options);
+  // per-block moments merged by Chan's update keep the 8-block run's
+  // half-width at the 2-block run's. Both estimate the same 2 sd, from
+  // 8192 and 2048 trials: their sampling errors (about 1/sqrt(2n), 0.8%
+  // and 1.6%) sit far inside the 10% tolerance.
+  PredictionService service(options_with(2));
   service.register_model("sor", small_spec(200, 4));
   auto request = stochastic_request(
       "sor", std::vector<stoch::StochasticValue>(
@@ -622,16 +569,15 @@ TEST(ServeService, ChunkedHalfwidthMatchesSoloAtANarrowSpread) {
   request.mode = Mode::kMonteCarlo;
   request.seed = 2026;
   request.trials = 8192;
-  const auto chunked = service.submit(request).get();
+  const auto large = service.submit(request).get();
   request.trials = 2048;
-  const auto solo = service.submit(request).get();
-  ASSERT_TRUE(chunked.ok()) << chunked.error;
-  ASSERT_TRUE(solo.ok()) << solo.error;
-  EXPECT_EQ(service.metrics().counter("mc_chunks_executed").value(), 4u);
-  ASSERT_GT(solo.value.halfwidth(), 0.0);
-  EXPECT_NEAR(chunked.value.halfwidth() / solo.value.halfwidth(), 1.0, 0.1)
-      << "chunked " << chunked.value.halfwidth() << ", solo "
-      << solo.value.halfwidth();
+  const auto small = service.submit(request).get();
+  ASSERT_TRUE(large.ok()) << large.error;
+  ASSERT_TRUE(small.ok()) << small.error;
+  ASSERT_GT(small.value.halfwidth(), 0.0);
+  EXPECT_NEAR(large.value.halfwidth() / small.value.halfwidth(), 1.0, 0.1)
+      << "8192 trials " << large.value.halfwidth() << ", 2048 trials "
+      << small.value.halfwidth();
 }
 
 TEST(ServeService, UnknownModelIdIsStructuredErrorAndPoolSurvives) {
@@ -707,8 +653,8 @@ TEST(ServeService, SampledDivisionByZeroIsStructuredAndTheWorkerSurvives) {
 TEST(ServeService, CoalescingSharesOneEvaluation) {
   ServiceOptions options;
   options.workers = 2;
-  options.start_paused = true;
   PredictionService service(options);
+  service.pause();
   service.register_model("sor", small_spec());
   const auto request = stochastic_request("sor", loads_for(2));
 
@@ -734,8 +680,8 @@ TEST(ServeService, BoundedQueueShedsOverload) {
   ServiceOptions options;
   options.workers = 1;
   options.queue_capacity = 4;
-  options.start_paused = true;
   PredictionService service(options);
+  service.pause();
   service.register_model("sor", small_spec());
   // Distinct seeds so coalescing cannot merge them once resumed.
   std::vector<std::future<PredictResult>> futures;
@@ -775,8 +721,8 @@ TEST(ServeService, BoundedQueueShedsOverload) {
 TEST(ServeService, RequestsKeepTheEpochTheyWereAdmittedUnder) {
   ServiceOptions options;
   options.workers = 1;
-  options.start_paused = true;
   PredictionService service(options);
+  service.pause();
   service.register_model("sor", small_spec());
   const auto make_epoch = [](std::uint64_t version) {
     return std::make_shared<const BindingsEpoch>(
@@ -804,8 +750,8 @@ TEST(ServeService, FakeClockMakesLatencyMetricsDeterministic) {
   ServiceOptions options;
   options.workers = 1;
   options.clock = clock;
-  options.start_paused = true;
   PredictionService service(options);
+  service.pause();
   service.register_model("sor", small_spec());
   auto future = service.submit(stochastic_request("sor", loads_for(2)));
   clock->advance(0.25);  // the request "waits" a quarter second in queue
@@ -878,18 +824,18 @@ EpochPtr numbered_epoch(std::uint64_t version, std::size_t hosts) {
 }
 
 /// One request of every serving mode against model "m" of `spec`:
-/// stochastic, point, Monte-Carlo within one chunk, chunked Monte-Carlo,
-/// precision-targeted Monte-Carlo, and loads bound by name.
-std::vector<PredictRequest> every_mode(const ModelSpec& spec,
-                                       std::size_t chunk_trials) {
+/// stochastic, point, Monte-Carlo within one engine block, Monte-Carlo
+/// over several blocks, precision-targeted Monte-Carlo, and loads bound
+/// by name.
+std::vector<PredictRequest> every_mode(const ModelSpec& spec) {
   std::vector<PredictRequest> out;
   out.push_back(pinned_request(spec, 0, Mode::kStochastic));
   out.push_back(pinned_request(spec, 1, Mode::kPoint));
   PredictRequest mc = pinned_request(spec, 2, Mode::kMonteCarlo);
-  mc.trials = chunk_trials / 2;
+  mc.trials = 500;
   mc.seed = 7;
   out.push_back(mc);
-  mc.trials = 3 * chunk_trials + chunk_trials / 3;  // uneven tail chunk
+  mc.trials = 3333;  // a partial last block
   mc.seed = 8;
   out.push_back(mc);
   mc.trials = 20000;
@@ -907,18 +853,64 @@ std::vector<PredictRequest> every_mode(const ModelSpec& spec,
   return out;
 }
 
+TEST(ServeService, FixedTrialMonteCarloIsSampleTrialsAtEveryCount) {
+  // A fixed-trial Monte-Carlo request of any size is one
+  // Program::sample_trials(env, Rng(seed), trials) call on the thread
+  // that evaluates it, so the served bits depend only on the model, the
+  // bindings, the seed and the trial count — not on the path in, the
+  // worker count or a serving knob. The counts straddle the engine's
+  // 1024-trial block and twice that.
+  constexpr std::size_t kCounts[] = {2,    1023, 1024, 1025,
+                                     2048, 2049, 7500, 8192};
+  const auto specs = structural_specs();
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const CompiledModel compiled(specs[s]);
+    for (const std::size_t workers : {1, 4}) {
+      PredictionService service(options_with(workers));
+      service.register_model("m", specs[s]);
+      for (const std::size_t n : kCounts) {
+        const std::string what = "spec " + std::to_string(s) + " workers " +
+                                 std::to_string(workers) + " trials " +
+                                 std::to_string(n);
+        PredictRequest request =
+            pinned_request(specs[s], n % 7, Mode::kMonteCarlo);
+        request.trials = n;
+        request.seed = 1000 + n;
+        auto env = compiled.program().make_environment();
+        for (std::size_t p = 0; p < request.loads.size(); ++p) {
+          env.bind(compiled.load_slot(p), request.loads[p]);
+        }
+        if (compiled.uses_bandwidth()) {
+          env.bind(compiled.bwavail_slot(), request.bwavail);
+        }
+        support::Rng rng(request.seed);
+        PredictResult want;
+        want.value = compiled.program().sample_trials(env, rng, n);
+        want.point = want.value.mean();
+        want.mc_trials = n;
+        want.mc_ci_halfwidth =
+            want.value.halfwidth() / std::sqrt(static_cast<double>(n));
+        if (n == 8192) {
+          // The sampled mean agrees with the stochastic calculus roughly.
+          const double calculus = compiled.program().evaluate(env).mean();
+          EXPECT_NEAR(want.value.mean(), calculus, 0.25 * calculus) << what;
+        }
+        expect_same_result(service.submit(request).get(), want,
+                           what + " submit");
+        expect_same_result(service.serve(request), want, what + " serve");
+      }
+    }
+  }
+}
+
 TEST(ServeService, CallerRunsServeBitMatchesSubmitInEveryMode) {
-  constexpr std::size_t kChunk = 1000;
   const auto specs = structural_specs();
   for (std::size_t s = 0; s < specs.size(); ++s) {
     const ModelSpec& spec = specs[s];
-    ServiceOptions options;
-    options.workers = 2;
-    options.mc_chunk_trials = kChunk;
-    PredictionService service(options);
+    PredictionService service(options_with(2));
     service.register_model("m", spec);
     service.publish_epoch(numbered_epoch(3, spec.platform.hosts.size()));
-    const auto requests = every_mode(spec, kChunk);
+    const auto requests = every_mode(spec);
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const std::string what =
           "spec " + std::to_string(s) + " request " + std::to_string(i);
@@ -929,8 +921,6 @@ TEST(ServeService, CallerRunsServeBitMatchesSubmitInEveryMode) {
         EXPECT_LT(queued.mc_trials, requests[i].trials) << what;
       }
     }
-    // Both chunked runs fanned out the same 4 chunks.
-    EXPECT_EQ(service.metrics().counter("mc_chunks_executed").value(), 8u);
   }
 }
 
@@ -974,13 +964,14 @@ TEST(ServeService, CallerRunsServeShedsOnAnUnavailableShard) {
 }
 
 TEST(ServeService, CallerRunsServeCountsRequestsAndNeverQueues) {
-  // serve() needs no worker: it answers on a paused service, leaves the
-  // queue-depth gauge at 0, and its ids close the observation loop.
+  // serve() needs no worker: it answers on a paused service — a large
+  // fixed-trial Monte-Carlo request too — leaves the queue-depth gauge at
+  // 0, and its ids close the observation loop.
   ServiceOptions options;
   options.workers = 1;
-  options.start_paused = true;
   options.ledger = std::make_shared<calib::AccuracyLedger>();
   PredictionService service(options);
+  service.pause();
   service.register_model("sor", small_spec());
   auto& m = service.metrics();
   for (std::uint64_t n = 1; n <= 3; ++n) {
@@ -993,8 +984,18 @@ TEST(ServeService, CallerRunsServeCountsRequestsAndNeverQueues) {
     EXPECT_EQ(m.gauge("queue_depth").value(), 0);
     EXPECT_TRUE(service.report_observation(r.request_id, r.point));
   }
+  PredictRequest mc = stochastic_request("sor", loads_for(2));
+  mc.mode = Mode::kMonteCarlo;
+  mc.trials = 8192;
+  mc.seed = 5;
+  const PredictResult large = service.serve(mc);
+  ASSERT_TRUE(large.ok()) << large.error;
+  EXPECT_EQ(large.mc_trials, 8192u);
+  EXPECT_EQ(m.counter("requests_ok").value(), 4u);
+  EXPECT_EQ(m.gauge("queue_depth").value(), 0);
+  EXPECT_TRUE(service.report_observation(large.request_id, large.point));
   service.drain();  // nothing queued: returns although paused
-  EXPECT_EQ(m.counter("observations_recorded").value(), 3u);
+  EXPECT_EQ(m.counter("observations_recorded").value(), 4u);
 }
 
 TEST(ServeService, CallerRunsServeStressAgainstConcurrentSubmitAndPublish) {
@@ -1002,21 +1003,17 @@ TEST(ServeService, CallerRunsServeStressAgainstConcurrentSubmitAndPublish) {
   // and a sixth keeps publishing epochs. Every result, whichever path
   // and epoch it took, must bit-match that request's one-at-a-time
   // result under the epoch it reports.
-  constexpr std::size_t kChunk = 256;
   constexpr std::uint64_t kEpochs = 4;
   constexpr int kServers = 4;
   constexpr int kPerThread = 150;
   const ModelSpec spec = structural_specs()[0];
   const std::size_t hosts = spec.platform.hosts.size();
-  auto requests = every_mode(spec, kChunk);
+  auto requests = every_mode(spec);
   requests[4].trials = 4000;  // keep the precision request short
 
   std::vector<std::vector<PredictResult>> reference(kEpochs + 1);
   for (std::uint64_t v = 1; v <= kEpochs; ++v) {
-    ServiceOptions options;
-    options.workers = 1;
-    options.mc_chunk_trials = kChunk;
-    PredictionService solo(options);
+    PredictionService solo(options_with(1));
     solo.register_model("m", spec);
     solo.publish_epoch(numbered_epoch(v, hosts));
     for (const auto& request : requests) {
@@ -1025,10 +1022,7 @@ TEST(ServeService, CallerRunsServeStressAgainstConcurrentSubmitAndPublish) {
     }
   }
 
-  ServiceOptions options;
-  options.workers = 1;
-  options.mc_chunk_trials = kChunk;
-  PredictionService service(options);
+  PredictionService service(options_with(1));
   service.register_model("m", spec);
   service.publish_epoch(numbered_epoch(1, hosts));
 
@@ -1090,10 +1084,7 @@ TEST(ServeService, ConcurrentSubmittersPublishersAndNwsReaders) {
   }
   NwsBridge bridge(nws_service, {"cpu/a", "cpu/b"});
 
-  ServiceOptions options;
-  options.workers = 4;
-  options.mc_chunk_trials = 64;
-  PredictionService service(options);
+  PredictionService service(options_with(4));
   service.register_model("sor", small_spec());
   service.publish_epoch(bridge.publish());
 
@@ -1126,7 +1117,7 @@ TEST(ServeService, ConcurrentSubmittersPublishersAndNwsReaders) {
         auto request = resource_request("sor", {"cpu/a", "cpu/b"});
         if (i % 5 == 0) {
           request.mode = Mode::kMonteCarlo;
-          request.trials = 256;  // forces chunk fan-out
+          request.trials = 256;
           request.seed = std::uint64_t(t * 1000 + i);
         }
         if (service.submit(std::move(request)).get().ok()) ok.fetch_add(1);

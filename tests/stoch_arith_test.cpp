@@ -2,7 +2,11 @@
 // Monte-Carlo cross-validation of the closed forms.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "stoch/arithmetic.hpp"
 #include "stoch/montecarlo.hpp"
@@ -244,6 +248,60 @@ TEST(Coverage, TwoSigmaRangeCoversNormalSamples) {
   const StochasticValue v(10.0, 2.0);
   support::Rng rng(109);
   EXPECT_NEAR(empirical_coverage(v, v, rng, 200'000), 0.9545, 0.01);
+}
+
+TEST(EmpiricalStop, CombineReplaysBlockByBlockFromTheSeed) {
+  // The StopRule overload draws its trials in stats::next_block_width
+  // blocks of at most 1024, merges each block's moments and consults the
+  // rule between blocks; its value is mean ± 2sd of the merged summary.
+  // A replay of that schedule from the same seed must reproduce the
+  // trial count and every bit of the result. x == y and a commutative op
+  // make each trial independent of which operand is drawn first.
+  const StochasticValue x(10.0, 2.0);
+  const auto op = [](double a, double b) { return a * b; };
+  struct Case {
+    stats::StopRule rule;
+    bool stops_early;  ///< precision met below the max clamp
+  };
+  const Case cases[] = {
+      {stats::StopRule::absolute(0.5, 200'000, 64), true},
+      {stats::StopRule::relative_width(0.004, 200'000, 1'024), true},
+      {stats::StopRule::absolute(1e-9, 5'000, 64), false},
+      {stats::StopRule::fixed(3'000), false}};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const auto& [rule, stops_early] : cases) {
+    support::Rng rng(77);
+    const EmpiricalResult got = empirical_combine(x, x, op, rng, rule);
+
+    support::Rng replay(77);
+    stats::SequentialEstimator est(rule);
+    std::vector<double> block;
+    for (;;) {
+      const std::size_t width =
+          stats::next_block_width(est.count(), rule, 1'024);
+      if (width == 0) break;
+      block.resize(width);
+      for (double& v : block) v = op(sample(x, replay), sample(x, replay));
+      est.merge(stats::OnlineStats::from_block(block));
+      if (est.should_stop()) break;
+    }
+    const StochasticValue want =
+        StochasticValue::from_mean_sd(est.mean(), est.sd());
+    const std::string what = "max " + std::to_string(rule.max_trials) +
+                             " target " + std::to_string(rule.target);
+    EXPECT_EQ(got.samples, est.count()) << what;
+    EXPECT_EQ(bits(got.value.mean()), bits(want.mean())) << what;
+    EXPECT_EQ(bits(got.value.halfwidth()), bits(want.halfwidth())) << what;
+    EXPECT_EQ(bits(got.ci_halfwidth), bits(est.ci_halfwidth())) << what;
+    EXPECT_EQ(got.converged, rule.target <= 0.0 || est.precision_met())
+        << what;
+    if (stops_early) {
+      EXPECT_TRUE(got.converged) << what;
+      EXPECT_LT(got.samples, rule.max_trials) << what;
+    } else {
+      EXPECT_EQ(got.samples, rule.max_trials) << what;
+    }
+  }
 }
 
 // Property sweep: halfwidth non-negativity and mean exactness for every
