@@ -1,16 +1,27 @@
-// M1 microbenchmarks (google-benchmark): throughput of the core
-// primitives — stochastic arithmetic, Clark max, normal quantiles, GMM
-// fitting, DES event processing, channel round-trips, load-trace
-// integration, the SOR sweep kernel, and tree-vs-compiled structural
-// model evaluation and Monte-Carlo (the tree sampler against the blocked
-// engine; bench_mc_engine sweeps that pair across trial counts and model
-// sizes). Results are recorded in BENCH_compiled_ir.json.
-#include <benchmark/benchmark.h>
-
+// M1 microbenchmarks: the cost of the core primitives — stochastic
+// arithmetic, Clark max, normal quantiles, GMM fitting, DES event
+// processing, channel round-trips, load-trace integration, the SOR sweep
+// kernel — and tree vs compiled evaluation of the Platform-2 SOR
+// structural model, once (author [+ compile] + evaluate: what a one-shot
+// caller pays, and the rebuild-per-request baseline a program cache
+// saves) and repeated (steady state). The Monte-Carlo pair on the same
+// model is bench_mc_engine's sor-p2 @ 10k gate.
+//
+// Every row is timed with bench::measure_until (bench/measure.*). A
+// sample times a fixed batch of back-to-back calls, sized so one sample
+// spans roughly 100 us or more (far above the clock's resolution and
+// call overhead), and samples accrue until the CI on the mean is tight.
+// Each row prints with its CI and is flagged when the budget ran out
+// first. Numbers land in BENCH_compiled_ir.json.
+#include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "measure.hpp"
 #include "cluster/platform.hpp"
 #include "machine/load_trace.hpp"
 #include "model/compile.hpp"
@@ -24,134 +35,47 @@
 #include "stoch/arithmetic.hpp"
 #include "stoch/group_ops.hpp"
 #include "support/rng.hpp"
+#include "support/table.hpp"
 
 namespace {
 
 using namespace sspred;
 
-void BM_StochasticAddUnrelated(benchmark::State& state) {
-  const stoch::StochasticValue x(10.0, 2.0);
-  const stoch::StochasticValue y(5.0, 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        stoch::add(x, y, stoch::Dependence::kUnrelated));
-  }
+/// Hands `value`'s address to an opaque asm statement that may read
+/// memory, so the optimizer must materialize it: a call whose result only
+/// reaches here is never elided.
+template <typename T>
+void escape(const T& value) {
+  asm volatile("" : : "r"(&value) : "memory");
 }
-BENCHMARK(BM_StochasticAddUnrelated);
 
-void BM_StochasticMulRelated(benchmark::State& state) {
-  const stoch::StochasticValue x(10.0, 2.0);
-  const stoch::StochasticValue y(5.0, 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stoch::mul(x, y, stoch::Dependence::kRelated));
-  }
+struct Row {
+  std::string name;
+  std::size_t items = 1;  ///< work items one call does (events, cells)
+  bench::Measurement m;   ///< seconds per call
+};
+
+/// Times `op` per call, each sample running `batch` calls back to back,
+/// and appends the row.
+template <typename Op>
+void time_calls(std::vector<Row>& rows, std::string name, std::size_t batch,
+                std::size_t items, Op&& op) {
+  const bench::Measurement m = bench::measure_until([&] {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < batch; ++i) op();
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - start;
+    return dt.count() / static_cast<double>(batch);
+  });
+  rows.push_back({std::move(name), items, m});
 }
-BENCHMARK(BM_StochasticMulRelated);
 
-void BM_StochasticDiv(benchmark::State& state) {
-  const stoch::StochasticValue x(10.0, 2.0);
-  const stoch::StochasticValue y(0.5, 0.05);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stoch::div(x, y, stoch::Dependence::kUnrelated));
-  }
+/// The row's time per call with its CI, in the unit that fits it.
+std::string per_call(const bench::Measurement& m) {
+  if (m.mean < 1e-6) return m.summary(1e9, "ns");
+  if (m.mean < 1e-3) return m.summary(1e6, "us");
+  return m.summary(1e3, "ms");
 }
-BENCHMARK(BM_StochasticDiv);
-
-void BM_ClarkMax(benchmark::State& state) {
-  const stoch::StochasticValue x(10.0, 2.0);
-  const stoch::StochasticValue y(11.0, 1.5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stoch::clark_max(x, y));
-  }
-}
-BENCHMARK(BM_ClarkMax);
-
-void BM_NormalQuantile(benchmark::State& state) {
-  double p = 0.0001;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::normal_quantile(p));
-    p += 0.0001;
-    if (p >= 1.0) p = 0.0001;
-  }
-}
-BENCHMARK(BM_NormalQuantile);
-
-void BM_GmmFit(benchmark::State& state) {
-  support::Rng rng(7);
-  std::vector<double> xs;
-  for (int i = 0; i < 1'000; ++i) {
-    xs.push_back(rng.uniform() < 0.5 ? rng.normal(0.3, 0.03)
-                                     : rng.normal(0.9, 0.02));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::fit_gmm(xs, 2));
-  }
-}
-BENCHMARK(BM_GmmFit)->Unit(benchmark::kMillisecond);
-
-void BM_EngineEventThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Engine eng;
-    int counter = 0;
-    for (int i = 0; i < 10'000; ++i) {
-      eng.schedule_at(static_cast<double>(i % 100), [&counter] { ++counter; });
-    }
-    eng.run();
-    benchmark::DoNotOptimize(counter);
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_EngineEventThroughput)->Unit(benchmark::kMillisecond);
-
-void BM_ChannelRoundTrips(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Engine eng;
-    sim::Channel<int> ping(eng);
-    sim::Channel<int> pong(eng);
-    eng.spawn([](sim::Channel<int>& in, sim::Channel<int>& out) -> sim::Process {
-      for (int i = 0; i < 1'000; ++i) {
-        out.send(co_await in.recv());
-      }
-    }(ping, pong));
-    eng.spawn([](sim::Channel<int>& out, sim::Channel<int>& in) -> sim::Process {
-      for (int i = 0; i < 1'000; ++i) {
-        out.send(i);
-        (void)co_await in.recv();
-      }
-    }(ping, pong));
-    eng.run();
-  }
-  state.SetItemsProcessed(state.iterations() * 1'000);
-}
-BENCHMARK(BM_ChannelRoundTrips)->Unit(benchmark::kMillisecond);
-
-void BM_LoadTraceFinishTime(benchmark::State& state) {
-  const machine::LoadTrace trace = machine::LoadTrace::generate(
-      cluster::platform2_load(), 4'000, 1.0, 3);
-  double start = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trace.finish_time(start, 50.0));
-    start += 1.7;
-    if (start > 3'000.0) start = 0.0;
-  }
-}
-BENCHMARK(BM_LoadTraceFinishTime);
-
-void BM_SorSweep(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  sor::SerialSor solver(n);
-  for (auto _ : state) {
-    solver.sweep(true);
-    solver.sweep(false);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n * n));
-}
-BENCHMARK(BM_SorSweep)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
-
-// --- Tree vs compiled IR on the Platform-2 SOR structural model. The
-// acceptance bar for the compiled path (ISSUE: "compiled >= 3x faster for
-// repeated evaluation") is measured by the *Repeated* pair below.
 
 struct SorFixture {
   SorFixture() : model(make_model()) {
@@ -175,88 +99,143 @@ struct SorFixture {
   std::unique_ptr<model::ir::SlotEnvironment> slots;
 };
 
-void BM_ModelTreeEvaluateOnce(benchmark::State& state) {
-  // Author + evaluate per iteration: what a caller pays for a one-shot
-  // tree prediction.
-  const SorFixture fx;
-  for (auto _ : state) {
-    const auto m = SorFixture::make_model();
-    benchmark::DoNotOptimize(m.expr()->evaluate(fx.env));
+void emit_json(const std::vector<Row>& rows, double repeated_speedup) {
+  std::ofstream out("BENCH_compiled_ir.json");
+  out.precision(6);
+  out << "{\n"
+      << "  \"artifact\": \"bench_micro_ops\",\n"
+      << "  \"build_type\": \"" << bench::build_type() << "\",\n"
+      << "  \"optimized_build\": "
+      << (bench::optimized_build() ? "true" : "false") << ",\n"
+      << "  \"compiled_vs_tree_repeated\": " << repeated_speedup << ",\n"
+      << "  \"rows\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    out << "    {\"name\": \"" << r.name << "\", \"items_per_call\": "
+        << r.items << ", \"sec_per_call\": " << r.m.mean
+        << ", \"ci_sec\": " << r.m.ci_halfwidth
+        << ", \"samples\": " << r.m.samples
+        << ", \"converged\": " << (r.m.converged ? "true" : "false") << "}"
+        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
+  out << "  ]\n}\n";
 }
-BENCHMARK(BM_ModelTreeEvaluateOnce)->Unit(benchmark::kMicrosecond);
-
-void BM_ModelCompileAndEvaluateOnce(benchmark::State& state) {
-  // Author + compile + evaluate per iteration: the compiled path's
-  // one-shot cost, including compilation itself.
-  const SorFixture fx;
-  for (auto _ : state) {
-    const auto m = SorFixture::make_model();
-    benchmark::DoNotOptimize(m.predict(*fx.slots));
-  }
-}
-BENCHMARK(BM_ModelCompileAndEvaluateOnce)->Unit(benchmark::kMicrosecond);
-
-void BM_ModelTreeEvaluateRepeated(benchmark::State& state) {
-  // Steady-state tree evaluation: shared_ptr walk + virtual dispatch +
-  // string-keyed parameter lookups per evaluation.
-  const SorFixture fx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.model.expr()->evaluate(fx.env));
-  }
-}
-BENCHMARK(BM_ModelTreeEvaluateRepeated);
-
-void BM_ModelCompiledEvaluateRepeated(benchmark::State& state) {
-  // Steady-state compiled evaluation with a reused workspace: one linear
-  // walk over the flat node buffer, slot-indexed parameters.
-  const SorFixture fx;
-  model::ir::EvalWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.model.program().evaluate(*fx.slots, ws));
-  }
-}
-BENCHMARK(BM_ModelCompiledEvaluateRepeated);
-
-void BM_ModelTreeMonteCarlo10k(benchmark::State& state) {
-  const SorFixture fx;
-  support::Rng rng(17);
-  for (auto _ : state) {
-    std::vector<double> outcomes;
-    outcomes.reserve(10'000);
-    model::SampleCache cache;
-    for (int t = 0; t < 10'000; ++t) {
-      cache.clear();
-      outcomes.push_back(fx.model.expr()->sample(fx.env, cache, rng));
-    }
-    benchmark::DoNotOptimize(stoch::StochasticValue::from_sample(outcomes));
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_ModelTreeMonteCarlo10k)->Unit(benchmark::kMillisecond);
-
-void BM_ModelCompiledMonteCarlo10k(benchmark::State& state) {
-  const SorFixture fx;
-  support::Rng rng(17);
-  model::ir::EvalWorkspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fx.model.program().sample_trials(*fx.slots, rng, 10'000, ws));
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(BM_ModelCompiledMonteCarlo10k)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// BENCHMARK_MAIN plus the build-type context key: google-benchmark's own
-// `library_build_type` describes the benchmark library, which CI installs
-// once; this key records how THIS code was compiled.
-int main(int argc, char** argv) {
-  benchmark::AddCustomContext("build_type", sspred::bench::build_type());
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
+  bench::banner("M1 microbenchmarks",
+                "core primitive costs; tree vs compiled SOR model evaluation");
+  std::vector<Row> rows;
+
+  const stoch::StochasticValue x(10.0, 2.0);
+  const stoch::StochasticValue y(5.0, 1.0);
+  const stoch::StochasticValue small(0.5, 0.05);
+  const stoch::StochasticValue near(11.0, 1.5);
+  time_calls(rows, "stochastic add, unrelated", 20'000, 1, [&] {
+    escape(stoch::add(x, y, stoch::Dependence::kUnrelated));
+  });
+  time_calls(rows, "stochastic mul, related", 20'000, 1, [&] {
+    escape(stoch::mul(x, y, stoch::Dependence::kRelated));
+  });
+  time_calls(rows, "stochastic div", 5'000, 1, [&] {
+    escape(stoch::div(x, small, stoch::Dependence::kUnrelated));
+  });
+  time_calls(rows, "Clark max", 2'000, 1,
+             [&] { escape(stoch::clark_max(x, near)); });
+  double p = 0.0001;
+  time_calls(rows, "normal quantile", 2'000, 1, [&] {
+    escape(stats::normal_quantile(p));
+    p += 0.0001;
+    if (p >= 1.0) p = 0.0001;
+  });
+
+  support::Rng rng(7);
+  std::vector<double> xs;
+  for (int i = 0; i < 1'000; ++i) {
+    xs.push_back(rng.uniform() < 0.5 ? rng.normal(0.3, 0.03)
+                                     : rng.normal(0.9, 0.02));
+  }
+  time_calls(rows, "GMM fit, 1k points, 2 modes", 1, 1,
+             [&] { escape(stats::fit_gmm(xs, 2)); });
+
+  time_calls(rows, "DES engine, 10k events", 1, 10'000, [] {
+    sim::Engine eng;
+    int counter = 0;
+    for (int i = 0; i < 10'000; ++i) {
+      eng.schedule_at(static_cast<double>(i % 100), [&counter] { ++counter; });
+    }
+    eng.run();
+    escape(counter);
+  });
+  time_calls(rows, "channel round-trips, 1k", 1, 1'000, [] {
+    sim::Engine eng;
+    sim::Channel<int> ping(eng);
+    sim::Channel<int> pong(eng);
+    eng.spawn([](sim::Channel<int>& in, sim::Channel<int>& out) -> sim::Process {
+      for (int i = 0; i < 1'000; ++i) {
+        out.send(co_await in.recv());
+      }
+    }(ping, pong));
+    eng.spawn([](sim::Channel<int>& out, sim::Channel<int>& in) -> sim::Process {
+      for (int i = 0; i < 1'000; ++i) {
+        out.send(i);
+        (void)co_await in.recv();
+      }
+    }(ping, pong));
+    eng.run();
+  });
+
+  const machine::LoadTrace trace = machine::LoadTrace::generate(
+      cluster::platform2_load(), 4'000, 1.0, 3);
+  double start = 0.0;
+  time_calls(rows, "load-trace finish time", 1'000, 1, [&] {
+    escape(trace.finish_time(start, 50.0));
+    start += 1.7;
+    if (start > 3'000.0) start = 0.0;
+  });
+
+  for (const std::size_t n : {256, 1024}) {
+    sor::SerialSor solver(n);
+    time_calls(rows, "SOR red+black sweep, n " + std::to_string(n), 1, n * n,
+               [&] {
+                 solver.sweep(true);
+                 solver.sweep(false);
+               });
+  }
+
+  const SorFixture fx;
+  time_calls(rows, "SOR model: tree author + evaluate once", 10, 1, [&] {
+    const auto m = SorFixture::make_model();
+    escape(m.expr()->evaluate(fx.env));
+  });
+  time_calls(rows, "SOR model: compile + evaluate once", 10, 1, [&] {
+    const auto m = SorFixture::make_model();
+    escape(m.predict(*fx.slots));
+  });
+  time_calls(rows, "SOR model: tree evaluate, repeated", 200, 1,
+             [&] { escape(fx.model.expr()->evaluate(fx.env)); });
+  const double tree_repeated = rows.back().m.mean;
+  model::ir::EvalWorkspace ws;
+  time_calls(rows, "SOR model: compiled evaluate, repeated", 500, 1,
+             [&] { escape(fx.model.program().evaluate(*fx.slots, ws)); });
+  const double repeated_speedup = tree_repeated / rows.back().m.mean;
+
+  support::Table t({"op", "time per call", "items/s"});
+  std::size_t unconverged = 0;
+  for (const Row& r : rows) {
+    if (!r.m.converged) ++unconverged;
+    t.add_row({r.name, per_call(r.m),
+               support::fmt(static_cast<double>(r.items) / r.m.mean / 1e6, 3) +
+                   "M"});
+  }
+  std::printf("%s", t.render().c_str());
+
+  emit_json(rows, repeated_speedup);
+  bench::section("summary");
+  std::printf("  compiled vs tree, repeated evaluation: %.2fx (%s build)\n",
+              repeated_speedup, bench::build_type());
+  std::printf("  rows not converged: %zu of %zu\n", unconverged, rows.size());
+  std::printf("  (BENCH_compiled_ir.json written)\n");
   return 0;
 }

@@ -13,9 +13,7 @@ namespace sspred::bench {
 /// CMAKE_BUILD_TYPE the bench binaries were compiled with ("Release",
 /// "RelWithDebInfo", "Debug", ...). Timing artifacts are only meaningful
 /// from optimized builds, so every bench records this prominently: the
-/// banner prints it, and the google-benchmark binaries add it as the
-/// `build_type` context key (google-benchmark's own `library_build_type`
-/// describes the benchmark LIBRARY, not this code).
+/// banner prints it, and every BENCH_*.json carries it as `build_type`.
 [[nodiscard]] const char* build_type() noexcept;
 
 /// True for build types that optimize (Release / RelWithDebInfo /

@@ -15,7 +15,7 @@
 //                slowdown) act on the ServingNode itself; the frontend
 //                applies both kinds from the plan.
 //
-// Plans parse from a compact spec (the `bench/loadgen --faults` flag):
+// Plans parse from a compact spec (the `sspred_cli cluster --faults` flag):
 //
 //   crash@100:1            crash node 1 at step 100
 //   restart@300:1          restart node 1 (fresh state) at step 300

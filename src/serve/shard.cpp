@@ -16,6 +16,11 @@ namespace {
 /// Top of the latency histogram range, seconds.
 constexpr double kLatencyRangeSeconds = 1.0;
 
+/// Requests per evaluation: at dequeue, queued requests identical to the
+/// dequeued one (same model, epoch, bindings and sampling parameters)
+/// coalesce onto its evaluation, up to this many in all.
+constexpr std::size_t kMaxBatch = 64;
+
 }  // namespace
 
 // --- ModelTable --------------------------------------------------------
@@ -124,13 +129,8 @@ PredictionShard::PredictionShard(std::size_t index,
                     local_.gauge("workers_busy")},
       latency_{global.histogram("latency_seconds", kLatencyRangeSeconds, 512),
                local_.histogram("latency_seconds", kLatencyRangeSeconds, 512)},
-      batch_sizes_{
-          global.histogram("batch_size",
-                           static_cast<double>(options.max_batch) + 1.0,
-                           std::max<std::size_t>(options.max_batch, 1)),
-          local_.histogram("batch_size",
-                           static_cast<double>(options.max_batch) + 1.0,
-                           std::max<std::size_t>(options.max_batch, 1))},
+      batch_sizes_{global.histogram("batch_size", kMaxBatch + 1.0, kMaxBatch),
+                   local_.histogram("batch_size", kMaxBatch + 1.0, kMaxBatch)},
       mc_trials_{global.histogram("mc_trials_executed", 32769.0, 256),
                  local_.histogram("mc_trials_executed", 32769.0, 256)} {
   SSPRED_REQUIRE(options_.workers >= 1, "shard needs at least one worker");
@@ -328,11 +328,11 @@ void PredictionShard::worker_loop() {
     Job job = std::move(staging_.front());
     staging_.pop_front();
     // Dequeue-time coalescing: identical staged requests share this
-    // evaluation, up to max_batch requests in all.
+    // evaluation, up to kMaxBatch requests in all.
     std::vector<Pending> extra;
     stage_admitted();  // scan late arrivals too, like the old queue
     for (auto it = staging_.begin();
-         it != staging_.end() && extra.size() + 1 < options_.max_batch;) {
+         it != staging_.end() && extra.size() + 1 < kMaxBatch;) {
       if (coalescable(job, *it)) {
         extra.push_back(Pending{it->id, std::move(it->promise)});
         it = staging_.erase(it);

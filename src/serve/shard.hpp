@@ -66,11 +66,6 @@ struct ServiceOptions {
   std::size_t workers = 4;  ///< worker threads per shard
   /// Queued external requests beyond this (per shard) are rejected.
   std::size_t queue_capacity = 1024;
-  /// Requests per evaluation: at dequeue, queued requests identical to
-  /// the dequeued one (same model, epoch, bindings and sampling
-  /// parameters) coalesce onto its evaluation, up to this many in all.
-  /// 1 evaluates every request alone.
-  std::size_t max_batch = 64;
   /// Time source for latency metrics; null selects support::real_clock().
   std::shared_ptr<support::Clock> clock;
   /// Accuracy ledger fed by report_observation(); null disables the

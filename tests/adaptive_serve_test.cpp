@@ -103,16 +103,13 @@ TEST(AdaptiveServe, UnreachableTargetIsStructuredPartialPrecision) {
 }
 
 TEST(AdaptiveServe, MixedFixedAndPrecisionBatchMatchesOneAtATime) {
-  ServiceOptions batched_options;
-  batched_options.workers = 2;
-  ServiceOptions solo_options = batched_options;
-  solo_options.max_batch = 1;
-  PredictionService batched(batched_options);
-  PredictionService solo(solo_options);
-  batched.pause();
-  solo.pause();
-  batched.register_model("sor", small_spec());
-  solo.register_model("sor", small_spec());
+  // A staged mixed batch serves exactly what caller-runs serve(), which
+  // never coalesces, serves one at a time.
+  ServiceOptions options;
+  options.workers = 2;
+  PredictionService service(options);
+  service.pause();
+  service.register_model("sor", small_spec());
 
   // Alternate fixed-count and precision-target requests with unequal
   // trial clamps.
@@ -121,16 +118,14 @@ TEST(AdaptiveServe, MixedFixedAndPrecisionBatchMatchesOneAtATime) {
                       : mc_request(i, 1'500, 0.04, true);
   };
   constexpr std::size_t kRequests = 24;
-  std::vector<std::future<PredictResult>> bf, sf;
+  std::vector<std::future<PredictResult>> staged;
   for (std::size_t i = 0; i < kRequests; ++i) {
-    bf.push_back(batched.submit(make(i)));
-    sf.push_back(solo.submit(make(i)));
+    staged.push_back(service.submit(make(i)));
   }
-  batched.resume();
-  solo.resume();
+  service.resume();
   for (std::size_t i = 0; i < kRequests; ++i) {
-    const PredictResult a = bf[i].get();
-    const PredictResult b = sf[i].get();
+    const PredictResult a = staged[i].get();
+    const PredictResult b = service.serve(make(i));
     ASSERT_TRUE(a.ok()) << a.error;
     ASSERT_TRUE(b.ok()) << b.error;
     EXPECT_DOUBLE_EQ(a.value.mean(), b.value.mean()) << i;
@@ -209,7 +204,6 @@ TEST(AdaptiveServe, ConcurrentMixedSubmittersAreRaceFree) {
   // workers' dequeue scans; every future must resolve with a stamped result.
   ServiceOptions options;
   options.workers = 4;
-  options.max_batch = 8;
   PredictionService service(options);
   service.register_model("sor", small_spec());
 

@@ -9,6 +9,7 @@
 // forwarding, and a concurrent clients-vs-faults stress (TSan target).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <set>
@@ -326,17 +327,21 @@ TEST(ClusterFrontend, UnknownModelAnsweredStructurallyNotDropped) {
 }
 
 // The tentpole determinism claim: a fixed-seed run with a mid-stream
-// node crash returns the identical (request_id -> value) set as the
-// healthy run — requests just arrive via different nodes.
+// node crash, or a crash and a later restart, returns the identical
+// (request_id -> value) set as the healthy run — requests just arrive
+// via different nodes.
 TEST(ClusterFrontend, FailoverAcrossCrashPreservesResultSetBitExact) {
   constexpr std::size_t kFamilies = 5;
   constexpr int kRequests = 60;
-  constexpr std::uint64_t kCrashStep = 20;
+  // A third of the way into the stream; the second plan restarts the
+  // victim two thirds of the way in.
+  constexpr std::uint64_t kCrashStep = kRequests / 3;
+  constexpr std::uint64_t kRestartStep = 2 * kRequests / 3;
 
   // Crash family0's primary: family0 is requested both before and after
   // the crash step, so the victim provably serves, dies, and is routed
   // around. Placement is deterministic, so a probe cluster's ring
-  // answers for both runs.
+  // answers for every run.
   const std::size_t victim = [] {
     ClusterFrontend probe(small_cluster());
     register_families(probe, kFamilies);
@@ -355,6 +360,11 @@ TEST(ClusterFrontend, FailoverAcrossCrashPreservesResultSetBitExact) {
       EXPECT_TRUE(served.result.ok()) << served.result.error;
       if (nodes_used != nullptr) nodes_used->push_back(served.node);
       results.emplace(served.result.request_id, std::move(served.result));
+      // Membership writes a crashed node off until a heartbeat answers;
+      // one right after the restart step lets a restarted victim serve.
+      if (i + 1 == static_cast<int>(kRestartStep)) {
+        (void)cluster.heartbeat_tick();
+      }
     }
     EXPECT_EQ(results.size(), static_cast<std::size_t>(kRequests));
     return results;
@@ -364,18 +374,25 @@ TEST(ClusterFrontend, FailoverAcrossCrashPreservesResultSetBitExact) {
   std::vector<std::size_t> crashed_nodes;
   const auto healthy = run(FaultPlan{}, &healthy_nodes);
 
-  FaultPlan plan;
-  plan.add({FaultEvent::Kind::kCrash, kCrashStep, victim, 0.0});
-  const auto crashed = run(std::move(plan), &crashed_nodes);
-
   // Zero lost accepted requests, identical ids and bit-exact values.
-  ASSERT_EQ(healthy.size(), crashed.size());
-  for (const auto& [id, expected] : healthy) {
-    const auto it = crashed.find(id);
-    ASSERT_NE(it, crashed.end()) << "request " << id << " lost";
-    EXPECT_EQ(it->second.value, expected.value) << "request " << id;
-    EXPECT_EQ(it->second.point, expected.point) << "request " << id;
-  }
+  const auto expect_healthy_result_set =
+      [&](const std::map<std::uint64_t, serve::PredictResult>& faulted,
+          const std::string& plan) {
+        ASSERT_EQ(healthy.size(), faulted.size()) << plan;
+        for (const auto& [id, expected] : healthy) {
+          const auto it = faulted.find(id);
+          ASSERT_NE(it, faulted.end()) << plan << ": request " << id
+                                       << " lost";
+          EXPECT_EQ(it->second.value, expected.value)
+              << plan << ": request " << id;
+          EXPECT_EQ(it->second.point, expected.point)
+              << plan << ": request " << id;
+        }
+      };
+
+  FaultPlan crash;
+  crash.add({FaultEvent::Kind::kCrash, kCrashStep, victim, 0.0});
+  expect_healthy_result_set(run(std::move(crash), &crashed_nodes), "crash");
 
   // The victim actually served before the crash and never after it.
   bool victim_served_before = false;
@@ -389,6 +406,17 @@ TEST(ClusterFrontend, FailoverAcrossCrashPreservesResultSetBitExact) {
   }
   EXPECT_TRUE(victim_served_before);
   EXPECT_NE(healthy_nodes, crashed_nodes);  // failover rerouted something
+
+  // The restarted victim serves the healthy run's bits again.
+  FaultPlan crash_restart;
+  crash_restart.add({FaultEvent::Kind::kCrash, kCrashStep, victim, 0.0});
+  crash_restart.add({FaultEvent::Kind::kRestart, kRestartStep, victim, 0.0});
+  std::vector<std::size_t> restarted_nodes;
+  expect_healthy_result_set(run(std::move(crash_restart), &restarted_nodes),
+                            "crash + restart");
+  EXPECT_NE(std::find(restarted_nodes.begin() + kRestartStep,
+                      restarted_nodes.end(), victim),
+            restarted_nodes.end());
 }
 
 TEST(ClusterFrontend, EpochConvergesAfterCrashRestartHeal) {

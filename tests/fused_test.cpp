@@ -303,41 +303,34 @@ void expect_result_eq(const PredictResult& a, const PredictResult& b,
 }
 
 TEST(ServeBatched, BatchedResultsBitMatchOneAtATimeServing) {
-  // A staged batch of distinct-bindings requests serves exactly what a
-  // service evaluating every request alone (max_batch 1) serves.
+  // A staged batch of distinct-bindings requests serves exactly what
+  // caller-runs serve(), which never coalesces, serves one at a time.
   for (const Mode mode : {Mode::kStochastic, Mode::kPoint, Mode::kMonteCarlo}) {
-    ServiceOptions batched_options;
-    batched_options.workers = 2;
-    ServiceOptions solo_options = batched_options;
-    solo_options.max_batch = 1;
-    PredictionService batched(batched_options);
-    PredictionService solo(solo_options);
-    batched.pause();
-    solo.pause();
-    batched.register_model("sor", small_spec());
-    solo.register_model("sor", small_spec());
+    ServiceOptions options;
+    options.workers = 2;
+    PredictionService service(options);
+    service.pause();
+    service.register_model("sor", small_spec());
 
     constexpr std::size_t kRequests = 24;
-    std::vector<std::future<PredictResult>> bf, sf;
+    std::vector<std::future<PredictResult>> staged;
     for (std::size_t i = 0; i < kRequests; ++i) {
-      bf.push_back(batched.submit(distinct_request("sor", 2, i, mode)));
-      sf.push_back(solo.submit(distinct_request("sor", 2, i, mode)));
+      staged.push_back(service.submit(distinct_request("sor", 2, i, mode)));
     }
-    batched.resume();
-    solo.resume();
+    service.resume();
     for (std::size_t i = 0; i < kRequests; ++i) {
-      expect_result_eq(bf[i].get(), sf[i].get(),
+      expect_result_eq(staged[i].get(),
+                       service.serve(distinct_request("sor", 2, i, mode)),
                        "mode " + std::to_string(int(mode)) + " request " +
                            std::to_string(i));
     }
   }
 }
 
-TEST(ServeBatched, ResultsAreInvariantToWorkerCountAndBatchSize) {
-  const auto run = [](std::size_t workers, std::size_t max_batch) {
+TEST(ServeBatched, ResultsAreInvariantToWorkerCount) {
+  const auto run = [](std::size_t workers) {
     ServiceOptions options;
     options.workers = workers;
-    options.max_batch = max_batch;
     PredictionService service(options);
     service.pause();
     service.register_model("sor", small_spec());
@@ -351,20 +344,20 @@ TEST(ServeBatched, ResultsAreInvariantToWorkerCountAndBatchSize) {
     for (auto& f : futures) {
       auto r = f.get();
       EXPECT_TRUE(r.ok()) << r.error;
+      EXPECT_EQ(r.batch_size, 1u);  // distinct bindings never coalesce
       values.push_back(r.value);
     }
     return values;
   };
-  const auto baseline = run(1, 64);
-  for (const auto& [workers, batch] :
-       {std::pair<std::size_t, std::size_t>{4, 64}, {1, 4}, {3, 7}}) {
-    const auto values = run(workers, batch);
+  const auto baseline = run(1);
+  for (const std::size_t workers : {4, 1, 3}) {
+    const auto values = run(workers);
     ASSERT_EQ(values.size(), baseline.size());
     for (std::size_t i = 0; i < values.size(); ++i) {
       EXPECT_DOUBLE_EQ(values[i].mean(), baseline[i].mean())
-          << workers << " workers, batch " << batch << ", request " << i;
+          << workers << " workers, request " << i;
       EXPECT_DOUBLE_EQ(values[i].halfwidth(), baseline[i].halfwidth())
-          << workers << " workers, batch " << batch << ", request " << i;
+          << workers << " workers, request " << i;
     }
   }
 }
@@ -425,16 +418,12 @@ TEST(ServeBatched, BindingErrorIsIsolatedFromItsBatchNeighbours) {
   EXPECT_TRUE(r1.ok()) << r1.error;
   EXPECT_EQ(rb.status, PredictResult::Status::kError);
   EXPECT_NE(rb.error.find("load bindings"), std::string::npos) << rb.error;
-  // And the results bit-match a service evaluating every request alone.
-  ServiceOptions solo_options;
-  solo_options.workers = 1;
-  solo_options.max_batch = 1;
-  PredictionService solo(solo_options);
-  solo.register_model("sor", small_spec());
-  const auto s0 = solo.submit(distinct_request("sor", 2, 0)).get();
-  const auto s1 = solo.submit(distinct_request("sor", 2, 2)).get();
-  expect_result_eq(r0, s0, "request 0");
-  expect_result_eq(r1, s1, "request 2");
+  // And the results bit-match caller-runs serve(), which evaluates every
+  // request alone.
+  expect_result_eq(r0, service.serve(distinct_request("sor", 2, 0)),
+                   "request 0");
+  expect_result_eq(r1, service.serve(distinct_request("sor", 2, 2)),
+                   "request 2");
 }
 
 TEST(ServeBatched, ConcurrentSubmittersDuringBatchedDequeueAreRaceFree) {
@@ -443,7 +432,6 @@ TEST(ServeBatched, ConcurrentSubmittersDuringBatchedDequeueAreRaceFree) {
   // future must resolve.
   ServiceOptions options;
   options.workers = 4;
-  options.max_batch = 8;
   PredictionService service(options);
   service.register_model("sor", small_spec());
 
