@@ -50,8 +50,9 @@ int main() {
     const double t_blocks =
         sor::run_distributed_block_sor(e2, p2, blocks).total_time;
 
-    const predict::BlockStructuralModel model(
-        cluster::dedicated_platform(c.hosts), c.n, 10, c.pr, c.pc);
+    const predict::StructuralModel model(
+        predict::author_block_sor(cluster::dedicated_platform(c.hosts), c.n,
+                                  10, c.pr, c.pc));
     const std::vector<stoch::StochasticValue> loads(
         c.hosts, stoch::StochasticValue(1.0));
     const double predicted =

@@ -59,7 +59,7 @@ int main() {
     const auto rows = predict::recommend_rows(spec, cfg.n, loads, strategy);
     cfg.rows_per_rank.assign(rows.begin(), rows.end());
 
-    const predict::SorStructuralModel model(spec, cfg);
+    const predict::StructuralModel model(predict::author_sor(spec, cfg));
     const auto predicted =
         model.predict(model.make_env(loads, {0.525, 0.12}));
 

@@ -29,7 +29,7 @@ Row run_on(cluster::FabricKind fabric, std::size_t n) {
   cfg.iterations = 12;
   cfg.real_numerics = false;
 
-  const predict::SorStructuralModel model(spec, cfg);
+  const predict::StructuralModel model(predict::author_sor(spec, cfg));
   const std::vector<stoch::StochasticValue> loads(
       4, stoch::StochasticValue(1.0));
   const double predicted = model.predict_point(model.make_env(loads, {1.0}));

@@ -65,7 +65,7 @@ Case sor_case(const std::string& name, const StochasticValue& load,
   cfg.n = 600;
   cfg.iterations = 20;
   const cluster::PlatformSpec platform = cluster::platform2();
-  const predict::SorStructuralModel model(platform, cfg);
+  const predict::StructuralModel model(predict::author_sor(platform, cfg));
   const std::vector<StochasticValue> loads(platform.hosts.size(), load);
   model::ir::Program prog = model.program();
   model::ir::SlotEnvironment env = model.make_slot_env(loads, bandwidth);

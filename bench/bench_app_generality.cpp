@@ -33,7 +33,8 @@ int main() {
     cfg.iterations = 20;
     cfg.real_numerics = false;
     const auto spec = cluster::dedicated_platform(4);
-    const predict::JacobiStructuralModel model(spec, n, cfg.iterations);
+    const predict::StructuralModel model(
+        predict::author_jacobi(spec, n, cfg.iterations));
     const std::vector<stoch::StochasticValue> loads(
         4, stoch::StochasticValue(1.0));
     const double predicted =
@@ -76,7 +77,8 @@ int main() {
     cfg.n = 1000;
     cfg.iterations = 15;
     cfg.real_numerics = false;
-    const predict::JacobiStructuralModel model(spec, cfg.n, cfg.iterations);
+    const predict::StructuralModel model(
+        predict::author_jacobi(spec, cfg.n, cfg.iterations));
     const auto pred = model.predict(model.make_env(loads, {0.525, 0.12}));
     const double actual =
         sor::run_distributed_jacobi(engine, platform, cfg,

@@ -31,7 +31,7 @@ int main() {
       cfg.iterations = 20;
       cfg.real_numerics = false;
       const auto spec = cluster::dedicated_platform(ranks);
-      const predict::SorStructuralModel model(spec, cfg);
+      const predict::StructuralModel model(predict::author_sor(spec, cfg));
       const std::vector<stoch::StochasticValue> loads(
           ranks, stoch::StochasticValue(1.0));
       const double predicted =

@@ -95,7 +95,7 @@ Case sor_case(const std::string& name, const cluster::PlatformSpec& platform,
   sor::SorConfig cfg;
   cfg.n = n;
   cfg.iterations = iterations;
-  const predict::SorStructuralModel model(platform, cfg);
+  const predict::StructuralModel model(predict::author_sor(platform, cfg));
   const std::vector<StochasticValue> loads(platform.hosts.size(),
                                            StochasticValue(0.62, 0.08));
   return make_case(name, model.expr(),

@@ -46,13 +46,15 @@ int main() {
 
     predict::SorModelOptions plain;
     plain.account_memory = false;
-    const predict::SorStructuralModel paper_model(spec, cfg, plain);
+    const predict::StructuralModel paper_model(
+        predict::author_sor(spec, cfg, plain));
     const double paper_pred =
         paper_model.predict_point(paper_model.make_env(loads, {1.0}));
 
     predict::SorModelOptions aware;
     aware.account_memory = true;
-    const predict::SorStructuralModel mem_model(spec, cfg, aware);
+    const predict::StructuralModel mem_model(
+        predict::author_sor(spec, cfg, aware));
     const double mem_pred =
         mem_model.predict_point(mem_model.make_env(loads, {1.0}));
 

@@ -78,7 +78,7 @@ std::string per_call(const bench::Measurement& m) {
 }
 
 struct SorFixture {
-  SorFixture() : model(make_model()) {
+  SorFixture() : model(author()) {
     const std::vector<stoch::StochasticValue> loads(
         cluster::platform2().hosts.size(),
         stoch::StochasticValue(0.62, 0.08));
@@ -87,14 +87,14 @@ struct SorFixture {
         model.make_slot_env(loads, stoch::StochasticValue(0.525, 0.06)));
   }
 
-  static predict::SorStructuralModel make_model() {
+  static predict::AuthoredModel author() {
     sor::SorConfig cfg;
     cfg.n = 600;
     cfg.iterations = 20;
-    return predict::SorStructuralModel(cluster::platform2(), cfg);
+    return predict::author_sor(cluster::platform2(), cfg);
   }
 
-  predict::SorStructuralModel model;
+  predict::StructuralModel model;
   model::Environment env;
   std::unique_ptr<model::ir::SlotEnvironment> slots;
 };
@@ -206,11 +206,11 @@ int main() {
 
   const SorFixture fx;
   time_calls(rows, "SOR model: tree author + evaluate once", 10, 1, [&] {
-    const auto m = SorFixture::make_model();
-    escape(m.expr()->evaluate(fx.env));
+    const predict::AuthoredModel m = SorFixture::author();
+    escape(m.expr->evaluate(fx.env));
   });
   time_calls(rows, "SOR model: compile + evaluate once", 10, 1, [&] {
-    const auto m = SorFixture::make_model();
+    const predict::StructuralModel m(SorFixture::author());
     escape(m.predict(*fx.slots));
   });
   time_calls(rows, "SOR model: tree evaluate, repeated", 200, 1,

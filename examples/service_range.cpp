@@ -20,7 +20,7 @@ int main() {
   sor::SorConfig cfg;
   cfg.n = 1600;
   cfg.iterations = 20;
-  const predict::SorStructuralModel model(spec, cfg);
+  const predict::StructuralModel model(predict::author_sor(spec, cfg));
   const std::vector<stoch::StochasticValue> loads{
       stoch::StochasticValue(0.48, 0.05), stoch::StochasticValue(0.92, 0.03),
       stoch::StochasticValue(0.92, 0.03), stoch::StochasticValue(0.92, 0.03)};

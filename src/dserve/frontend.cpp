@@ -18,6 +18,11 @@ std::size_t clamp_replicas(const ClusterOptions& options) {
   return r > options.nodes ? options.nodes : r;
 }
 
+/// Membership's success EWMA: the newest outcome's weight, and the level
+/// below which a node turns kSuspect (see membership.hpp).
+constexpr double kEwmaAlpha = 0.2;
+constexpr double kEwmaFloor = 0.5;
+
 /// Strips the 4-byte length prefix off a complete reply frame; null on a
 /// frame too short to carry one.
 const std::uint8_t* reply_payload(const std::vector<std::uint8_t>& reply,
@@ -33,8 +38,8 @@ ClusterFrontend::ClusterFrontend(ClusterOptions options, FaultPlan plan)
     : options_(std::move(options)),
       replicas_(clamp_replicas(options_)),
       ring_(options_.nodes),
-      membership_(options_.nodes, metrics_, options_.ewma_alpha,
-                  options_.ewma_floor, options_.down_after_failures),
+      membership_(options_.nodes, metrics_, kEwmaAlpha, kEwmaFloor,
+                  options_.down_after_failures),
       plan_(std::move(plan)),
       requests_total_(metrics_.counter("requests_total")),
       requests_ok_(metrics_.counter("requests_ok")),

@@ -73,9 +73,8 @@ struct ClusterOptions {
   std::size_t replicas = 2;
   /// Configuration of each node's inner PredictionService.
   serve::ServiceOptions node_options;
-  // Health tuning (see membership.hpp).
-  double ewma_alpha = 0.2;
-  double ewma_floor = 0.5;
+  /// Consecutive failures (or missed heartbeats) that turn a node kDown
+  /// (see membership.hpp).
   std::uint64_t down_after_failures = 2;
   /// Served requests remembered for report_observation forwarding.
   std::size_t observation_capacity = 4096;

@@ -98,7 +98,7 @@ struct McState {
 
 TrialOutcome run_one(const SeriesConfig& config, sim::Engine& engine,
                      cluster::Platform& platform,
-                     const SorStructuralModel& model,
+                     const StructuralModel& model,
                      const sor::SorConfig& sor_cfg,
                      const nws::Service& bw_service, support::Seconds start,
                      McState& mc) {
@@ -146,7 +146,8 @@ std::vector<TrialOutcome> run_series(const SeriesConfig& config) {
 
   // The problem configuration is fixed for the series, so author and
   // compile the structural model once; trials only rebind its slots.
-  const SorStructuralModel model(config.platform, config.sor, config.model);
+  const StructuralModel model(
+      author_sor(config.platform, config.sor, config.model));
 
   // Distinct stream from the platform's trace RNG (same seed would
   // correlate the sampled loads with the simulated load signal).
@@ -189,7 +190,8 @@ std::vector<TrialOutcome> run_size_sweep(const SeriesConfig& config,
     sor_cfg.n = sizes[i];
     // The problem size changes every trial here, so each size gets its
     // own compiled model (unlike run_series, which hoists one).
-    const SorStructuralModel model(config.platform, sor_cfg, config.model);
+    const StructuralModel model(
+        author_sor(config.platform, sor_cfg, config.model));
     const support::Seconds start =
         std::max(config.first_start + static_cast<double>(i) * config.spacing,
                  engine.now());

@@ -64,7 +64,7 @@ std::vector<CandidatePlan> rank_host_subsets(
                                BalanceStrategy::kMeanCapacity);
     sor::SorConfig subset_cfg = config;
     subset_cfg.rows_per_rank = plan.rows;
-    const SorStructuralModel model(spec, subset_cfg, options);
+    const StructuralModel model(author_sor(spec, subset_cfg, options));
     plan.predicted = model.predict(model.make_slot_env(subset_loads, bwavail));
     plan.score = plan_score(plan.predicted, metric);
     plans.push_back(std::move(plan));

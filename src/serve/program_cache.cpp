@@ -7,21 +7,17 @@ namespace sspred::serve {
 
 namespace {
 
-using Impl = std::variant<predict::SorStructuralModel,
-                          predict::BlockStructuralModel,
-                          predict::JacobiStructuralModel>;
-
-Impl make_impl(const ModelSpec& spec) {
+predict::AuthoredModel author(const ModelSpec& spec) {
   switch (spec.app) {
     case ModelSpec::App::kSor:
-      return Impl(std::in_place_index<0>, spec.platform, spec.config,
-                  spec.options);
+      return predict::author_sor(spec.platform, spec.config, spec.options);
     case ModelSpec::App::kBlockSor:
-      return Impl(std::in_place_index<1>, spec.platform, spec.config.n,
-                  spec.config.iterations, spec.pr, spec.pc, spec.options);
+      return predict::author_block_sor(spec.platform, spec.config.n,
+                                       spec.config.iterations, spec.pr,
+                                       spec.pc, spec.options);
     case ModelSpec::App::kJacobi:
-      return Impl(std::in_place_index<2>, spec.platform, spec.config.n,
-                  spec.config.iterations, spec.options);
+      return predict::author_jacobi(spec.platform, spec.config.n,
+                                    spec.config.iterations, spec.options);
   }
   throw support::Error("unknown ModelSpec app");
 }
@@ -66,32 +62,7 @@ std::string ModelSpec::structure_key() const {
 }
 
 CompiledModel::CompiledModel(const ModelSpec& spec)
-    : spec_(spec), impl_(make_impl(spec)) {
-  const auto& prog = program();
-  load_slots_.reserve(spec_.platform.hosts.size());
-  for (const auto& host : spec_.platform.hosts) {
-    load_slots_.push_back(prog.slot("load/" + host.machine.name));
-  }
-  const std::string bw = predict::SorStructuralModel::bwavail_param();
-  if (prog.has_slot(bw)) bwavail_slot_ = prog.slot(bw);
-}
-
-const model::ir::Program& CompiledModel::program() const noexcept {
-  return std::visit(
-      [](const auto& m) -> const model::ir::Program& { return m.program(); },
-      impl_);
-}
-
-std::uint32_t CompiledModel::load_slot(std::size_t p) const {
-  SSPRED_REQUIRE(p < load_slots_.size(), "host index out of range");
-  return load_slots_[p];
-}
-
-std::uint32_t CompiledModel::bwavail_slot() const {
-  SSPRED_REQUIRE(bwavail_slot_ != kNoSlot,
-                 "model has no bandwidth parameter");
-  return bwavail_slot_;
-}
+    : spec_(spec), model_(author(spec)) {}
 
 ProgramCache::Lookup ProgramCache::get_or_compile(const ModelSpec& spec) {
   return get_or_compile(spec, spec.structure_key());

@@ -18,8 +18,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <variant>
-#include <vector>
 
 #include "cluster/platform.hpp"
 #include "predict/sor_model.hpp"
@@ -43,38 +41,35 @@ struct ModelSpec {
   [[nodiscard]] std::string structure_key() const;
 };
 
-/// A compiled structural model with uniform slot accessors over the
-/// three application model classes. Immutable after construction;
-/// concurrent evaluation is safe with per-thread SlotEnvironment +
-/// EvalWorkspace (see model/ir.hpp).
+/// A compiled structural model for one spec. Immutable after
+/// construction; concurrent evaluation is safe with per-thread
+/// SlotEnvironment + EvalWorkspace (see model/ir.hpp).
 class CompiledModel {
  public:
   explicit CompiledModel(const ModelSpec& spec);
 
   [[nodiscard]] const ModelSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] const model::ir::Program& program() const noexcept;
-
-  [[nodiscard]] std::size_t hosts() const noexcept {
-    return load_slots_.size();
+  [[nodiscard]] const model::ir::Program& program() const noexcept {
+    return model_.program();
   }
+
+  [[nodiscard]] std::size_t hosts() const noexcept { return model_.hosts(); }
   /// Slot id of host p's load parameter.
-  [[nodiscard]] std::uint32_t load_slot(std::size_t p) const;
+  [[nodiscard]] std::uint32_t load_slot(std::size_t p) const {
+    return model_.load_slot(p);
+  }
   [[nodiscard]] bool uses_bandwidth() const noexcept {
-    return bwavail_slot_ != kNoSlot;
+    return model_.uses_bandwidth();
   }
   /// Slot id of the bandwidth-availability parameter; requires
   /// uses_bandwidth().
-  [[nodiscard]] std::uint32_t bwavail_slot() const;
+  [[nodiscard]] std::uint32_t bwavail_slot() const {
+    return model_.bwavail_slot();
+  }
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
   ModelSpec spec_;
-  std::variant<predict::SorStructuralModel, predict::BlockStructuralModel,
-               predict::JacobiStructuralModel>
-      impl_;
-  std::vector<std::uint32_t> load_slots_;
-  std::uint32_t bwavail_slot_ = kNoSlot;
+  predict::StructuralModel model_;
 };
 
 using CompiledModelPtr = std::shared_ptr<const CompiledModel>;

@@ -14,8 +14,6 @@ PredictionService::PredictionService(ServiceOptions options)
   SSPRED_REQUIRE(options_.shards >= 1 && options_.shards <= kMaxShards,
                  "service needs 1.." + std::to_string(kMaxShards) +
                      " shards");
-  SSPRED_REQUIRE(options_.queue_capacity >= 1,
-                 "service needs queue capacity >= 1");
   if (options_.enable_learning) {
     // Node-local learn state: filled into OUR options copy only, so a
     // caller holding the original options (e.g. a dserve node that will

@@ -83,7 +83,7 @@ PredictionShard::PredictionShard(std::size_t index,
       options_(options),
       clock_(std::move(clock)),
       models_(models),
-      ring_(options.queue_capacity),
+      ring_(kQueueCapacity),
       requests_total_{global.counter("requests_total"),
                       local_.counter("requests_total")},
       requests_ok_{global.counter("requests_ok"),
@@ -198,8 +198,7 @@ void PredictionShard::submit(Job job) {
     }
     case AdmissionQueue<Job>::Push::kFull:
       reject(std::move(job), rejected_queue_full_,
-             "queue full (capacity " +
-                 std::to_string(options_.queue_capacity) + ")");
+             "queue full (capacity " + std::to_string(kQueueCapacity) + ")");
       return;
     case AdmissionQueue<Job>::Push::kClosed:
       reject(std::move(job), rejected_stopped_, "service stopped");

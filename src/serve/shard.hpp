@@ -57,15 +57,17 @@
 
 namespace sspred::serve {
 
+/// Queued external requests per shard; submit() sheds any beyond this
+/// with kRejected ("queue full").
+inline constexpr std::size_t kQueueCapacity = 1024;
+
 /// Serving-stack configuration. Worker/queue sizes are PER SHARD: a
 /// service with shards=4, workers=2 runs 8 workers and admits up to
-/// 4 * queue_capacity requests. Defined here (the lowest layer that
+/// 4 * kQueueCapacity requests. Defined here (the lowest layer that
 /// consumes it); service.hpp re-exports it to API users.
 struct ServiceOptions {
   std::size_t shards = 1;  ///< prediction shards (structure-affine slices)
   std::size_t workers = 4;  ///< worker threads per shard
-  /// Queued external requests beyond this (per shard) are rejected.
-  std::size_t queue_capacity = 1024;
   /// Time source for latency metrics; null selects support::real_clock().
   std::shared_ptr<support::Clock> clock;
   /// Accuracy ledger fed by report_observation(); null disables the

@@ -113,8 +113,8 @@ TEST(BlockModel, DedicatedPredictionTracksRun) {
   cfg.pc = 2;
   cfg.real_numerics = false;
 
-  const predict::BlockStructuralModel model(spec, cfg.n, cfg.iterations,
-                                            cfg.pr, cfg.pc);
+  const predict::StructuralModel model(
+      predict::author_block_sor(spec, cfg.n, cfg.iterations, cfg.pr, cfg.pc));
   const std::vector<stoch::StochasticValue> loads(
       4, stoch::StochasticValue(1.0));
   const double predicted = model.predict_point(model.make_env(loads, {1.0}));
@@ -138,8 +138,8 @@ TEST(BlockModel, StochasticPredictionCapturesLoadedRun) {
   cfg.pc = 2;
   cfg.real_numerics = false;
 
-  const predict::BlockStructuralModel model(spec, cfg.n, cfg.iterations,
-                                            cfg.pr, cfg.pc);
+  const predict::StructuralModel model(
+      predict::author_block_sor(spec, cfg.n, cfg.iterations, cfg.pr, cfg.pc));
   const std::vector<stoch::StochasticValue> loads(
       4, stoch::StochasticValue(0.48, 0.06));
   const auto predicted = model.predict(model.make_env(loads, {1.0}));

@@ -225,7 +225,7 @@ TEST(Compiled, SorModelServesIdenticalPredictions) {
   sor::SorConfig cfg;
   cfg.n = 400;
   cfg.iterations = 15;
-  const predict::SorStructuralModel model(spec, cfg);
+  const predict::StructuralModel model(predict::author_sor(spec, cfg));
   std::vector<StochasticValue> loads = {
       {0.48, 0.05}, {0.92, 0.03}, {0.92, 0.03}, {0.92, 0.03}};
   const StochasticValue bw(0.525, 0.06);
@@ -553,7 +553,8 @@ TEST(Golden, StructuralModelsKeepTheirBits) {
     sor::SorConfig cfg;
     cfg.n = 1600;
     cfg.iterations = 20;
-    const predict::SorStructuralModel model(cluster::platform1(), cfg);
+    const predict::StructuralModel model(
+        predict::author_sor(cluster::platform1(), cfg));
     const auto loads = staggered_loads(model.hosts());
     expect_pinned(model.program(), model.make_slot_env(loads, bw), 501,
                   kGoldenTrials, kSorPlatform1, "sor platform1");
@@ -567,22 +568,24 @@ TEST(Golden, StructuralModelsKeepTheirBits) {
     predict::SorModelOptions options;
     options.iteration_dependence = Dependence::kUnrelated;
     options.max_policy = ExtremePolicy::kClark;
-    const predict::SorStructuralModel model(cluster::platform2(), cfg,
-                                            options);
+    const predict::StructuralModel model(
+        predict::author_sor(cluster::platform2(), cfg, options));
     const auto loads = staggered_loads(model.hosts());
     expect_pinned(model.program(), model.make_slot_env(loads, bw), 502,
                   kGoldenTrials, kSorPlatform2Unrelated,
                   "sor platform2 unrelated/clark");
   }
   {
-    const predict::BlockStructuralModel model(cluster::dedicated_platform(4),
-                                              400, 12, 2, 2);
+    const predict::StructuralModel model(
+        predict::author_block_sor(cluster::dedicated_platform(4), 400, 12, 2,
+                                  2));
     expect_pinned(model.program(),
                   model.make_slot_env(staggered_loads(4), bw), 503,
                   kGoldenTrials, kBlock2x2, "block 2x2");
   }
   {
-    const predict::JacobiStructuralModel model(cluster::platform1(), 400, 10);
+    const predict::StructuralModel model(
+        predict::author_jacobi(cluster::platform1(), 400, 10));
     expect_pinned(model.program(),
                   model.make_slot_env(staggered_loads(4), bw), 504,
                   kGoldenTrials, kJacobiPlatform1, "jacobi platform1");

@@ -94,7 +94,8 @@ TEST(JacobiModel, DedicatedPredictionTracksSimulation) {
   cfg.iterations = 20;
   cfg.real_numerics = false;
 
-  const predict::JacobiStructuralModel model(spec, cfg.n, cfg.iterations);
+  const predict::StructuralModel model(
+      predict::author_jacobi(spec, cfg.n, cfg.iterations));
   const std::vector<stoch::StochasticValue> loads(4, {1.0});
   const double predicted =
       model.predict_point(model.make_env(loads, {1.0}));
@@ -108,7 +109,7 @@ TEST(JacobiModel, DedicatedPredictionTracksSimulation) {
 
 TEST(JacobiModel, StochasticLoadGivesStochasticPrediction) {
   const auto spec = cluster::platform1();
-  const predict::JacobiStructuralModel model(spec, 400, 10);
+  const predict::StructuralModel model(predict::author_jacobi(spec, 400, 10));
   std::vector<stoch::StochasticValue> loads(
       4, stoch::StochasticValue(0.5, 0.1));
   const auto pred = model.predict(model.make_env(loads, {0.525, 0.12}));

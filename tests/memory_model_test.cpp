@@ -71,13 +71,15 @@ TEST(MemoryModel, PaperModelDivergesBeyondMemoryUnlessAccounted) {
 
   predict::SorModelOptions paper_opts;
   paper_opts.account_memory = false;
-  const predict::SorStructuralModel paper_model(spec, cfg, paper_opts);
+  const predict::StructuralModel paper_model(
+      predict::author_sor(spec, cfg, paper_opts));
   const double paper_pred =
       paper_model.predict_point(paper_model.make_env(loads, {1.0}));
 
   predict::SorModelOptions mem_opts;
   mem_opts.account_memory = true;
-  const predict::SorStructuralModel mem_model(spec, cfg, mem_opts);
+  const predict::StructuralModel mem_model(
+      predict::author_sor(spec, cfg, mem_opts));
   const double mem_pred =
       mem_model.predict_point(mem_model.make_env(loads, {1.0}));
 
@@ -99,8 +101,8 @@ TEST(MemoryModel, AccountedModelIsNoopInsideMemory) {
   on.account_memory = true;
   predict::SorModelOptions off;
   off.account_memory = false;
-  const predict::SorStructuralModel m_on(spec, cfg, on);
-  const predict::SorStructuralModel m_off(spec, cfg, off);
+  const predict::StructuralModel m_on(predict::author_sor(spec, cfg, on));
+  const predict::StructuralModel m_off(predict::author_sor(spec, cfg, off));
   EXPECT_DOUBLE_EQ(m_on.predict_point(m_on.make_env(loads, {1.0})),
                    m_off.predict_point(m_off.make_env(loads, {1.0})));
 }

@@ -14,7 +14,7 @@ TEST(SorModel, ParameterNamesPerHost) {
   const auto platform = cluster::platform1();
   sor::SorConfig cfg;
   cfg.n = 100;
-  const SorStructuralModel model(platform, cfg);
+  const StructuralModel model(author_sor(platform, cfg));
   EXPECT_EQ(model.hosts(), 4u);
   EXPECT_EQ(model.load_param(0), "load/sparc2-a");
   EXPECT_EQ(model.load_param(3), "load/sparc10");
@@ -26,13 +26,13 @@ TEST(SorModel, MakeEnvBindsEverything) {
   const auto platform = cluster::dedicated_platform(3);
   sor::SorConfig cfg;
   cfg.n = 60;
-  const SorStructuralModel model(platform, cfg);
+  const StructuralModel model(author_sor(platform, cfg));
   const std::vector<stoch::StochasticValue> loads(3, {1.0});
   const auto env = model.make_env(loads, stoch::StochasticValue(1.0));
   for (std::size_t p = 0; p < 3; ++p) {
     EXPECT_TRUE(env.has(model.load_param(p)));
   }
-  EXPECT_TRUE(env.has(SorStructuralModel::bwavail_param()));
+  EXPECT_TRUE(env.has(StructuralModel::bwavail_param()));
   const std::vector<stoch::StochasticValue> wrong(2, {1.0});
   EXPECT_THROW((void)model.make_env(wrong, {1.0}), support::Error);
 }
@@ -49,12 +49,11 @@ TEST(SorModel, PredictionScalesWithIterationsAndSize) {
   sor::SorConfig big_n = small;
   big_n.n = 800;
 
-  const double t_small = SorStructuralModel(platform, small)
-                             .predict_point(SorStructuralModel(platform, small)
-                                                .make_env(loads, {1.0}));
-  const SorStructuralModel m_iters(platform, big_iters);
+  const StructuralModel m_small(author_sor(platform, small));
+  const double t_small = m_small.predict_point(m_small.make_env(loads, {1.0}));
+  const StructuralModel m_iters(author_sor(platform, big_iters));
   const double t_iters = m_iters.predict_point(m_iters.make_env(loads, {1.0}));
-  const SorStructuralModel m_n(platform, big_n);
+  const StructuralModel m_n(author_sor(platform, big_n));
   const double t_n = m_n.predict_point(m_n.make_env(loads, {1.0}));
 
   EXPECT_NEAR(t_iters, 2.0 * t_small, 1e-9);
@@ -67,7 +66,7 @@ TEST(SorModel, StochasticLoadWidensPrediction) {
   const auto platform = cluster::dedicated_platform(2);
   sor::SorConfig cfg;
   cfg.n = 200;
-  const SorStructuralModel model(platform, cfg);
+  const StructuralModel model(author_sor(platform, cfg));
   const std::vector<stoch::StochasticValue> point_loads(2, {0.5});
   const std::vector<stoch::StochasticValue> stoch_loads(
       2, stoch::StochasticValue(0.5, 0.05));
@@ -86,7 +85,7 @@ TEST(SorModel, DedicatedPredictionWithinTwoPercentOfSimulation) {
   cfg.n = 600;
   cfg.iterations = 20;
   cfg.real_numerics = false;  // timing identical, faster test
-  const SorStructuralModel model(spec, cfg);
+  const StructuralModel model(author_sor(spec, cfg));
   const std::vector<stoch::StochasticValue> loads(4, {1.0});
   const double predicted =
       model.predict_point(model.make_env(loads, {1.0}));
@@ -103,7 +102,7 @@ TEST(SorModel, HeterogeneousPlatformDominatedBySlowest) {
   sor::SorConfig cfg;
   cfg.n = 400;
   cfg.iterations = 10;
-  const SorStructuralModel model(spec, cfg);
+  const StructuralModel model(author_sor(spec, cfg));
   // All dedicated: prediction must track the slowest machine (sparc2).
   const std::vector<stoch::StochasticValue> loads(4, {1.0});
   const double with_uniform =

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
+#include <string>
 #include <vector>
 
 #include "net/ethernet.hpp"
@@ -270,26 +274,90 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SwitchedStress, ::testing::Values(41, 42, 43));
 // --- Breakdown & Wilson utilities -------------------------------------------
 
 TEST(Breakdown, ComponentsComposeToTotal) {
+  // Strip SOR and block SOR run a red and a black phase per iteration,
+  // Jacobi one sweep and one exchange; each dominant host is the loaded
+  // Sparc-2.
   const auto spec = cluster::platform1();
   sor::SorConfig cfg;
   cfg.n = 800;
   cfg.iterations = 12;
-  const predict::SorStructuralModel model(spec, cfg);
+  const std::vector<StochasticValue> host0_loaded{
+      {0.48, 0.05}, {0.92, 0.03}, {0.92, 0.03}, {0.92, 0.03}};
+  const std::vector<StochasticValue> host1_loaded{
+      {0.92, 0.03}, {0.48, 0.05}, {0.92, 0.03}, {0.92, 0.03}};
+  struct Case {
+    std::string name;
+    predict::AuthoredModel authored;
+    std::vector<StochasticValue> loads;
+    std::size_t dominant_host;
+    double phases;  ///< compute and comm phases per iteration
+  };
+  const std::vector<Case> cases{
+      {"sor", predict::author_sor(spec, cfg), host0_loaded, 0, 2.0},
+      {"block 2x2", predict::author_block_sor(spec, 800, 12, 2, 2),
+       host0_loaded, 0, 2.0},
+      {"jacobi", predict::author_jacobi(spec, 800, 12), host1_loaded, 1, 1.0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const predict::StructuralModel model(c.authored);
+    const auto env = model.make_env(c.loads, {0.525, 0.12});
+    const auto b = model.breakdown(env);
+
+    ASSERT_EQ(b.comp_per_host.size(), 4u);
+    EXPECT_EQ(b.dominant_host, c.dominant_host);
+    // Per-iteration mean = phases*(max comp) + phases*comm.
+    EXPECT_NEAR(b.per_iteration.mean(),
+                c.phases * b.comp_per_host[b.dominant_host].mean() +
+                    c.phases * b.comm_per_phase.mean(),
+                1e-9);
+    // Total = iterations * per-iteration (related accumulation).
+    EXPECT_NEAR(b.total.mean(), 12.0 * b.per_iteration.mean(), 1e-9);
+    EXPECT_EQ(b.total, model.predict(env));
+  }
+}
+
+/// Bit-exact comparison of a breakdown term against its pinned hexfloats.
+void expect_bits(const StochasticValue& got, double mean, double halfwidth,
+                 const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean()),
+            std::bit_cast<std::uint64_t>(mean))
+      << what << " mean: got " << std::hexfloat << got.mean() << ", pinned "
+      << mean;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.halfwidth()),
+            std::bit_cast<std::uint64_t>(halfwidth))
+      << what << " halfwidth: got " << std::hexfloat << got.halfwidth()
+      << ", pinned " << halfwidth;
+}
+
+// The model, loads and bandwidth of ComponentsComposeToTotal; every term
+// compiled against the model's slot table and evaluated by the §2.3 folds.
+TEST(Breakdown, SorComponentsKeepTheirBits) {
+  sor::SorConfig cfg;
+  cfg.n = 800;
+  cfg.iterations = 12;
+  const predict::StructuralModel model(
+      predict::author_sor(cluster::platform1(), cfg));
   const std::vector<StochasticValue> loads{
       {0.48, 0.05}, {0.92, 0.03}, {0.92, 0.03}, {0.92, 0.03}};
-  const auto env = model.make_env(loads, {0.525, 0.12});
-  const auto b = model.breakdown(env);
+  const auto b = model.breakdown(model.make_env(loads, {0.525, 0.12}));
 
+  constexpr double kComp[4][2] = {
+      {0x1.5555555555556p-1, 0x1.1c71c71c71c72p-4},
+      {0x1.642c8590b2164p-2, 0x1.73a8e46a770c1p-7},
+      {0x1.1cf06ada2811dp-3, 0x1.2953e9eec5a34p-8},
+      {0x1.642c8590b2164p-4, 0x1.73a8e46a770c1p-9}};
   ASSERT_EQ(b.comp_per_host.size(), 4u);
-  EXPECT_EQ(b.dominant_host, 0u);  // the loaded sparc2-a
-  // Per-iteration mean = 2*(max comp) + 2*comm.
-  EXPECT_NEAR(b.per_iteration.mean(),
-              2.0 * b.comp_per_host[b.dominant_host].mean() +
-                  2.0 * b.comm_per_phase.mean(),
-              1e-9);
-  // Total = iterations * per-iteration (related accumulation).
-  EXPECT_NEAR(b.total.mean(), 12.0 * b.per_iteration.mean(), 1e-9);
-  EXPECT_EQ(b.total, model.predict(env));
+  for (std::size_t p = 0; p < 4; ++p) {
+    expect_bits(b.comp_per_host[p], kComp[p][0], kComp[p][1],
+                "comp host " + std::to_string(p));
+  }
+  expect_bits(b.comm_per_phase, 0x1.ed886b929a087p-5, 0x1.bbbd809aa2032p-7,
+              "comm per phase");
+  expect_bits(b.per_iteration, 0x1.742ddc0e7ef5ep+0, 0x1.21cd5a03d816bp-3,
+              "per iteration");
+  expect_bits(b.total, 0x1.1722650adf386p+4, 0x1.b2b40705c422p+0, "total");
+  EXPECT_EQ(b.dominant_host, 0u);
 }
 
 TEST(Wilson, KnownValuesAndMonotonicity) {

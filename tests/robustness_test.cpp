@@ -45,7 +45,7 @@ TEST(Freeze, RunSurvivesButPredictionMissesUnforecastSeizure) {
   cfg.iterations = 12;
   cfg.real_numerics = false;
 
-  const predict::SorStructuralModel model(spec, cfg);
+  const predict::StructuralModel model(predict::author_sor(spec, cfg));
   const std::vector<stoch::StochasticValue> loads(
       4, stoch::StochasticValue(0.995, 0.01));
   const auto predicted = model.predict(model.make_env(loads, {1.0}));

@@ -276,8 +276,8 @@ TEST(ServeEpoch, RequestsPinTheSubmitTimeEpochUnderConcurrentPublishes) {
   };
 
   // Reference evaluation per version, outside the service.
-  const predict::SorStructuralModel direct(spec.platform, spec.config,
-                                           spec.options);
+  const predict::StructuralModel direct(
+      predict::author_sor(spec.platform, spec.config, spec.options));
   std::map<std::uint64_t, stoch::StochasticValue> expected;
   for (std::uint64_t k = 1; k <= kEpochs; ++k) {
     expected.emplace(k, direct.predict(direct.make_slot_env(
@@ -388,8 +388,8 @@ TEST(ServeService, StochasticPredictionMatchesDirectModel) {
       service.submit(stochastic_request("sor", loads)).get();
   ASSERT_TRUE(result.ok()) << result.error;
 
-  const predict::SorStructuralModel direct(spec.platform, spec.config,
-                                           spec.options);
+  const predict::StructuralModel direct(
+      predict::author_sor(spec.platform, spec.config, spec.options));
   const auto expected =
       direct.predict(direct.make_slot_env(loads, stoch::StochasticValue(1.0)));
   EXPECT_DOUBLE_EQ(result.value.mean(), expected.mean());
@@ -405,8 +405,8 @@ TEST(ServeService, PointModeMatchesDirectPointPrediction) {
   request.mode = Mode::kPoint;
   const auto result = service.submit(std::move(request)).get();
   ASSERT_TRUE(result.ok()) << result.error;
-  const predict::SorStructuralModel direct(spec.platform, spec.config,
-                                           spec.options);
+  const predict::StructuralModel direct(
+      predict::author_sor(spec.platform, spec.config, spec.options));
   const double expected = direct.predict_point(
       direct.make_slot_env(loads, stoch::StochasticValue(1.0)));
   EXPECT_DOUBLE_EQ(result.point, expected);
@@ -445,10 +445,23 @@ PredictRequest pinned_request(const ModelSpec& spec, std::size_t i,
   return request;
 }
 
-/// Expr::evaluate / evaluate_point of `model`'s authored tree per request.
-template <class Model>
+/// Expr::evaluate / evaluate_point of the spec's authored tree per request.
 std::vector<stoch::StochasticValue> tree_values(
-    const Model& model, const std::vector<PredictRequest>& requests) {
+    const ModelSpec& spec, const std::vector<PredictRequest>& requests) {
+  const predict::StructuralModel model([&] {
+    switch (spec.app) {
+      case ModelSpec::App::kBlockSor:
+        return predict::author_block_sor(spec.platform, spec.config.n,
+                                         spec.config.iterations, spec.pr,
+                                         spec.pc, spec.options);
+      case ModelSpec::App::kJacobi:
+        return predict::author_jacobi(spec.platform, spec.config.n,
+                                      spec.config.iterations, spec.options);
+      case ModelSpec::App::kSor:
+        break;
+    }
+    return predict::author_sor(spec.platform, spec.config, spec.options);
+  }());
   std::vector<stoch::StochasticValue> out;
   for (const auto& request : requests) {
     const model::Environment env =
@@ -459,29 +472,6 @@ std::vector<stoch::StochasticValue> tree_values(
                       : model.expr()->evaluate(env));
   }
   return out;
-}
-
-std::vector<stoch::StochasticValue> tree_values(
-    const ModelSpec& spec, const std::vector<PredictRequest>& requests) {
-  switch (spec.app) {
-    case ModelSpec::App::kSor:
-      return tree_values(predict::SorStructuralModel(
-                             spec.platform, spec.config, spec.options),
-                         requests);
-    case ModelSpec::App::kBlockSor:
-      return tree_values(
-          predict::BlockStructuralModel(spec.platform, spec.config.n,
-                                        spec.config.iterations, spec.pr,
-                                        spec.pc, spec.options),
-          requests);
-    case ModelSpec::App::kJacobi:
-      return tree_values(
-          predict::JacobiStructuralModel(spec.platform, spec.config.n,
-                                         spec.config.iterations,
-                                         spec.options),
-          requests);
-  }
-  return {};
 }
 
 void expect_served(const PredictResult& r, const stoch::StochasticValue& want,
@@ -679,23 +669,22 @@ TEST(ServeService, CoalescingSharesOneEvaluation) {
 TEST(ServeService, BoundedQueueShedsOverload) {
   ServiceOptions options;
   options.workers = 1;
-  options.queue_capacity = 4;
   PredictionService service(options);
   service.pause();
   service.register_model("sor", small_spec());
   // Distinct seeds so coalescing cannot merge them once resumed.
   std::vector<std::future<PredictResult>> futures;
-  for (int i = 0; i < 10; ++i) {
+  for (std::size_t i = 0; i < kQueueCapacity + 6; ++i) {
     auto request = stochastic_request("sor", loads_for(2));
     request.mode = Mode::kMonteCarlo;
     request.trials = 16;
-    request.seed = std::uint64_t(i);
+    request.seed = i;
     futures.push_back(service.submit(std::move(request)));
   }
   std::size_t rejected = 0;
   // Shed requests resolve immediately, while the service is still paused.
-  for (int i = 4; i < 10; ++i) {
-    const auto r = futures[size_t(i)].get();
+  for (std::size_t i = kQueueCapacity; i < futures.size(); ++i) {
+    const auto r = futures[i].get();
     EXPECT_EQ(r.status, PredictResult::Status::kRejected);
     EXPECT_NE(r.error.find("queue full"), std::string::npos);
     ++rejected;
@@ -713,8 +702,8 @@ TEST(ServeService, BoundedQueueShedsOverload) {
                 "\"value\": 6"),
             std::string::npos);
   service.resume();
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(futures[size_t(i)].get().ok());
+  for (std::size_t i = 0; i < kQueueCapacity; ++i) {
+    EXPECT_TRUE(futures[i].get().ok());
   }
 }
 

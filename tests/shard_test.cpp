@@ -300,16 +300,15 @@ TEST(ShardedService, PerReasonRejectionCounters) {
   ServiceOptions options;
   options.shards = 2;
   options.workers = 1;
-  options.queue_capacity = 2;
   PredictionService service(options);
   service.pause();
   service.register_model("m", family_spec(100));
   const std::size_t home = service.shard_of("m");
 
   // Overflow the routed shard's (paused) queue: capacity admits exactly
-  // 2, the rest shed with the queue-full reason.
+  // kQueueCapacity, the rest shed with the queue-full reason.
   std::vector<std::future<PredictResult>> futures;
-  for (int i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i < kQueueCapacity + 4; ++i) {
     futures.push_back(service.submit(stochastic_request("m", loads_for(2))));
   }
   std::size_t queue_full = 0;
@@ -396,9 +395,9 @@ TEST(ShardedService, EpochPinningHoldsAcrossShardsUnderConcurrentPublish) {
   std::vector<std::map<std::uint64_t, stoch::StochasticValue>> expected(
       specs.size());
   for (std::size_t f = 0; f < specs.size(); ++f) {
-    const predict::SorStructuralModel direct(specs[f].platform,
-                                             specs[f].config,
-                                             specs[f].options);
+    const predict::StructuralModel direct(
+        predict::author_sor(specs[f].platform, specs[f].config,
+                            specs[f].options));
     for (std::uint64_t k = 1; k <= kEpochs; ++k) {
       expected[f].emplace(
           k, direct.predict(direct.make_slot_env(
@@ -544,8 +543,8 @@ TEST(ShardedService, ProgramCacheNeverServesStaleStructureUnderChurn) {
   const auto loads = loads_for(2);
 
   const auto reference = [&](const ModelSpec& spec) {
-    const predict::SorStructuralModel direct(spec.platform, spec.config,
-                                             spec.options);
+    const predict::StructuralModel direct(
+        predict::author_sor(spec.platform, spec.config, spec.options));
     return direct.predict(
         direct.make_slot_env(loads, stoch::StochasticValue(1.0)));
   };
@@ -560,15 +559,25 @@ TEST(ShardedService, ProgramCacheNeverServesStaleStructureUnderChurn) {
   service.register_model("churn", spec_a);
 
   std::atomic<bool> stop{false};
+  std::atomic<int> checked{0};
   std::thread churner([&] {
-    for (int i = 0; i < 200; ++i) {
+    // 200 re-registrations can finish before any submitter has started,
+    // so churn on until the submitters have checked results while it ran.
+    // The deadline keeps a service that never answers from hanging the
+    // test; the checks below then fail instead.
+    constexpr int kMinChecked = 30;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    for (int i = 0;
+         i < 200 || (checked.load() < kMinChecked &&
+                     std::chrono::steady_clock::now() < deadline);
+         ++i) {
       service.register_model("churn", i % 2 == 0 ? spec_b : spec_a);
       std::this_thread::yield();
     }
     stop.store(true);
   });
 
-  std::atomic<int> checked{0};
   std::atomic<bool> wrong_value{false};
   std::vector<std::thread> submitters;
   for (int t = 0; t < 3; ++t) {

@@ -166,7 +166,7 @@ TEST(SwitchedModel, DedicatedPredictionTracksSwitchedRun) {
   cfg.iterations = 15;
   cfg.real_numerics = false;
 
-  const predict::SorStructuralModel model(spec, cfg);
+  const predict::StructuralModel model(predict::author_sor(spec, cfg));
   const std::vector<stoch::StochasticValue> loads(
       4, stoch::StochasticValue(1.0));
   const double predicted =
