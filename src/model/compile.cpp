@@ -1,7 +1,9 @@
 #include "model/compile.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -28,17 +30,22 @@ namespace {
 using stoch::Dependence;
 using stoch::StochasticValue;
 
-/// Per-node point values of a parameter-free, draw-free subtree under the
-/// three evaluation modes. The arithmetic below replicates each mode's
-/// executor step for step on degenerate (halfwidth-0) inputs, so a node is
-/// folded to a literal only when all three agree bit for bit — the fold is
-/// then invisible to every mode and to the RNG stream (pure subtrees never
-/// draw).
+/// Per-node values of a parameter-free, draw-free subtree under the three
+/// evaluation modes, each computed by that mode's own rule on point
+/// inputs: the stochastic column applies stoch::'s steps, as
+/// exec_stochastic does, and the other two replicate exec_point and
+/// exec_blocked. A node folds to a literal only when all three agree bit
+/// for bit, signed zeros included — the fold is then invisible to every
+/// mode and to the RNG stream (pure subtrees never draw).
 struct PureValues {
-  double stochastic = 0.0;  ///< exec_stochastic's mean (halfwidth is 0)
+  double stochastic = 0.0;  ///< exec_stochastic's mean
   double point = 0.0;       ///< exec_point
   double sample = 0.0;      ///< exec_blocked
 };
+
+[[nodiscard]] std::uint64_t bits(double x) {
+  return std::bit_cast<std::uint64_t>(x);
+}
 
 }  // namespace
 
@@ -55,10 +62,24 @@ void ProgramRewriter::fold_constants(Program& p, OptimizeStats& stats) {
       }
       return true;
     };
+    const auto operands_pure = [&] {
+      for (std::uint32_t k = 0; k < node.count; ++k) {
+        if (pure[o[k]] == 0) return false;
+      }
+      return true;
+    };
+    // A computed node is pure only if its stochastic rule leaves a finite
+    // point: where it does not (an overflow, or a divisor too small to
+    // square), the walk throws at run time and the node stays as it is.
+    const auto record = [&](double sm, double sh, double pm, double xm) {
+      if (!std::isfinite(sm) || sh != 0.0) return;
+      pure[i] = 1;
+      v[i] = {sm, pm, xm};
+    };
     switch (node.op) {
       case OpCode::kConst: {
         const StochasticValue& c = p.constants_[node.payload];
-        if (c.is_point()) {
+        if (c.is_point() && std::isfinite(c.mean())) {
           pure[i] = 1;
           v[i] = {c.mean(), c.mean(), c.mean()};
         }
@@ -67,104 +88,88 @@ void ProgramRewriter::fold_constants(Program& p, OptimizeStats& stats) {
       case OpCode::kParam:
         break;
       case OpCode::kSum: {
-        bool ok = true;
-        for (std::uint32_t k = 0; k < node.count; ++k) ok = ok && pure[o[k]];
-        if (!ok) break;
-        pure[i] = 1;
-        // Stochastic folds from the first operand; point/sample fold from
-        // the additive identity.
+        if (!operands_pure()) break;
+        // Stochastic and sample fold from the first operand; point folds
+        // from the additive identity.
         double sm = v[o[0]].stochastic;
+        double sh = 0.0;
         double pm = 0.0;
-        double xm = 0.0;
+        double xm = v[o[0]].sample;
         for (std::uint32_t k = 1; k < node.count; ++k) {
-          sm += v[o[k]].stochastic;
-        }
-        for (std::uint32_t k = 0; k < node.count; ++k) {
-          pm += v[o[k]].point;
+          stoch::add_step(sm, sh, v[o[k]].stochastic, node.dep);
           xm += v[o[k]].sample;
         }
-        v[i] = {sm, pm, xm};
+        for (std::uint32_t k = 0; k < node.count; ++k) pm += v[o[k]].point;
+        record(sm, sh, pm, xm);
         break;
       }
       case OpCode::kProd: {
-        bool ok = true;
-        for (std::uint32_t k = 0; k < node.count; ++k) ok = ok && pure[o[k]];
-        if (!ok) break;
-        pure[i] = 1;
-        // Stochastic fold includes the §2.3.2 zero-mean collapse rule.
+        if (!operands_pure()) break;
         double sm = v[o[0]].stochastic;
-        for (std::uint32_t k = 1; k < node.count; ++k) {
-          const double y = v[o[k]].stochastic;
-          sm = (sm == 0.0 || y == 0.0) ? 0.0 : sm * y;
-        }
+        double sh = 0.0;
         double pm = 1.0;
-        double xm = 1.0;
-        for (std::uint32_t k = 0; k < node.count; ++k) {
-          pm *= v[o[k]].point;
+        double xm = v[o[0]].sample;
+        for (std::uint32_t k = 1; k < node.count; ++k) {
+          stoch::mul_step(sm, sh, v[o[k]].stochastic, 0.0, node.dep);
           xm *= v[o[k]].sample;
         }
-        v[i] = {sm, pm, xm};
+        for (std::uint32_t k = 0; k < node.count; ++k) pm *= v[o[k]].point;
+        record(sm, sh, pm, xm);
         break;
       }
       case OpCode::kMax:
       case OpCode::kMin: {
-        bool ok = true;
-        for (std::uint32_t k = 0; k < node.count; ++k) ok = ok && pure[o[k]];
-        if (!ok) break;
-        pure[i] = 1;
-        // On halfwidth-0 operands every policy (selection or Clark's
-        // degenerate fold) picks an extreme mean, which is exactly the
-        // point/sample max/min chain.
-        PureValues acc = v[o[0]];
+        if (!operands_pure()) break;
+        StochasticValue sv = v[o[0]].stochastic;
+        double pm = v[o[0]].point;
+        double xm = v[o[0]].sample;
         for (std::uint32_t k = 1; k < node.count; ++k) {
           const PureValues& y = v[o[k]];
           if (node.op == OpCode::kMax) {
-            acc.stochastic = std::max(acc.stochastic, y.stochastic);
-            acc.point = std::max(acc.point, y.point);
-            acc.sample = std::max(acc.sample, y.sample);
+            sv = stoch::smax(sv, y.stochastic, node.policy);
+            pm = std::max(pm, y.point);
+            xm = std::max(xm, y.sample);
           } else {
-            acc.stochastic = std::min(acc.stochastic, y.stochastic);
-            acc.point = std::min(acc.point, y.point);
-            acc.sample = std::min(acc.sample, y.sample);
+            sv = stoch::smin(sv, y.stochastic, node.policy);
+            pm = std::min(pm, y.point);
+            xm = std::min(xm, y.sample);
           }
         }
-        v[i] = acc;
+        record(sv.mean(), sv.halfwidth(), pm, xm);
         break;
       }
       case OpCode::kDiv: {
-        if (!pure[o[0]] || !pure[o[1]]) break;
+        if (!operands_pure()) break;
         const PureValues& den = v[o[1]];
         if (den.stochastic == 0.0 || den.point == 0.0 || den.sample == 0.0) {
           break;  // division by zero throws at run time; leave it be
         }
-        pure[i] = 1;
-        // Stochastic divides via the inverse (div = mul(x, 1/y)).
-        const double im = 1.0 / den.stochastic;
-        const double num = v[o[0]].stochastic;
-        v[i].stochastic = (num == 0.0 || im == 0.0) ? 0.0 : num * im;
-        v[i].point = v[o[0]].point / den.point;
-        v[i].sample = v[o[0]].sample / den.sample;
+        double sm = v[o[0]].stochastic;
+        double sh = 0.0;
+        stoch::div_step(sm, sh, den.stochastic, node.dep);
+        record(sm, sh, v[o[0]].point / den.point, v[o[0]].sample / den.sample);
         break;
       }
       case OpCode::kIterate: {
         // The whole body region must be pure: Monte-Carlo re-executes it
         // linearly, so any impure node inside would draw.
         if (!all_pure(node.body_begin, i)) break;
-        pure[i] = 1;
+        const PureValues& body = v[i - 1];
         const double reps = static_cast<double>(node.payload);
-        v[i].stochastic = reps * v[i - 1].stochastic;
-        v[i].point = reps * v[i - 1].point;
+        double sm = body.stochastic;
+        double sh = 0.0;
+        stoch::repeat_step(sm, sh, node.payload, node.dep);
+        // Unrelated iterates accumulate per repetition in sample mode;
+        // repeated addition rounds differently from reps * body.
+        double xm = 0.0;
         if (node.dep == Dependence::kRelated) {
-          v[i].sample = reps * v[i - 1].sample;
+          xm = reps * body.sample;
         } else {
-          // Unrelated iterates accumulate per repetition in sample mode;
-          // repeated addition rounds differently from reps * body.
-          double acc = 0.0;
           for (std::uint32_t rep = 0; rep < node.payload; ++rep) {
-            acc += v[i - 1].sample;
+            xm += body.sample;
           }
-          v[i].sample = acc;
         }
+        record(sm, sh, reps * body.point, xm);
         break;
       }
       case OpCode::kRef: {
@@ -178,7 +183,10 @@ void ProgramRewriter::fold_constants(Program& p, OptimizeStats& stats) {
   for (std::uint32_t i = 0; i < n; ++i) {
     Node& node = p.nodes_[i];
     if (pure[i] == 0 || node.op == OpCode::kConst) continue;
-    if (v[i].stochastic != v[i].point || v[i].point != v[i].sample) continue;
+    if (bits(v[i].stochastic) != bits(v[i].point) ||
+        bits(v[i].point) != bits(v[i].sample)) {
+      continue;
+    }
     node.op = OpCode::kConst;
     node.payload = static_cast<std::uint32_t>(p.constants_.size());
     p.constants_.emplace_back(v[i].point);

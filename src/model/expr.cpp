@@ -1,7 +1,6 @@
 #include "model/expr.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "model/compile.hpp"
@@ -282,11 +281,13 @@ class MaxExpr final : public NaryExpr {
   MaxExpr(std::vector<ExprPtr> children, ExtremePolicy policy, bool is_max)
       : NaryExpr(std::move(children)), policy_(policy), is_max_(is_max) {}
   StochasticValue evaluate(const Environment& env) const override {
-    std::vector<StochasticValue> values;
-    values.reserve(children_.size());
-    for (const auto& c : children_) values.push_back(c->evaluate(env));
-    return is_max_ ? stoch::smax(values, policy_)
-                   : stoch::smin(values, policy_);
+    StochasticValue acc = children_[0]->evaluate(env);
+    for (std::size_t i = 1; i < children_.size(); ++i) {
+      const StochasticValue v = children_[i]->evaluate(env);
+      acc = is_max_ ? stoch::smax(acc, v, policy_)
+                    : stoch::smin(acc, v, policy_);
+    }
+    return acc;
   }
   double evaluate_point(const Environment& env) const override {
     double acc = children_[0]->evaluate_point(env);
@@ -327,14 +328,7 @@ class IterateExpr final : public Expr {
     SSPRED_REQUIRE(n_ >= 1, "iterate needs at least one iteration");
   }
   StochasticValue evaluate(const Environment& env) const override {
-    const StochasticValue body = body_->evaluate(env);
-    const double n = static_cast<double>(n_);
-    // Related: the same slow machine stays slow every iteration -> n·a.
-    // Unrelated: iteration noise averages out -> sqrt(n)·a.
-    const double half = dep_ == Dependence::kRelated
-                            ? n * body.halfwidth()
-                            : std::sqrt(n) * body.halfwidth();
-    return StochasticValue(n * body.mean(), half);
+    return stoch::repeat(body_->evaluate(env), n_, dep_);
   }
   double evaluate_point(const Environment& env) const override {
     return static_cast<double>(n_) * body_->evaluate_point(env);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "support/error.hpp"
@@ -181,17 +180,14 @@ void Program::check_shape(const SlotEnvironment& env) const {
 
 void Program::exec_stochastic(const SlotEnvironment& env,
                               EvalWorkspace& ws) const {
-  // The group cases fold inline over the operand ids rather than gathering
-  // into a scratch buffer and calling the stoch:: span helpers — this walk
-  // is the hot path under repeated prediction, and the gather + call pair
-  // dominated its per-node cost. Each fold replicates the corresponding
-  // helper's arithmetic step for step (sum_span, mul_span's mul() chain,
-  // smax/smin selection), so results stay bit-identical to the tree path;
-  // the differential tests in tests/compile_test.cpp pin that down.
+  // Every rule is stoch::'s: group sums and products fold its raw-moment
+  // steps from the first operand and check one StochasticValue per node,
+  // max/min fold its pairwise step, and div/iterate call it outright.
   StochasticValue* const vals = ws.values.data();
   const std::uint32_t* const ops = operands_.data();
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     const Node& node = nodes_[i];
+    const std::uint32_t* const o = ops + node.first;
     switch (node.op) {
       case OpCode::kConst:
         vals[i] = constants_[node.payload];
@@ -200,130 +196,41 @@ void Program::exec_stochastic(const SlotEnvironment& env,
         vals[i] = env.lookup(node.payload);
         break;
       case OpCode::kSum: {
-        // stoch::sum_span: fold from the first operand; per-step sqrt in
-        // the unrelated regime keeps it bit-identical to repeated add().
-        const std::uint32_t* o = ops + node.first;
         double mean = vals[o[0]].mean();
         double half = vals[o[0]].halfwidth();
-        if (node.dep == Dependence::kRelated) {
-          for (std::uint32_t k = 1; k < node.count; ++k) {
-            mean += vals[o[k]].mean();
-            half += vals[o[k]].halfwidth();
-          }
-        } else {
-          for (std::uint32_t k = 1; k < node.count; ++k) {
-            mean += vals[o[k]].mean();
-            const double b = vals[o[k]].halfwidth();
-            half = std::sqrt(half * half + b * b);
-          }
+        for (std::uint32_t k = 1; k < node.count; ++k) {
+          stoch::add_step(mean, half, vals[o[k]], node.dep);
         }
         vals[i] = StochasticValue(mean, half);
         break;
       }
       case OpCode::kProd: {
-        // stoch::mul_span: fold mul() from the first operand, including
-        // the §2.3.2 zero-mean -> zero point value rule.
-        const std::uint32_t* o = ops + node.first;
         double mean = vals[o[0]].mean();
         double half = vals[o[0]].halfwidth();
         for (std::uint32_t k = 1; k < node.count; ++k) {
-          const StochasticValue& y = vals[o[k]];
-          if (mean == 0.0 || y.mean() == 0.0) {
-            mean = 0.0;
-            half = 0.0;
-            continue;
-          }
-          const double m = mean * y.mean();
-          if (node.dep == Dependence::kRelated) {
-            half = std::abs(half * y.mean()) + std::abs(y.halfwidth() * mean) +
-                   std::abs(half * y.halfwidth());
-          } else {
-            const double ra = half / mean;
-            const double rb = y.halfwidth() / y.mean();
-            half = std::abs(m) * std::sqrt(ra * ra + rb * rb);
-          }
-          mean = m;
+          stoch::mul_step(mean, half, vals[o[k]].mean(), vals[o[k]].halfwidth(),
+                          node.dep);
         }
         vals[i] = StochasticValue(mean, half);
         break;
       }
       case OpCode::kMax:
       case OpCode::kMin: {
-        const std::uint32_t* o = ops + node.first;
-        if (node.policy == stoch::ExtremePolicy::kClark) {
-          // Clark's moment-matching fold has no cheap scan form; keep the
-          // gather + library path for it.
-          ws.scratch.clear();
-          for (std::uint32_t k = 0; k < node.count; ++k) {
-            ws.scratch.push_back(vals[o[k]]);
-          }
-          vals[i] = node.op == OpCode::kMax
-                        ? stoch::smax(ws.scratch, node.policy)
-                        : stoch::smin(ws.scratch, node.policy);
-          break;
+        StochasticValue acc = vals[o[0]];
+        for (std::uint32_t k = 1; k < node.count; ++k) {
+          acc = node.op == OpCode::kMax
+                    ? stoch::smax(acc, vals[o[k]], node.policy)
+                    : stoch::smin(acc, vals[o[k]], node.policy);
         }
-        // kLargestMean / kLargestUpper select one operand. smin's
-        // negate/smax/negate definition reduces to picking the smallest
-        // mean (resp. smallest lower bound): IEEE negation is exact, so
-        // comparing negated quantities and un-negating the winner returns
-        // that operand bit-for-bit.
-        std::uint32_t best = o[0];
-        if (node.policy == stoch::ExtremePolicy::kLargestMean) {
-          for (std::uint32_t k = 1; k < node.count; ++k) {
-            if (node.op == OpCode::kMax ? vals[o[k]].mean() > vals[best].mean()
-                                        : vals[o[k]].mean() < vals[best].mean())
-              best = o[k];
-          }
-        } else {
-          for (std::uint32_t k = 1; k < node.count; ++k) {
-            if (node.op == OpCode::kMax
-                    ? vals[o[k]].upper() > vals[best].upper()
-                    : vals[o[k]].lower() < vals[best].lower())
-              best = o[k];
-          }
-        }
-        vals[i] = vals[best];
+        vals[i] = acc;
         break;
       }
-      case OpCode::kDiv: {
-        const StochasticValue& x = vals[ops[node.first]];
-        const StochasticValue& y = vals[ops[node.first + 1]];
-        // stoch::div = guard + mul(x, inverse(y)); the zero-straddle
-        // diagnostic stays with the library on the cold path.
-        if (y.lower() <= 0.0 && y.upper() >= 0.0) {
-          vals[i] = stoch::div(x, y, node.dep);  // throws with full context
-          break;
-        }
-        const double im = 1.0 / y.mean();
-        const double ih = std::abs(y.halfwidth() / (y.mean() * y.mean()));
-        if (x.mean() == 0.0 || im == 0.0) {
-          vals[i] = StochasticValue();
-          break;
-        }
-        const double m = x.mean() * im;
-        double half = 0.0;
-        if (node.dep == Dependence::kRelated) {
-          half = std::abs(x.halfwidth() * im) + std::abs(ih * x.mean()) +
-                 std::abs(x.halfwidth() * ih);
-        } else {
-          const double ra = x.halfwidth() / x.mean();
-          const double rb = ih / im;
-          half = std::abs(m) * std::sqrt(ra * ra + rb * rb);
-        }
-        vals[i] = StochasticValue(m, half);
+      case OpCode::kDiv:
+        vals[i] = stoch::div(vals[o[0]], vals[o[1]], node.dep);
         break;
-      }
-      case OpCode::kIterate: {
-        const StochasticValue body = vals[i - 1];
-        const double n = static_cast<double>(node.payload);
-        // Related: the same slow machine stays slow every iteration -> n·a.
-        // Unrelated: iteration noise averages out -> sqrt(n)·a.
-        const double half = node.dep == Dependence::kRelated
-                                ? n * body.halfwidth()
-                                : std::sqrt(n) * body.halfwidth();
-        vals[i] = StochasticValue(n * body.mean(), half);
+      case OpCode::kIterate:
+        vals[i] = stoch::repeat(vals[i - 1], node.payload, node.dep);
         break;
-      }
       case OpCode::kRef:
         // Deterministic evaluation of a subtree is context-free, so a
         // shared occurrence's value can simply be copied.

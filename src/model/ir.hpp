@@ -56,12 +56,12 @@ namespace sspred::model::ir {
 enum class OpCode : std::uint8_t {
   kConst,    ///< push constants[payload]
   kParam,    ///< push slot `payload` of the SlotEnvironment
-  kSum,      ///< fold stoch::add over the operand list (dep regime)
-  kProd,     ///< fold stoch::mul over the operand list (dep regime)
-  kDiv,      ///< operands[0] / operands[1] (dep regime)
-  kMax,      ///< stoch::smax over the operand list (policy)
-  kMin,      ///< stoch::smin over the operand list (policy)
-  kIterate,  ///< n repetitions of the body region summed
+  kSum,      ///< fold stoch::add_step over the operand list (dep regime)
+  kProd,     ///< fold stoch::mul_step over the operand list (dep regime)
+  kDiv,      ///< stoch::div(operands[0], operands[1]) (dep regime)
+  kMax,      ///< fold stoch::smax over the operand list (policy)
+  kMin,      ///< fold stoch::smin over the operand list (policy)
+  kIterate,  ///< stoch::repeat: n repetitions of the body region summed
   kRef,      ///< reuse of an earlier occurrence region (shared subtree)
 };
 
@@ -188,9 +188,8 @@ class LaneEnvironment {
 /// workspace per call. Each walk sizes only the buffers it reads, and
 /// reuse across calls makes evaluation allocation-free after warmup.
 struct EvalWorkspace {
-  std::vector<stoch::StochasticValue> values;   ///< evaluate(): per node
-  std::vector<stoch::StochasticValue> scratch;  ///< operand gather buffer
-  std::vector<double> point_values;             ///< evaluate_point(): per node
+  std::vector<stoch::StochasticValue> values;  ///< evaluate(): per node
+  std::vector<double> point_values;            ///< evaluate_point(): per node
   // Monte-Carlo structure-of-arrays arenas, kBlockTrials-wide rows kept
   // hot across calls, so serving workers pay no per-request allocation on
   // the Monte-Carlo path after warmup.
@@ -343,6 +342,8 @@ class Program {
   void reindex();
   /// Throws unless `env` was made for this program's slot table.
   void check_shape(const SlotEnvironment& env) const;
+  /// The §2.3 walk: every node applies the stoch:: rule for its opcode,
+  /// one checked StochasticValue per node.
   void exec_stochastic(const SlotEnvironment& env, EvalWorkspace& ws) const;
   void exec_point(const SlotEnvironment& env, EvalWorkspace& ws) const;
   /// Sizes the Monte-Carlo arenas.

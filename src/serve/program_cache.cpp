@@ -85,7 +85,6 @@ ProgramCache::Lookup ProgramCache::get_or_compile(const ModelSpec& spec,
   }
 
   if (compiler) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
     compiles_.fetch_add(1, std::memory_order_relaxed);
     CompiledModelPtr model;
     std::string error;
@@ -110,7 +109,6 @@ ProgramCache::Lookup ProgramCache::get_or_compile(const ModelSpec& spec,
   if (!slot->error.empty()) {
     throw support::Error("model compilation failed: " + slot->error);
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
   return {slot->model, true};
 }
 

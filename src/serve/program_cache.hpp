@@ -101,12 +101,6 @@ class ProgramCache {
   [[nodiscard]] std::uint64_t compile_count() const noexcept {
     return compiles_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t hit_count() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t miss_count() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::size_t size() const;
 
   void clear();
@@ -125,8 +119,6 @@ class ProgramCache {
   mutable std::mutex mutex_;  ///< guards slots_ (not the slots themselves)
   std::map<std::string, std::shared_ptr<Slot>> slots_;
   std::atomic<std::uint64_t> compiles_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
 };
 
 }  // namespace sspred::serve

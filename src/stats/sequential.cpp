@@ -39,50 +39,4 @@ bool SequentialEstimator::should_stop() const noexcept {
   return stats_.count() >= rule_.min_trials && precision_met();
 }
 
-QuantileRanks quantile_ci_ranks(std::size_t n, double q, double z) noexcept {
-  QuantileRanks ranks;
-  if (n == 0 || q <= 0.0 || q >= 1.0 || z <= 0.0) return ranks;
-  // Normal approximation to the binomial: the number of samples below
-  // the true q-quantile is Binomial(n, q), so order statistics at ranks
-  // nq -+ z*sqrt(nq(1-q)) bracket it with ~z-sigma confidence.
-  const double nd = static_cast<double>(n);
-  const double center = nd * q;
-  const double spread = z * std::sqrt(nd * q * (1.0 - q));
-  const double lo = std::floor(center - spread);
-  const double hi = std::ceil(center + spread);
-  if (lo < 1.0 || hi > nd) return ranks;  // interval sticks out of the sample
-  ranks.lo = static_cast<std::size_t>(lo) - 1;  // 1-based rank -> 0-based idx
-  ranks.hi = static_cast<std::size_t>(hi) - 1;
-  ranks.valid = true;
-  return ranks;
-}
-
-double SequentialQuantile::value() const {
-  if (xs_.empty()) return std::numeric_limits<double>::quiet_NaN();
-  std::vector<double> sorted(xs_);
-  std::sort(sorted.begin(), sorted.end());
-  return quantile_sorted(sorted, q_);
-}
-
-double SequentialQuantile::ci_halfwidth() const {
-  const QuantileRanks ranks =
-      quantile_ci_ranks(xs_.size(), q_, rule_.confidence_z);
-  if (!ranks.valid) return std::numeric_limits<double>::infinity();
-  std::vector<double> sorted(xs_);
-  std::sort(sorted.begin(), sorted.end());
-  return 0.5 * (sorted[ranks.hi] - sorted[ranks.lo]);
-}
-
-bool SequentialQuantile::precision_met() const {
-  if (rule_.target <= 0.0 || xs_.size() < 2) return false;
-  const double threshold =
-      rule_.relative ? rule_.target * std::abs(value()) : rule_.target;
-  return ci_halfwidth() <= threshold;
-}
-
-bool SequentialQuantile::should_stop() const {
-  if (xs_.size() >= rule_.max_trials) return true;
-  return xs_.size() >= rule_.min_trials && precision_met();
-}
-
 }  // namespace sspred::stats

@@ -10,12 +10,6 @@
 // the blocked MC engine (model/ir.*) and the serving tier both lean on it
 // for bit-exact fused-vs-solo differentials and reproducible artifacts.
 //
-// Quantile targets use distribution-free order-statistic (binomial) CI
-// bounds: `quantile_ci_ranks` gives the rank interval whose order
-// statistics bracket the q-quantile with ~z-sigma confidence, and
-// `SequentialQuantile` buffers samples to drive the same stop rule off
-// that interval's width.
-//
 // The shared block schedule lives here too (`next_block_width`): callers
 // check the stop rule only between blocks, and both the IR engine and
 // stoch::empirical_* must grow their sample counts through the SAME
@@ -24,7 +18,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "stats/descriptive.hpp"
 
@@ -118,50 +111,6 @@ class SequentialEstimator {
  private:
   StopRule rule_;
   OnlineStats stats_;
-};
-
-/// Distribution-free rank interval for the q-quantile of an n-sample:
-/// order statistics x_(lo) .. x_(hi) (1-based ranks, here 0-based
-/// indices) bracket the true q-quantile with roughly z-sigma binomial
-/// confidence. `valid` is false while n is too small for both ranks to
-/// land strictly inside the sample.
-struct QuantileRanks {
-  std::size_t lo = 0;   ///< 0-based index of the lower order statistic
-  std::size_t hi = 0;   ///< 0-based index of the upper order statistic
-  bool valid = false;
-};
-
-[[nodiscard]] QuantileRanks quantile_ci_ranks(std::size_t n, double q,
-                                              double z) noexcept;
-
-/// Buffering quantile estimator driving the same stop rule off the
-/// order-statistic CI width. O(n) memory (the sample buffer) — meant
-/// for offline/bench use, not the serving hot path.
-class SequentialQuantile {
- public:
-  SequentialQuantile(double q, StopRule rule) : q_(q), rule_(rule) {}
-
-  void add(double x) { xs_.push_back(x); }
-  void add(std::span<const double> xs) {
-    xs_.insert(xs_.end(), xs.begin(), xs.end());
-  }
-
-  [[nodiscard]] std::size_t count() const noexcept { return xs_.size(); }
-  [[nodiscard]] double q() const noexcept { return q_; }
-  [[nodiscard]] const StopRule& rule() const noexcept { return rule_; }
-
-  /// Empirical q-quantile (interpolated; NaN while empty).
-  [[nodiscard]] double value() const;
-  /// Half the spread between the bracketing order statistics;
-  /// +infinity until the rank interval is valid.
-  [[nodiscard]] double ci_halfwidth() const;
-  [[nodiscard]] bool precision_met() const;
-  [[nodiscard]] bool should_stop() const;
-
- private:
-  double q_;
-  StopRule rule_;
-  std::vector<double> xs_;
 };
 
 }  // namespace sspred::stats

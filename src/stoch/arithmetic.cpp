@@ -15,17 +15,6 @@ StochasticValue scale(const StochasticValue& x, double p) {
   return StochasticValue(x.mean() * p, std::abs(p) * x.halfwidth());
 }
 
-StochasticValue add(const StochasticValue& x, const StochasticValue& y,
-                    Dependence dep) {
-  const double mean = x.mean() + y.mean();
-  const double a = x.halfwidth();
-  const double b = y.halfwidth();
-  const double half = dep == Dependence::kRelated
-                          ? a + b
-                          : std::sqrt(a * a + b * b);
-  return StochasticValue(mean, half);
-}
-
 StochasticValue sub(const StochasticValue& x, const StochasticValue& y,
                     Dependence dep) {
   return add(x, scale(y, -1.0), dep);
@@ -37,49 +26,16 @@ StochasticValue sum(std::span<const StochasticValue> xs, Dependence dep) {
   return acc;
 }
 
-StochasticValue sum_span(std::span<const StochasticValue> xs, Dependence dep) {
-  SSPRED_REQUIRE(!xs.empty(), "sum_span needs at least one operand");
-  double mean = xs[0].mean();
-  double half = xs[0].halfwidth();
-  if (dep == Dependence::kRelated) {
-    for (const auto& x : xs.subspan(1)) {
-      mean += x.mean();
-      half += x.halfwidth();
-    }
-  } else {
-    // Per-step sqrt keeps the fold bit-identical to repeated add().
-    for (const auto& x : xs.subspan(1)) {
-      mean += x.mean();
-      const double b = x.halfwidth();
-      half = std::sqrt(half * half + b * b);
-    }
-  }
-  return StochasticValue(mean, half);
-}
-
-StochasticValue mul_span(std::span<const StochasticValue> xs, Dependence dep) {
-  SSPRED_REQUIRE(!xs.empty(), "mul_span needs at least one operand");
-  StochasticValue acc = xs[0];
-  for (const auto& x : xs.subspan(1)) acc = mul(acc, x, dep);
-  return acc;
-}
-
-StochasticValue mul(const StochasticValue& x, const StochasticValue& y,
-                    Dependence dep) {
-  // Paper §2.3.2: a zero mean operand makes the product the zero point value.
-  if (x.mean() == 0.0 || y.mean() == 0.0) return StochasticValue();
-  const double mean = x.mean() * y.mean();
-  const double a = x.halfwidth();
-  const double b = y.halfwidth();
-  double half = 0.0;
-  if (dep == Dependence::kRelated) {
-    half = std::abs(a * y.mean()) + std::abs(b * x.mean()) + std::abs(a * b);
-  } else {
-    const double ra = a / x.mean();
-    const double rb = b / y.mean();
-    half = std::abs(mean) * std::sqrt(ra * ra + rb * rb);
-  }
-  return StochasticValue(mean, half);
+void detail::raise_div_spans_zero(const StochasticValue& x,
+                                  const StochasticValue& y) {
+  support::raise("!y.contains(0.0)",
+                 "cannot divide " + x.to_string() + " by " + y.to_string() +
+                     ": the denominator's range [" +
+                     std::to_string(y.lower()) + ", " +
+                     std::to_string(y.upper()) +
+                     "] spans zero, so the quotient has no meaningful "
+                     "normal approximation",
+                 __FILE__, __LINE__);
 }
 
 StochasticValue inverse(const StochasticValue& y) {
@@ -90,21 +46,13 @@ StochasticValue inverse(const StochasticValue& y) {
                      "] spans zero, so 1/Y has no meaningful normal "
                      "approximation (tighten the spread or shift the mean "
                      "away from zero)");
-  const double inv_mean = 1.0 / y.mean();
-  const double inv_half = std::abs(y.halfwidth() / (y.mean() * y.mean()));
-  return StochasticValue(inv_mean, inv_half);
-}
-
-StochasticValue div(const StochasticValue& x, const StochasticValue& y,
-                    Dependence dep) {
-  SSPRED_REQUIRE(!y.contains(0.0),
-                 "cannot divide " + x.to_string() + " by " + y.to_string() +
-                     ": the denominator's range [" +
-                     std::to_string(y.lower()) + ", " +
-                     std::to_string(y.upper()) +
-                     "] spans zero, so the quotient has no meaningful "
-                     "normal approximation");
-  return mul(x, inverse(y), dep);
+  // 1 / Y as a quotient of the unit point: under the related rule the
+  // product step adds only zero terms to |b / Y^2|, so this is exactly
+  // the inverse's moments.
+  double mean = 1.0;
+  double half = 0.0;
+  div_step(mean, half, y, Dependence::kRelated);
+  return StochasticValue(mean, half);
 }
 
 StochasticValue add_correlated(const StochasticValue& x,

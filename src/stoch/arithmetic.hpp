@@ -13,6 +13,8 @@
 // approximated as normal per §2.1.1.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <span>
 
 #include "stoch/stochastic_value.hpp"
@@ -31,41 +33,121 @@ enum class Dependence {
 /// P·(X ± a) = PX ± |P|a — point scale scales the spread.
 [[nodiscard]] StochasticValue scale(const StochasticValue& x, double p);
 
-/// Sum of two stochastic values under the given dependence:
-///  related:   (Xi+Xj) ± (|ai| + |aj|)            [conservative]
-///  unrelated: (Xi+Xj) ± sqrt(ai^2 + aj^2)        [RSS]
-[[nodiscard]] StochasticValue add(const StochasticValue& x,
-                                  const StochasticValue& y, Dependence dep);
+// --- Table 2, written once -------------------------------------------------
+//
+// Each rule is one step on raw moments: `mean` and `half` hold the running
+// value, and the step combines one more operand into them. The checked
+// operations below apply one step and build one StochasticValue. The
+// compiled walk (model/ir.cpp) folds the steps across a group node's
+// operands and checks once per node, and the constant folder
+// (model/compile.cpp) applies them to point values, so every evaluator
+// computes the same bits.
+
+/// One step of a sum: (mean ± half) + y under `dep`:
+///  related:   (X+Y) ± (half + b)            [conservative]
+///  unrelated: (X+Y) ± sqrt(half^2 + b^2)    [RSS]
+inline void add_step(double& mean, double& half, const StochasticValue& y,
+                     Dependence dep) noexcept {
+  mean += y.mean();
+  const double b = y.halfwidth();
+  half = dep == Dependence::kRelated ? half + b
+                                     : std::sqrt(half * half + b * b);
+}
+
+/// One step of a product: (mean ± half)·(y_mean ± y_half) under `dep`:
+///  related:   XY ± (|half·Y| + |b·X| + |half·b|)
+///  unrelated: XY ± |XY|·sqrt((half/X)^2 + (b/Y)^2)
+/// A zero mean on either side makes the product the zero point value
+/// (paper §2.3.2).
+inline void mul_step(double& mean, double& half, double y_mean, double y_half,
+                     Dependence dep) noexcept {
+  if (mean == 0.0 || y_mean == 0.0) {
+    mean = 0.0;
+    half = 0.0;
+    return;
+  }
+  const double m = mean * y_mean;
+  if (dep == Dependence::kRelated) {
+    half = std::abs(half * y_mean) + std::abs(y_half * mean) +
+           std::abs(half * y_half);
+  } else {
+    const double ra = half / mean;
+    const double rb = y_half / y_mean;
+    half = std::abs(m) * std::sqrt(ra * ra + rb * rb);
+  }
+  mean = m;
+}
+
+/// One step of a quotient: a product step by the first-order
+/// (delta-method) moments of 1/Y, (1/Y) ± |b / Y^2|. Unchecked: see div()
+/// for the denominator's precondition.
+inline void div_step(double& mean, double& half, const StochasticValue& y,
+                     Dependence dep) noexcept {
+  mul_step(mean, half, 1.0 / y.mean(),
+           std::abs(y.halfwidth() / (y.mean() * y.mean())), dep);
+}
+
+/// n repetitions of (mean ± half) summed (the paper's Σ over NumIts):
+///  related:   nX ± n·half        [the same slow machine stays slow]
+///  unrelated: nX ± sqrt(n)·half  [iteration noise averages out]
+inline void repeat_step(double& mean, double& half, std::size_t n,
+                        Dependence dep) noexcept {
+  const double reps = static_cast<double>(n);
+  half = dep == Dependence::kRelated ? reps * half : std::sqrt(reps) * half;
+  mean *= reps;
+}
+
+/// Sum of two stochastic values under the given dependence (add_step).
+[[nodiscard]] inline StochasticValue add(const StochasticValue& x,
+                                         const StochasticValue& y,
+                                         Dependence dep) {
+  double mean = x.mean();
+  double half = x.halfwidth();
+  add_step(mean, half, y, dep);
+  return StochasticValue(mean, half);
+}
 
 /// Difference: addition with the second mean negated (paper §2.3.1);
 /// spreads combine exactly as in add().
 [[nodiscard]] StochasticValue sub(const StochasticValue& x,
                                   const StochasticValue& y, Dependence dep);
 
-/// Sum over a sequence under one dependence regime.
+/// Sum over a sequence under one dependence regime, folded from the zero
+/// point value.
 [[nodiscard]] StochasticValue sum(std::span<const StochasticValue> xs,
                                   Dependence dep);
 
-/// Contiguous-span fold fast paths for the compiled-IR evaluator
-/// (model/ir.*): one tight pass over a gathered operand span instead of a
-/// virtual-dispatch tree walk. Bit-identical to folding add()/mul()
-/// left-to-right from the first element — the structural tree's exact
-/// semantics (sum() above folds from the zero identity instead, and
-/// mul_span() preserves the first operand's spread when it alone has a
-/// zero mean, which a multiplicative-identity fold would drop).
-/// Require a non-empty span.
-[[nodiscard]] StochasticValue sum_span(std::span<const StochasticValue> xs,
-                                       Dependence dep);
-[[nodiscard]] StochasticValue mul_span(std::span<const StochasticValue> xs,
-                                       Dependence dep);
+/// Product of two stochastic values under the given dependence (mul_step,
+/// including the zero-mean rule).
+[[nodiscard]] inline StochasticValue mul(const StochasticValue& x,
+                                         const StochasticValue& y,
+                                         Dependence dep) {
+  double mean = x.mean();
+  double half = x.halfwidth();
+  mul_step(mean, half, y.mean(), y.halfwidth(), dep);
+  return StochasticValue(mean, half);
+}
 
-/// Product of two stochastic values:
-///  related:   XiXj ± (|ai Xj| + |aj Xi| + |ai aj|)
-///  unrelated: XiXj ± |XiXj|·sqrt((ai/Xi)^2 + (aj/Xj)^2)
-/// If either mean is zero the product is defined to be the zero point
-/// value (paper §2.3.2).
-[[nodiscard]] StochasticValue mul(const StochasticValue& x,
-                                  const StochasticValue& y, Dependence dep);
+namespace detail {
+/// Throws div()'s error for a denominator whose range spans zero (out of
+/// line: the cold path).
+[[noreturn]] void raise_div_spans_zero(const StochasticValue& x,
+                                       const StochasticValue& y);
+}  // namespace detail
+
+/// Division x / y: mul(x, inverse(y), dep), as one div_step.
+/// PRECONDITION: the denominator's range [Y-b, Y+b] must exclude zero;
+/// violations throw sspred::support::Error naming both operands and the
+/// denominator's range.
+[[nodiscard]] inline StochasticValue div(const StochasticValue& x,
+                                         const StochasticValue& y,
+                                         Dependence dep) {
+  if (y.contains(0.0)) detail::raise_div_spans_zero(x, y);
+  double mean = x.mean();
+  double half = x.halfwidth();
+  div_step(mean, half, y, dep);
+  return StochasticValue(mean, half);
+}
 
 /// Multiplicative inverse of Y ± b via the first-order delta method:
 /// (1/Y) ± |b / Y^2|. PRECONDITION: the range [Y-b, Y+b] must exclude
@@ -79,11 +161,14 @@ enum class Dependence {
 /// error propagation instead (documented in DESIGN.md).
 [[nodiscard]] StochasticValue inverse(const StochasticValue& y);
 
-/// Division x / y = mul(x, inverse(y), dep). Same precondition as
-/// inverse(): the denominator's range must exclude zero (the error names
-/// the division's operands).
-[[nodiscard]] StochasticValue div(const StochasticValue& x,
-                                  const StochasticValue& y, Dependence dep);
+/// `body` repeated n times and summed (repeat_step).
+[[nodiscard]] inline StochasticValue repeat(const StochasticValue& body,
+                                            std::size_t n, Dependence dep) {
+  double mean = body.mean();
+  double half = body.halfwidth();
+  repeat_step(mean, half, n, dep);
+  return StochasticValue(mean, half);
+}
 
 /// Generalization of the paper's two regimes to an explicit correlation
 /// coefficient rho in [-1, 1]:

@@ -1,10 +1,8 @@
 #include "stoch/group_ops.hpp"
 
 #include <cmath>
-#include <vector>
 
 #include "stats/distributions.hpp"
-#include "stoch/arithmetic.hpp"
 #include "support/error.hpp"
 
 namespace sspred::stoch {
@@ -37,38 +35,17 @@ StochasticValue clark_max(const StochasticValue& x, const StochasticValue& y,
 StochasticValue smax(std::span<const StochasticValue> xs,
                      ExtremePolicy policy) {
   SSPRED_REQUIRE(!xs.empty(), "smax needs at least one operand");
-  switch (policy) {
-    case ExtremePolicy::kLargestMean: {
-      const StochasticValue* best = &xs[0];
-      for (const auto& x : xs.subspan(1)) {
-        if (x.mean() > best->mean()) best = &x;
-      }
-      return *best;
-    }
-    case ExtremePolicy::kLargestUpper: {
-      const StochasticValue* best = &xs[0];
-      for (const auto& x : xs.subspan(1)) {
-        if (x.upper() > best->upper()) best = &x;
-      }
-      return *best;
-    }
-    case ExtremePolicy::kClark: {
-      StochasticValue acc = xs[0];
-      for (const auto& x : xs.subspan(1)) acc = clark_max(acc, x);
-      return acc;
-    }
-  }
-  SSPRED_REQUIRE(false, "unknown ExtremePolicy");
-  return xs[0];  // unreachable
+  StochasticValue acc = xs[0];
+  for (const auto& x : xs.subspan(1)) acc = smax(acc, x, policy);
+  return acc;
 }
 
 StochasticValue smin(std::span<const StochasticValue> xs,
                      ExtremePolicy policy) {
   SSPRED_REQUIRE(!xs.empty(), "smin needs at least one operand");
-  std::vector<StochasticValue> negated;
-  negated.reserve(xs.size());
-  for (const auto& x : xs) negated.push_back(scale(x, -1.0));
-  return scale(smax(negated, policy), -1.0);
+  StochasticValue acc = xs[0];
+  for (const auto& x : xs.subspan(1)) acc = smin(acc, x, policy);
+  return acc;
 }
 
 }  // namespace sspred::stoch

@@ -10,6 +10,7 @@
 
 #include <span>
 
+#include "stoch/arithmetic.hpp"
 #include "stoch/stochastic_value.hpp"
 
 namespace sspred::stoch {
@@ -28,12 +29,47 @@ enum class ExtremePolicy {
                                         const StochasticValue& y,
                                         double rho = 0.0);
 
-/// Max over a non-empty group under the chosen policy.
-/// For kLargestMean/kLargestUpper ties resolve to the earliest operand.
+/// One step of a group Max: the larger of `acc` and `x` under `policy`.
+/// kLargestMean / kLargestUpper keep `acc` on a tie (so a fold picks the
+/// earliest operand); kClark is clark_max(acc, x).
+[[nodiscard]] inline StochasticValue smax(const StochasticValue& acc,
+                                          const StochasticValue& x,
+                                          ExtremePolicy policy) {
+  switch (policy) {
+    case ExtremePolicy::kLargestMean:
+      return x.mean() > acc.mean() ? x : acc;
+    case ExtremePolicy::kLargestUpper:
+      return x.upper() > acc.upper() ? x : acc;
+    case ExtremePolicy::kClark:
+      break;
+  }
+  return clark_max(acc, x);
+}
+
+/// One step of a group Min, defined as -Max of the negated operands.
+/// Negation is exact, so the selecting policies pick the smaller mean
+/// (resp. lower bound) directly; kClark folds clark_max on the negations.
+[[nodiscard]] inline StochasticValue smin(const StochasticValue& acc,
+                                          const StochasticValue& x,
+                                          ExtremePolicy policy) {
+  switch (policy) {
+    case ExtremePolicy::kLargestMean:
+      return x.mean() < acc.mean() ? x : acc;
+    case ExtremePolicy::kLargestUpper:
+      return x.lower() < acc.lower() ? x : acc;
+    case ExtremePolicy::kClark:
+      break;
+  }
+  return -clark_max(-acc, -x);
+}
+
+/// Max over a non-empty group: the pairwise smax() folded from the first
+/// operand.
 [[nodiscard]] StochasticValue smax(std::span<const StochasticValue> xs,
                                    ExtremePolicy policy);
 
-/// Min over a non-empty group: -Max of the negated operands.
+/// Min over a non-empty group: the pairwise smin() folded from the first
+/// operand.
 [[nodiscard]] StochasticValue smin(std::span<const StochasticValue> xs,
                                    ExtremePolicy policy);
 

@@ -47,63 +47,6 @@ double sample(const StochasticValue& v, support::Rng& rng) {
   return rng.normal(v.mean(), v.sd());
 }
 
-StochasticValue empirical_combine(
-    const StochasticValue& x, const StochasticValue& y,
-    const std::function<double(double, double)>& op, support::Rng& rng,
-    std::size_t n) {
-  SSPRED_REQUIRE(n >= 2, "need at least 2 samples");
-  std::vector<double> results;
-  results.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    results.push_back(op(sample(x, rng), sample(y, rng)));
-  }
-  return StochasticValue::from_sample(results);
-}
-
-StochasticValue empirical_combine_related(
-    const StochasticValue& x, const StochasticValue& y,
-    const std::function<double(double, double)>& op, support::Rng& rng,
-    std::size_t n) {
-  SSPRED_REQUIRE(n >= 2, "need at least 2 samples");
-  std::vector<double> results;
-  results.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double z = rng.normal();
-    const double xv = x.mean() + x.sd() * z;
-    const double yv = y.mean() + y.sd() * z;
-    results.push_back(op(xv, yv));
-  }
-  return StochasticValue::from_sample(results);
-}
-
-StochasticValue empirical_combine_correlated(
-    const StochasticValue& x, const StochasticValue& y, double rho,
-    const std::function<double(double, double)>& op, support::Rng& rng,
-    std::size_t n) {
-  SSPRED_REQUIRE(n >= 2, "need at least 2 samples");
-  SSPRED_REQUIRE(rho >= -1.0 && rho <= 1.0, "correlation must be in [-1,1]");
-  const double ortho = std::sqrt(std::max(0.0, 1.0 - rho * rho));
-  std::vector<double> results;
-  results.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double zx = rng.normal();
-    const double zy = rho * zx + ortho * rng.normal();
-    results.push_back(op(x.mean() + x.sd() * zx, y.mean() + y.sd() * zy));
-  }
-  return StochasticValue::from_sample(results);
-}
-
-double empirical_coverage(const StochasticValue& v,
-                          const StochasticValue& range, support::Rng& rng,
-                          std::size_t n) {
-  SSPRED_REQUIRE(n >= 1, "need at least 1 sample");
-  std::size_t inside = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (range.contains(sample(v, rng))) ++inside;
-  }
-  return static_cast<double>(inside) / static_cast<double>(n);
-}
-
 EmpiricalResult empirical_combine(
     const StochasticValue& x, const StochasticValue& y,
     const std::function<double(double, double)>& op, support::Rng& rng,

@@ -4,17 +4,13 @@
 // distributions, combine samples elementwise, and summarize the empirical
 // result so tests and the Table-2 bench can compare closed form vs truth.
 //
-// Two sampling regimes per helper:
-//  * explicit-n overloads — exactly n draws, kept for the bit-pinned
-//    tests (the caller states the sample size; there is no default);
-//  * StopRule overloads — sequential stopping via
-//    stats::SequentialEstimator: sampling proceeds in the shared
-//    stats::next_block_width schedule and stops once the CI half-width
-//    of the estimated mean (for coverage: of the inside-fraction) meets
-//    the rule's target, or at its max-trial clamp. Each block's moments
-//    merge into the summary, as in the IR engine. The achieved width and
-//    sample count come back in the result struct, so the Table-2 bench
-//    reports "± what" instead of "ran N".
+// Every helper samples under a stats::StopRule: sampling proceeds in the
+// shared stats::next_block_width schedule and stops once the CI
+// half-width of the estimated mean (for coverage: of the inside-fraction)
+// meets the rule's target, or at its max-trial clamp; StopRule::fixed(n)
+// draws exactly n. Each block's moments merge into the summary, as in the
+// IR engine. The achieved width and sample count come back in the result
+// struct, so the Table-2 bench reports "± what" instead of "ran N".
 #pragma once
 
 #include <functional>
@@ -39,56 +35,34 @@ struct EmpiricalResult {
 };
 
 /// Empirically combines two stochastic values with independent sampling:
-/// draws n pairs, applies `op`, and summarizes the results as mean ± 2sd.
-[[nodiscard]] StochasticValue empirical_combine(
-    const StochasticValue& x, const StochasticValue& y,
-    const std::function<double(double, double)>& op, support::Rng& rng,
-    std::size_t n);
-
-/// Like empirical_combine, but the operands are comonotonic (driven by one
-/// shared standard-normal draw) — the sampling analogue of "related"
-/// distributions with perfect positive coupling.
-[[nodiscard]] StochasticValue empirical_combine_related(
-    const StochasticValue& x, const StochasticValue& y,
-    const std::function<double(double, double)>& op, support::Rng& rng,
-    std::size_t n);
-
-/// Gaussian-copula sampling at an explicit correlation rho in [-1, 1]:
-/// z_y = rho·z_x + sqrt(1-rho²)·z'. Ground truth for the *_correlated
-/// closed forms.
-[[nodiscard]] StochasticValue empirical_combine_correlated(
-    const StochasticValue& x, const StochasticValue& y, double rho,
-    const std::function<double(double, double)>& op, support::Rng& rng,
-    std::size_t n);
-
-/// Fraction of samples of `v`'s distribution that land inside `range`.
-/// Used to check ±2sd coverage claims (≈95% for true normals).
-[[nodiscard]] double empirical_coverage(const StochasticValue& v,
-                                        const StochasticValue& range,
-                                        support::Rng& rng, std::size_t n);
-
-// --- Sequentially stopped variants -----------------------------------------
-
+/// draws pairs, applies `op`, and summarizes the results as mean ± 2sd.
 [[nodiscard]] EmpiricalResult empirical_combine(
     const StochasticValue& x, const StochasticValue& y,
     const std::function<double(double, double)>& op, support::Rng& rng,
     const stats::StopRule& rule);
 
+/// Like empirical_combine, but the operands are comonotonic (driven by one
+/// shared standard-normal draw) — the sampling analogue of "related"
+/// distributions with perfect positive coupling.
 [[nodiscard]] EmpiricalResult empirical_combine_related(
     const StochasticValue& x, const StochasticValue& y,
     const std::function<double(double, double)>& op, support::Rng& rng,
     const stats::StopRule& rule);
 
+/// Gaussian-copula sampling at an explicit correlation rho in [-1, 1]:
+/// z_y = rho·z_x + sqrt(1-rho²)·z'. Ground truth for the *_correlated
+/// closed forms.
 [[nodiscard]] EmpiricalResult empirical_combine_correlated(
     const StochasticValue& x, const StochasticValue& y, double rho,
     const std::function<double(double, double)>& op, support::Rng& rng,
     const stats::StopRule& rule);
 
-/// Adaptive coverage: `value.mean()` is the inside-fraction and the stop
-/// rule targets the CI half-width of that fraction (binomial, from the
-/// moments of the 0/1 samples). `value`'s halfwidth is 2sd of the
-/// indicator — use `ci_halfwidth` for the precision of the fraction
-/// itself.
+/// Fraction of samples of `v`'s distribution that land inside `range`,
+/// used to check ±2sd coverage claims (≈95% for true normals):
+/// `value.mean()` is the inside-fraction and the stop rule targets the CI
+/// half-width of that fraction (binomial, from the moments of the 0/1
+/// samples). `value`'s halfwidth is 2sd of the indicator — use
+/// `ci_halfwidth` for the precision of the fraction itself.
 [[nodiscard]] EmpiricalResult empirical_coverage(const StochasticValue& v,
                                                  const StochasticValue& range,
                                                  support::Rng& rng,

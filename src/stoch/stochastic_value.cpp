@@ -9,13 +9,6 @@
 
 namespace sspred::stoch {
 
-StochasticValue::StochasticValue(double mean, double halfwidth)
-    : mean_(mean), half_(halfwidth) {
-  SSPRED_REQUIRE(halfwidth >= 0.0, "stochastic halfwidth must be >= 0");
-  SSPRED_REQUIRE(std::isfinite(mean) && std::isfinite(halfwidth),
-                 "stochastic value must be finite");
-}
-
 StochasticValue StochasticValue::point(double v) noexcept {
   return StochasticValue(v);
 }
@@ -43,10 +36,6 @@ double StochasticValue::relative() const {
 stats::Normal StochasticValue::to_normal() const {
   SSPRED_REQUIRE(half_ > 0.0, "point value has no normal distribution");
   return stats::Normal(mean_, sd());
-}
-
-bool StochasticValue::contains(double v) const noexcept {
-  return v >= lower() && v <= upper();
 }
 
 double StochasticValue::out_of_range_distance(double v) const noexcept {

@@ -7,11 +7,13 @@
 // quantity). A point value is the degenerate case halfwidth == 0.
 #pragma once
 
+#include <cmath>
 #include <iosfwd>
 #include <span>
 #include <string>
 
 #include "stats/distributions.hpp"
+#include "support/error.hpp"
 
 namespace sspred::stoch {
 
@@ -21,8 +23,13 @@ class StochasticValue {
   constexpr StochasticValue() noexcept = default;
 
   /// `mean ± halfwidth`, halfwidth in absolute units (two standard
-  /// deviations). Requires halfwidth >= 0.
-  StochasticValue(double mean, double halfwidth);
+  /// deviations). Requires halfwidth >= 0 and both finite.
+  StochasticValue(double mean, double halfwidth)
+      : mean_(mean), half_(halfwidth) {
+    SSPRED_REQUIRE(halfwidth >= 0.0, "stochastic halfwidth must be >= 0");
+    SSPRED_REQUIRE(std::isfinite(mean) && std::isfinite(halfwidth),
+                   "stochastic value must be finite");
+  }
 
   /// Implicit from double: a point value (the paper treats a point value
   /// as a stochastic value with all probability at one point).
@@ -57,7 +64,9 @@ class StochasticValue {
   [[nodiscard]] stats::Normal to_normal() const;
 
   /// True when v lies inside [lower(), upper()].
-  [[nodiscard]] bool contains(double v) const noexcept;
+  [[nodiscard]] bool contains(double v) const noexcept {
+    return v >= lower() && v <= upper();
+  }
 
   /// Paper footnote 6: the error between a value v outside the range and
   /// the stochastic value is the minimum distance between v and

@@ -17,7 +17,8 @@ class Error : public std::logic_error {
   explicit Error(const std::string& what) : std::logic_error(what) {}
 };
 
-/// Throws Error with file/line context. Used by SSPRED_REQUIRE.
+/// Throws Error with file/line context, the file named from its last
+/// `src/` directory on. Used by SSPRED_REQUIRE.
 [[noreturn]] void raise(std::string_view condition, std::string_view message,
                         std::string_view file, int line);
 

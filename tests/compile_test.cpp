@@ -220,6 +220,68 @@ TEST(Compiled, MonteCarloEntryPointsAgree) {
   expect_sv_close(via_expr_api, via_blocked, "monte_carlo(expr) vs blocked");
 }
 
+TEST(Compiled, ConstantFoldingKeepsTheSignOfZeroInEveryMode) {
+  // Each mode has its own zero here. prod(-3, 0) is +0 under the §2.3.2
+  // zero rule but -0 in point and sampled arithmetic; sum(-0, -0) is -0
+  // folded from its first operand (stochastic, sampled) but +0 from the
+  // additive identity (point). The folder must leave both nodes alone,
+  // so compile() serves every mode exactly what the unoptimized program
+  // serves.
+  const ExprPtr cases[] = {
+      prod({constant(StochasticValue(-3.0)), constant(StochasticValue(0.0))}),
+      sum({constant(StochasticValue(-0.0)), constant(StochasticValue(-0.0))})};
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const ExprPtr& e : cases) {
+    const ir::Program base = compile_unoptimized(*e);
+    const ir::Program opt = compile(*e);
+    const ir::SlotEnvironment env = base.make_environment();
+    const std::string what = e->to_string();
+    EXPECT_EQ(bits(opt.evaluate(env).mean()), bits(base.evaluate(env).mean()))
+        << what << " stochastic mean";
+    EXPECT_EQ(bits(opt.evaluate(env).halfwidth()),
+              bits(base.evaluate(env).halfwidth()))
+        << what << " stochastic halfwidth";
+    EXPECT_EQ(bits(opt.evaluate_point(env)), bits(base.evaluate_point(env)))
+        << what << " point";
+    support::Rng ra(3), rb(3);
+    const StochasticValue mc_opt = opt.sample_trials(env, ra, 64);
+    const StochasticValue mc_base = base.sample_trials(env, rb, 64);
+    EXPECT_EQ(bits(mc_opt.mean()), bits(mc_base.mean()))
+        << what << " Monte-Carlo mean";
+    EXPECT_EQ(bits(mc_opt.halfwidth()), bits(mc_base.halfwidth()))
+        << what << " Monte-Carlo halfwidth";
+  }
+  // The served zeros themselves: +0 for the product's stochastic mean,
+  // -0 for the sum's.
+  const ir::Program prod_opt = compile(*cases[0]);
+  const ir::Program sum_opt = compile(*cases[1]);
+  EXPECT_EQ(bits(prod_opt.evaluate(prod_opt.make_environment()).mean()),
+            bits(0.0));
+  EXPECT_EQ(bits(sum_opt.evaluate(sum_opt.make_environment()).mean()),
+            bits(-0.0));
+}
+
+TEST(Compiled, ConstantFoldingLeavesNodesWhoseStochasticRuleThrows) {
+  // 1e308 + 1e308 overflows, and 1 / 1e-200 has an inverse whose
+  // halfwidth |0 / (1e-200)^2| is 0 / 0: the stochastic walk throws on
+  // both, while point and sampled arithmetic agree on a value. The
+  // folder must not turn either into a literal the walk would serve.
+  const ExprPtr cases[] = {
+      sum({constant(StochasticValue(1e308)), constant(StochasticValue(1e308))}),
+      quotient(constant(StochasticValue(1.0)),
+               constant(StochasticValue(1e-200)))};
+  for (const ExprPtr& e : cases) {
+    const ir::Program base = compile_unoptimized(*e);
+    const ir::Program opt = compile(*e);
+    const ir::SlotEnvironment env = base.make_environment();
+    EXPECT_THROW((void)base.evaluate(env), support::Error) << e->to_string();
+    EXPECT_THROW((void)opt.evaluate(env), support::Error) << e->to_string();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(opt.evaluate_point(env)),
+              std::bit_cast<std::uint64_t>(base.evaluate_point(env)))
+        << e->to_string();
+  }
+}
+
 TEST(Compiled, SorModelServesIdenticalPredictions) {
   const auto spec = cluster::platform1();
   sor::SorConfig cfg;

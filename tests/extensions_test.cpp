@@ -86,7 +86,8 @@ TEST_P(CorrelatedAddMc, MatchesGaussianCopulaSampling) {
   support::Rng rng(11);
   const auto closed = stoch::add_correlated(x, y, rho);
   const auto empirical = stoch::empirical_combine_correlated(
-      x, y, rho, [](double a, double b) { return a + b; }, rng, 200'000);
+      x, y, rho, [](double a, double b) { return a + b; }, rng,
+      stats::StopRule::fixed(200'000)).value;
   EXPECT_NEAR(closed.mean(), empirical.mean(), 0.03);
   EXPECT_NEAR(closed.halfwidth(), empirical.halfwidth(), 0.04);
 }
@@ -103,7 +104,8 @@ TEST_P(CorrelatedMulMc, DeltaMethodTracksSampling) {
   support::Rng rng(13);
   const auto closed = stoch::mul_correlated(x, y, rho);
   const auto empirical = stoch::empirical_combine_correlated(
-      x, y, rho, [](double a, double b) { return a * b; }, rng, 200'000);
+      x, y, rho, [](double a, double b) { return a * b; }, rng,
+      stats::StopRule::fixed(200'000)).value;
   EXPECT_NEAR(closed.mean(), empirical.mean(),
               0.01 * std::abs(empirical.mean()));
   EXPECT_NEAR(closed.halfwidth(), empirical.halfwidth(),

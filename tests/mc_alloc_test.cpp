@@ -232,6 +232,39 @@ TEST(McEngineAlloc, MonteCarloOnlyWorkspaceKeepsTheWalkBuffersEmpty) {
   EXPECT_GT(ws.lane_values.size(), 0u);
 }
 
+TEST(McEngineAlloc, WarmStochasticEvaluateIsAllocationFree) {
+  // The §2.3 walk on a warm workspace: sums, products, a quotient and an
+  // iterate under a group max or min, for every policy. Clark's min is
+  // -max of the negated operands, which must not need a buffer either.
+  using stoch::ExtremePolicy;
+  const auto a = param("a"), b = param("b"), c = param("c");
+  const std::vector<ExprPtr> items = {
+      add(a, mul(b, c)), quotient(a, c, Dependence::kRelated),
+      iterate(b, 4, Dependence::kUnrelated)};
+  for (const ExtremePolicy policy :
+       {ExtremePolicy::kLargestMean, ExtremePolicy::kLargestUpper,
+        ExtremePolicy::kClark}) {
+    for (const bool is_max : {true, false}) {
+      const ExprPtr expr = is_max ? vmax(items, policy) : vmin(items, policy);
+      const ir::Program prog = compile(*expr);
+      ir::SlotEnvironment env = prog.make_environment();
+      env.bind(prog.slot("a"), StochasticValue(3.0, 0.4));
+      env.bind(prog.slot("b"), StochasticValue(0.8, 0.2));
+      env.bind(prog.slot("c"), StochasticValue(2.5, 0.3));
+      ir::EvalWorkspace ws;
+      (void)prog.evaluate(env, ws);  // warmup sizes ws.values
+
+      const std::uint64_t before = g_allocations.load();
+      double acc = 0.0;
+      for (int i = 0; i < 10; ++i) acc += prog.evaluate(env, ws).mean();
+      EXPECT_EQ(g_allocations.load() - before, 0u)
+          << (is_max ? "max" : "min") << " under policy "
+          << static_cast<int>(policy);
+      EXPECT_GT(acc, 0.0);
+    }
+  }
+}
+
 TEST(McEngineAlloc, WorkspaceReuseAcrossTrialCountsOnlyGrows) {
   const auto expr = add(param("x"), constant(StochasticValue(1.0, 0.2)));
   const ir::Program prog = compile(*expr);

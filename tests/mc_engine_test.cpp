@@ -844,10 +844,12 @@ ExprPtr random_expr(support::Rng& rng, int depth, std::vector<ExprPtr>& pool) {
   return e;
 }
 
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
 void expect_sv_eq(const StochasticValue& a, const StochasticValue& b,
                   const std::string& what) {
-  EXPECT_DOUBLE_EQ(a.mean(), b.mean()) << what;
-  EXPECT_DOUBLE_EQ(a.halfwidth(), b.halfwidth()) << what;
+  EXPECT_EQ(bits(a.mean()), bits(b.mean())) << what;
+  EXPECT_EQ(bits(a.halfwidth()), bits(b.halfwidth())) << what;
 }
 
 TEST(OptimizerPasses, EveryPassIsBitExactInAllModesOnRandomDags) {
@@ -877,7 +879,7 @@ TEST(OptimizerPasses, EveryPassIsBitExactInAllModesOnRandomDags) {
       // The slot table is preserved verbatim, so `env` drives both.
       ASSERT_EQ(opt.slot_count(), base.slot_count()) << what;
       expect_sv_eq(opt.evaluate(env), base.evaluate(env), what + " stochastic");
-      EXPECT_DOUBLE_EQ(opt.evaluate_point(env), base.evaluate_point(env))
+      EXPECT_EQ(bits(opt.evaluate_point(env)), bits(base.evaluate_point(env)))
           << what << " point";
       // Bit-exact per seed: no pass may add, drop, or reorder a draw
       // event.

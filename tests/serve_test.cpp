@@ -640,6 +640,24 @@ TEST(ServeService, SampledDivisionByZeroIsStructuredAndTheWorkerSurvives) {
   }
 }
 
+TEST(ServeService, ErrorTextNamesTheSourceFileFromSrcOn) {
+  // A load whose range spans zero makes that host's compute term divide
+  // by it. The error a client receives names the failed check's file
+  // relative to the source tree, whatever directory the server was built
+  // in.
+  PredictionService service(options_with(1));
+  service.register_model("sor", small_spec());
+  const auto failed =
+      service
+          .submit(stochastic_request("sor", {stoch::StochasticValue(0.8, 0.1),
+                                             stoch::StochasticValue(0.1, 0.5)}))
+          .get();
+  EXPECT_EQ(failed.status, PredictResult::Status::kError);
+  EXPECT_EQ(failed.error.rfind("src/", 0), 0u) << failed.error;
+  EXPECT_NE(failed.error.find("spans zero"), std::string::npos)
+      << failed.error;
+}
+
 TEST(ServeService, CoalescingSharesOneEvaluation) {
   ServiceOptions options;
   options.workers = 2;

@@ -187,7 +187,8 @@ TEST_P(UnrelatedAddMc, ClosedFormMatchesSampling) {
   support::Rng rng(99);
   const StochasticValue closed = add(x, y, Dependence::kUnrelated);
   const StochasticValue empirical = empirical_combine(
-      x, y, [](double a, double b) { return a + b; }, rng, 200'000);
+      x, y, [](double a, double b) { return a + b; }, rng,
+      stats::StopRule::fixed(200'000)).value;
   EXPECT_NEAR(closed.mean(), empirical.mean(), 0.02 * (1.0 + std::abs(closed.mean())));
   EXPECT_NEAR(closed.halfwidth(), empirical.halfwidth(),
               0.03 * (1.0 + closed.halfwidth()));
@@ -207,7 +208,8 @@ TEST_P(UnrelatedMulMc, ClosedFormMatchesSamplingForSmallRelativeSpread) {
   support::Rng rng(101);
   const StochasticValue closed = mul(x, y, Dependence::kUnrelated);
   const StochasticValue empirical = empirical_combine(
-      x, y, [](double a, double b) { return a * b; }, rng, 200'000);
+      x, y, [](double a, double b) { return a * b; }, rng,
+      stats::StopRule::fixed(200'000)).value;
   EXPECT_NEAR(closed.mean(), empirical.mean(),
               0.02 * std::abs(closed.mean()));
   EXPECT_NEAR(closed.halfwidth(), empirical.halfwidth(),
@@ -227,7 +229,8 @@ TEST(RelatedAddMc, ConservativeFormBoundsComonotonicSampling) {
   support::Rng rng(103);
   const StochasticValue closed = add(x, y, Dependence::kRelated);
   const StochasticValue empirical = empirical_combine_related(
-      x, y, [](double a, double b) { return a + b; }, rng, 200'000);
+      x, y, [](double a, double b) { return a + b; }, rng,
+      stats::StopRule::fixed(200'000)).value;
   EXPECT_NEAR(closed.mean(), empirical.mean(), 0.05);
   EXPECT_NEAR(closed.halfwidth(), empirical.halfwidth(), 0.05);
 }
@@ -238,7 +241,8 @@ TEST(DivMc, ClosedFormTracksSampling) {
   support::Rng rng(107);
   const StochasticValue closed = div(x, y, Dependence::kUnrelated);
   const StochasticValue empirical = empirical_combine(
-      x, y, [](double a, double b) { return a / b; }, rng, 200'000);
+      x, y, [](double a, double b) { return a / b; }, rng,
+      stats::StopRule::fixed(200'000)).value;
   EXPECT_NEAR(closed.mean(), empirical.mean(), 0.02 * closed.mean());
   EXPECT_NEAR(closed.halfwidth(), empirical.halfwidth(),
               0.08 * closed.halfwidth());
@@ -247,7 +251,8 @@ TEST(DivMc, ClosedFormTracksSampling) {
 TEST(Coverage, TwoSigmaRangeCoversNormalSamples) {
   const StochasticValue v(10.0, 2.0);
   support::Rng rng(109);
-  EXPECT_NEAR(empirical_coverage(v, v, rng, 200'000), 0.9545, 0.01);
+  EXPECT_NEAR(empirical_coverage(v, v, rng, stats::StopRule::fixed(200'000))
+                  .value.mean(), 0.9545, 0.01);
 }
 
 TEST(EmpiricalStop, CombineReplaysBlockByBlockFromTheSeed) {

@@ -63,7 +63,8 @@ TEST(ClarkMax, MatchesMonteCarlo) {
   support::Rng rng(7);
   const StochasticValue closed = clark_max(x, y);
   const StochasticValue empirical = empirical_combine(
-      x, y, [](double a, double b) { return std::max(a, b); }, rng, 300'000);
+      x, y, [](double a, double b) { return std::max(a, b); }, rng,
+      stats::StopRule::fixed(300'000)).value;
   EXPECT_NEAR(closed.mean(), empirical.mean(), 0.02);
   EXPECT_NEAR(closed.sd(), empirical.sd(), 0.03);
 }
@@ -93,7 +94,8 @@ TEST(Smin, ClarkMinMatchesMonteCarlo) {
   const std::vector<StochasticValue> xs{x, y};
   const StochasticValue closed = smin(xs, ExtremePolicy::kClark);
   const StochasticValue empirical = empirical_combine(
-      x, y, [](double a, double b) { return std::min(a, b); }, rng, 300'000);
+      x, y, [](double a, double b) { return std::min(a, b); }, rng,
+      stats::StopRule::fixed(300'000)).value;
   EXPECT_NEAR(closed.mean(), empirical.mean(), 0.02);
   EXPECT_NEAR(closed.sd(), empirical.sd(), 0.03);
 }
