@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -36,6 +38,15 @@ int main() {
   constexpr std::size_t kWindow = 120;  // 10 minutes of history per forecast
   constexpr std::size_t kWarmup = 16;
 
+  // Dynamic selection is the service's own: it keeps the last kWindow
+  // measurements, postcasts every forecaster inside them and forecasts
+  // with the best.
+  nws::ServiceOptions options;
+  options.history_capacity = kWindow;
+  options.warmup = kWarmup;
+  nws::Service service(options);
+  std::size_t observed = 0;
+
   std::vector<double> fixed_se(bank.size(), 0.0);
   double dynamic_se = 0.0;
   std::size_t dynamic_switches = 0;
@@ -52,29 +63,14 @@ int main() {
       fixed_se[f] += err * err;
     }
 
-    // Dynamic selection: postcast inside the window, pick the best.
-    std::size_t best = 0;
-    double best_mse = 1e300;
-    for (std::size_t f = 0; f < bank.size(); ++f) {
-      double se = 0.0;
-      std::size_t n = 0;
-      for (std::size_t i = kWarmup; i < history.size(); ++i) {
-        const double err =
-            bank[f]->predict(history.subspan(0, i)) - history[i];
-        se += err * err;
-        ++n;
-      }
-      const double mse = se / static_cast<double>(n);
-      if (mse < best_mse) {
-        best_mse = mse;
-        best = f;
-      }
-    }
-    const double err = bank[best]->predict(history) - actual_next;
+    // Dynamic selection over the same history.
+    for (; observed < t; ++observed) service.observe("cpu", xs[observed]);
+    const nws::Forecast forecast = service.forecast("cpu");
+    const double err = forecast.value - actual_next;
     dynamic_se += err * err;
-    if (bank[best]->name() != last_winner) {
+    if (forecast.forecaster != last_winner) {
       if (!last_winner.empty()) ++dynamic_switches;
-      last_winner = bank[best]->name();
+      last_winner = forecast.forecaster;
     }
     ++evals;
   }

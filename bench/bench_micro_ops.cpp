@@ -1,11 +1,12 @@
 // M1 microbenchmarks: the cost of the core primitives — stochastic
 // arithmetic, Clark max, normal quantiles, GMM fitting, DES event
-// processing, channel round-trips, load-trace integration, the SOR sweep
-// kernel — and tree vs compiled evaluation of the Platform-2 SOR
-// structural model, once (author [+ compile] + evaluate: what a one-shot
-// caller pays, and the rebuild-per-request baseline a program cache
-// saves) and repeated (steady state). The Monte-Carlo pair on the same
-// model is bench_mc_engine's sor-p2 @ 10k gate.
+// processing, channel round-trips, load-trace integration, an NWS
+// publish's forecasts, the SOR sweep kernel — and tree vs compiled
+// evaluation of the Platform-2 SOR structural model, once (author
+// [+ compile] + evaluate: what a one-shot caller pays, and the
+// rebuild-per-request baseline a program cache saves) and repeated
+// (steady state). The Monte-Carlo pair on the same model is
+// bench_mc_engine's sor-p2 @ 10k gate.
 //
 // Every row is timed with bench::measure_until (bench/measure.*). A
 // sample times a fixed batch of back-to-back calls, sized so one sample
@@ -26,6 +27,7 @@
 #include "machine/load_trace.hpp"
 #include "model/compile.hpp"
 #include "model/expr.hpp"
+#include "nws/service.hpp"
 #include "predict/sor_model.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -194,6 +196,31 @@ int main() {
     start += 1.7;
     if (start > 3'000.0) start = 0.0;
   });
+
+  // One NWS publish: a forecast for each of 17 resources (plan_fanin's
+  // count), each postcasting all 13 forecasters over its history.
+  // Resource r reads the 4,000-sample trace from sample 200 r on.
+  constexpr std::size_t kNwsResources = 17;
+  const auto loads = trace.samples();
+  for (const std::size_t history : {64, 512}) {
+    nws::ServiceOptions options;
+    options.history_capacity = history;
+    nws::Service service(options);
+    std::vector<std::string> resources;
+    for (std::size_t r = 0; r < kNwsResources; ++r) {
+      resources.push_back("cpu/" + std::to_string(r));
+      for (std::size_t t = 0; t < history; ++t) {
+        service.observe(resources.back(), loads[r * 200 + t]);
+      }
+    }
+    time_calls(rows,
+               "NWS forecast, 17 resources, history " + std::to_string(history),
+               1, kNwsResources, [&] {
+                 for (const std::string& r : resources) {
+                   escape(service.forecast(r));
+                 }
+               });
+  }
 
   for (const std::size_t n : {256, 1024}) {
     sor::SerialSor solver(n);

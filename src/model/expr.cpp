@@ -163,11 +163,13 @@ class SumExpr final : public NaryExpr {
   SumExpr(std::vector<ExprPtr> children, Dependence dep)
       : NaryExpr(std::move(children)), dep_(dep) {}
   StochasticValue evaluate(const Environment& env) const override {
-    StochasticValue acc = children_[0]->evaluate(env);
+    const StochasticValue first = children_[0]->evaluate(env);
+    double mean = first.mean();
+    double half = first.halfwidth();
     for (std::size_t i = 1; i < children_.size(); ++i) {
-      acc = stoch::add(acc, children_[i]->evaluate(env), dep_);
+      stoch::add_step(mean, half, children_[i]->evaluate(env), dep_);
     }
-    return acc;
+    return StochasticValue(mean, half);
   }
   double evaluate_point(const Environment& env) const override {
     double acc = 0.0;
@@ -195,11 +197,14 @@ class ProdExpr final : public NaryExpr {
   ProdExpr(std::vector<ExprPtr> children, Dependence dep)
       : NaryExpr(std::move(children)), dep_(dep) {}
   StochasticValue evaluate(const Environment& env) const override {
-    StochasticValue acc = children_[0]->evaluate(env);
+    const StochasticValue first = children_[0]->evaluate(env);
+    double mean = first.mean();
+    double half = first.halfwidth();
     for (std::size_t i = 1; i < children_.size(); ++i) {
-      acc = stoch::mul(acc, children_[i]->evaluate(env), dep_);
+      const StochasticValue y = children_[i]->evaluate(env);
+      stoch::mul_step(mean, half, y.mean(), y.halfwidth(), dep_);
     }
-    return acc;
+    return StochasticValue(mean, half);
   }
   double evaluate_point(const Environment& env) const override {
     double acc = 1.0;

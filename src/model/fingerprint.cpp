@@ -1,6 +1,6 @@
 #include "model/fingerprint.hpp"
 
-#include <cstdio>
+#include <charconv>
 
 namespace sspred::model {
 
@@ -52,10 +52,13 @@ Fingerprint& Fingerprint::field(std::string_view name, std::int64_t v) {
 Fingerprint& Fingerprint::field(std::string_view name, double v) {
   sep();
   key_.append(name);
-  key_ += '=';
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "f%.17g", v);
-  key_ += buf;
+  key_ += "=f";
+  // printf's "%.17g" text, without stdio's locale and format parsing.
+  char buf[32];  // the longest text, "-2.2250738585072014e-308", is 24
+  char* const end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17)
+          .ptr;
+  key_.append(buf, end);
   return *this;
 }
 

@@ -3,7 +3,10 @@
 // Each forecaster predicts the next value of a time series from its
 // history. The Service evaluates every forecaster retrospectively
 // ("postcasting") and reports the prediction of the one with the lowest
-// mean squared error — NWS's dynamic predictor selection.
+// mean squared error — NWS's dynamic predictor selection. Postcasting
+// needs a forecast from every prefix of the history, so each forecaster
+// computes them all in one pass (predict_prefixes); a lone forecast is
+// the pass over one prefix.
 #pragma once
 
 #include <memory>
@@ -18,21 +21,36 @@ namespace sspred::nws {
 class Forecaster {
  public:
   virtual ~Forecaster() = default;
-  [[nodiscard]] virtual double predict(std::span<const double> history) const = 0;
+
+  /// Forecasts from every prefix of `history` from length `first` on:
+  /// out[k] is the forecast from history.first(first + k). Requires
+  /// 1 <= first <= history.size() and first + out.size() <= history.size()
+  /// + 1. A pass may start at any prefix: out[k] has the same bits
+  /// whatever `first` and out.size() are.
+  virtual void predict_prefixes(std::span<const double> history,
+                                std::size_t first,
+                                std::span<double> out) const = 0;
+
+  /// The forecast from the whole, non-empty history: the pass over the
+  /// single prefix history.size().
+  [[nodiscard]] double predict(std::span<const double> history) const;
+
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
 /// Predicts the most recent value.
 class LastValue final : public Forecaster {
  public:
-  [[nodiscard]] double predict(std::span<const double> history) const override;
+  void predict_prefixes(std::span<const double> history, std::size_t first,
+                        std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "last"; }
 };
 
 /// Predicts the mean of the entire history.
 class RunningMean final : public Forecaster {
  public:
-  [[nodiscard]] double predict(std::span<const double> history) const override;
+  void predict_prefixes(std::span<const double> history, std::size_t first,
+                        std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "mean"; }
 };
 
@@ -40,7 +58,8 @@ class RunningMean final : public Forecaster {
 class SlidingMean final : public Forecaster {
  public:
   explicit SlidingMean(std::size_t window);
-  [[nodiscard]] double predict(std::span<const double> history) const override;
+  void predict_prefixes(std::span<const double> history, std::size_t first,
+                        std::span<double> out) const override;
   [[nodiscard]] std::string name() const override;
 
  private:
@@ -48,10 +67,12 @@ class SlidingMean final : public Forecaster {
 };
 
 /// Predicts the median of the last `window` values (robust to bursts).
+/// The values must not be NaN, which has no place in a sorted window.
 class SlidingMedian final : public Forecaster {
  public:
   explicit SlidingMedian(std::size_t window);
-  [[nodiscard]] double predict(std::span<const double> history) const override;
+  void predict_prefixes(std::span<const double> history, std::size_t first,
+                        std::span<double> out) const override;
   [[nodiscard]] std::string name() const override;
 
  private:
@@ -62,7 +83,8 @@ class SlidingMedian final : public Forecaster {
 class ExpSmoothing final : public Forecaster {
  public:
   explicit ExpSmoothing(double alpha);
-  [[nodiscard]] double predict(std::span<const double> history) const override;
+  void predict_prefixes(std::span<const double> history, std::size_t first,
+                        std::span<double> out) const override;
   [[nodiscard]] std::string name() const override;
 
  private:
@@ -76,7 +98,8 @@ class AdaptiveMean final : public Forecaster {
  public:
   /// `windows` must be non-empty, ascending.
   explicit AdaptiveMean(std::vector<std::size_t> windows = {5, 10, 20, 50});
-  [[nodiscard]] double predict(std::span<const double> history) const override;
+  void predict_prefixes(std::span<const double> history, std::size_t first,
+                        std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "adaptive"; }
 
  private:

@@ -16,6 +16,9 @@ Service::Service(ServiceOptions options)
 }
 
 void Service::observe(const std::string& resource, double value) {
+  SSPRED_REQUIRE(std::isfinite(value),
+                 "measurement for " + resource +
+                     " is not finite: " + std::to_string(value));
   const std::unique_lock lock(mutex_);
   auto& h = histories_[resource];
   h.push_back(value);
@@ -28,44 +31,46 @@ std::size_t Service::history_size(const std::string& resource) const {
   return it == histories_.end() ? 0 : it->second.size();
 }
 
-std::vector<double> Service::history_locked(
-    const std::string& resource) const {
+std::vector<double> Service::history(const std::string& resource) const {
+  const std::shared_lock lock(mutex_);
   const auto it = histories_.find(resource);
   SSPRED_REQUIRE(it != histories_.end(), "unknown resource: " + resource);
   return {it->second.begin(), it->second.end()};
 }
 
-std::vector<double> Service::history(const std::string& resource) const {
-  const std::shared_lock lock(mutex_);
-  return history_locked(resource);
-}
-
-std::vector<std::pair<std::string, double>> Service::postcast_errors_locked(
+std::vector<Service::Postcast> Service::postcast(
     const std::string& resource) const {
-  const std::vector<double> h = history_locked(resource);
-  SSPRED_REQUIRE(h.size() >= options_.warmup + 2,
+  const std::vector<double> h = history(resource);
+  const std::size_t warmup = options_.warmup;
+  SSPRED_REQUIRE(h.size() >= warmup + 2,
                  "not enough history to postcast: " + resource);
-  std::vector<std::pair<std::string, double>> errors;
-  errors.reserve(bank_.size());
+  // out[k] is the forecast from the prefix of length warmup + k: entries
+  // [0, n - warmup) are postcasts of h[warmup..n), the last is the
+  // forecast of the value after h.
+  std::vector<double> out(h.size() - warmup + 1);
+  std::vector<Postcast> passes;
+  passes.reserve(bank_.size());
   for (const auto& f : bank_) {
+    f->predict_prefixes(h, warmup, out);
     double se = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = options_.warmup; i < h.size(); ++i) {
-      const double pred =
-          f->predict(std::span<const double>(h.data(), i));
-      const double err = pred - h[i];
+    for (std::size_t i = warmup; i < h.size(); ++i) {
+      const double err = out[i - warmup] - h[i];
       se += err * err;
-      ++n;
     }
-    errors.emplace_back(f->name(), se / static_cast<double>(n));
+    passes.push_back({se / static_cast<double>(h.size() - warmup), out.back()});
   }
-  return errors;
+  return passes;
 }
 
 std::vector<std::pair<std::string, double>> Service::postcast_errors(
     const std::string& resource) const {
-  const std::shared_lock lock(mutex_);
-  return postcast_errors_locked(resource);
+  const std::vector<Postcast> passes = postcast(resource);
+  std::vector<std::pair<std::string, double>> errors;
+  errors.reserve(bank_.size());
+  for (std::size_t i = 0; i < bank_.size(); ++i) {
+    errors.emplace_back(bank_[i]->name(), passes[i].mse);
+  }
+  return errors;
 }
 
 void Service::save_csv(const std::string& path) const {
@@ -107,21 +112,19 @@ std::vector<std::string> Service::resources() const {
 }
 
 Forecast Service::forecast(const std::string& resource) const {
-  const std::shared_lock lock(mutex_);
-  const std::vector<double> h = history_locked(resource);
-  const auto errors = postcast_errors_locked(resource);
+  const std::vector<Postcast> passes = postcast(resource);
   std::size_t best = 0;
   double best_mse = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    if (errors[i].second < best_mse) {
-      best_mse = errors[i].second;
+  for (std::size_t i = 0; i < passes.size(); ++i) {
+    if (passes[i].mse < best_mse) {
+      best_mse = passes[i].mse;
       best = i;
     }
   }
   Forecast fc;
-  fc.value = bank_[best]->predict(h);
+  fc.value = passes[best].next;
   fc.error_sd = std::sqrt(best_mse);
-  fc.forecaster = errors[best].first;
+  fc.forecaster = bank_[best]->name();
   return fc;
 }
 

@@ -41,14 +41,19 @@ struct ServiceOptions {
 /// number of concurrent readers (forecast/history/postcast_errors/...)
 /// may overlap with writers (observe/load_csv). Writers serialize against
 /// each other and against readers; a forecast therefore always sees a
-/// complete, consistent history — never a half-appended one. The serving
+/// complete, consistent history — never a half-appended one. forecast()
+/// and postcast_errors() copy the history under the lock and postcast
+/// the copy, so a writer never waits for a postcast. The serving
 /// layer (serve/epoch.hpp) additionally snapshots forecasts into immutable
 /// epochs so a batch of predictions shares one consistent view.
 class Service {
  public:
   explicit Service(ServiceOptions options = {});
 
-  /// Records a measurement for `resource` (e.g. "cpu/sparc2-a").
+  /// Records a measurement for `resource` (e.g. "cpu/sparc2-a"). Throws
+  /// support::Error naming the resource, and records nothing, when
+  /// `value` is NaN or infinite: one such value would make every
+  /// forecaster's postcast error non-finite until it left the history.
   void observe(const std::string& resource, double value);
 
   /// Number of stored measurements for `resource` (0 if unknown).
@@ -57,11 +62,15 @@ class Service {
   /// The stored history, oldest first.
   [[nodiscard]] std::vector<double> history(const std::string& resource) const;
 
-  /// Forecast for `resource`. Requires at least warmup+2 observations.
+  /// Forecast for `resource`: the forecast from the whole history of the
+  /// forecaster with the lowest postcast MSE (the first in bank order on
+  /// a tie). Requires at least warmup+2 observations.
   [[nodiscard]] Forecast forecast(const std::string& resource) const;
 
-  /// Postcast MSE of every forecaster on `resource`'s history
-  /// (for the forecaster-ablation bench), as (name, mse) pairs.
+  /// Postcast MSE of every forecaster on `resource`'s history, as
+  /// (name, mse) pairs in bank order: the mean squared error of its
+  /// forecasts from the prefixes of length warmup..n-1 against the value
+  /// that followed each.
   [[nodiscard]] std::vector<std::pair<std::string, double>> postcast_errors(
       const std::string& resource) const;
 
@@ -75,12 +84,15 @@ class Service {
   [[nodiscard]] std::vector<std::string> resources() const;
 
  private:
-  /// history() body without locking; callers hold mutex_ (any mode).
-  [[nodiscard]] std::vector<double> history_locked(
+  /// One forecaster's pass over a history.
+  struct Postcast {
+    double mse = 0.0;   ///< postcast MSE
+    double next = 0.0;  ///< forecast from the whole history
+  };
+  /// Copies `resource`'s history once and runs each forecaster once over
+  /// its prefixes of length warmup..n, in bank order.
+  [[nodiscard]] std::vector<Postcast> postcast(
       const std::string& resource) const;
-  /// postcast_errors() body without locking; callers hold mutex_.
-  [[nodiscard]] std::vector<std::pair<std::string, double>>
-  postcast_errors_locked(const std::string& resource) const;
 
   ServiceOptions options_;
   std::vector<std::unique_ptr<Forecaster>> bank_;

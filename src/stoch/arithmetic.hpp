@@ -38,10 +38,10 @@ enum class Dependence {
 // Each rule is one step on raw moments: `mean` and `half` hold the running
 // value, and the step combines one more operand into them. The checked
 // operations below apply one step and build one StochasticValue. The
-// compiled walk (model/ir.cpp) folds the steps across a group node's
-// operands and checks once per node, and the constant folder
-// (model/compile.cpp) applies them to point values, so every evaluator
-// computes the same bits.
+// compiled walk (model/ir.cpp) and the `Expr` tree (model/expr.cpp) fold
+// the steps across a group node's operands and check once per node, and
+// the constant folder (model/compile.cpp) applies them to point values,
+// so every evaluator computes the same bits.
 
 /// One step of a sum: (mean ± half) + y under `dep`:
 ///  related:   (X+Y) ± (half + b)            [conservative]

@@ -282,6 +282,28 @@ TEST(Compiled, ConstantFoldingLeavesNodesWhoseStochasticRuleThrows) {
   }
 }
 
+TEST(Compiled, TreeChecksAGroupNodeOnceAsTheWalkDoes) {
+  // 1e300 * 1e300 overflows part way through the fold, and the zero
+  // factor then makes the product the zero point value (§2.3.2). The walk
+  // and the folder check the folded node once, so the tree must too.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const auto dep : {Dependence::kRelated, Dependence::kUnrelated}) {
+    const ExprPtr e = prod({constant(StochasticValue(1e300, 1.0)),
+                            constant(StochasticValue(1e300, 1.0)),
+                            constant(StochasticValue(0.0))},
+                           dep);
+    const StochasticValue tree = e->evaluate(Environment{});
+    for (const ir::Program& prog : {compile(*e), compile_unoptimized(*e)}) {
+      const StochasticValue walk = prog.evaluate(prog.make_environment());
+      EXPECT_EQ(bits(tree.mean()), bits(walk.mean())) << e->to_string();
+      EXPECT_EQ(bits(tree.halfwidth()), bits(walk.halfwidth()))
+          << e->to_string();
+    }
+    EXPECT_EQ(bits(tree.mean()), bits(0.0));
+    EXPECT_EQ(bits(tree.halfwidth()), bits(0.0));
+  }
+}
+
 TEST(Compiled, SorModelServesIdenticalPredictions) {
   const auto spec = cluster::platform1();
   sor::SorConfig cfg;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -82,6 +83,25 @@ TEST(Fingerprint, DoublesRoundTripSeventeenDigits) {
   Fingerprint c;
   c.field("v", std::nextafter(0.1, 1.0));  // genuinely distinct double
   EXPECT_NE(a.str(), c.str());
+}
+
+TEST(Fingerprint, DoubleTextIsPinned) {
+  // The rendered text is part of every structure key, hash and shard
+  // route, so it must not move with how it is produced.
+  const auto key = [](double v) {
+    Fingerprint fp;
+    fp.field("x", v);
+    return fp.str();
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(key(0.1), "x=f0.10000000000000001");
+  EXPECT_EQ(key(1.0 / 3.0), "x=f0.33333333333333331");
+  EXPECT_EQ(key(1e21), "x=f1e+21");
+  EXPECT_EQ(key(5e-324), "x=f4.9406564584124654e-324");
+  EXPECT_EQ(key(-0.0), "x=f-0");
+  EXPECT_EQ(key(kInf), "x=finf");
+  EXPECT_EQ(key(-kInf), "x=f-inf");
+  EXPECT_EQ(key(std::numeric_limits<double>::quiet_NaN()), "x=fnan");
 }
 
 TEST(Fingerprint, TagsAndIntegralConvenienceOverloads) {

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -257,6 +258,41 @@ TEST(ServeEpoch, BridgePublishesVersionedConsistentSnapshots) {
   EXPECT_EQ(bridge.current().get(), second.get());
   // The first epoch is immutable and still readable by in-flight work.
   EXPECT_NEAR(first->lookup("cpu/b").mean(), 0.5, 1e-6);
+}
+
+TEST(ServeEpoch, RejectedNonFiniteMeasurementKeepsTheResourcePublished) {
+  // One NaN or inf in a history would make every postcast MSE non-finite,
+  // so forecast() could not build a stochastic value and the bridge would
+  // drop the resource until the bad value slid out of the history.
+  nws::ServiceOptions nws_options;
+  nws_options.history_capacity = 64;
+  nws::Service nws_service(nws_options);
+  support::Rng rng(11);
+  for (int i = 0; i < 64; ++i) {
+    nws_service.observe("cpu/a", rng.normal(0.5, 0.05));
+  }
+  const std::vector<double> before = nws_service.history("cpu/a");
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    try {
+      nws_service.observe("cpu/a", bad);
+      ADD_FAILURE() << "observe accepted " << bad;
+    } catch (const support::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("cpu/a"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(nws_service.history("cpu/a"), before);
+  // A rejected first measurement does not create the resource either.
+  EXPECT_THROW(nws_service.observe("cpu/new",
+                                   std::numeric_limits<double>::quiet_NaN()),
+               support::Error);
+  EXPECT_EQ(nws_service.history_size("cpu/new"), 0u);
+
+  EXPECT_TRUE(std::isfinite(nws_service.forecast("cpu/a").error_sd));
+  NwsBridge bridge(nws_service, {"cpu/a"});
+  EXPECT_TRUE(bridge.publish()->contains("cpu/a"));
 }
 
 // Epoch pinning: a request must never observe bindings from two epochs,
