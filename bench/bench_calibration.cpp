@@ -18,6 +18,7 @@
 //
 // Numbers are recorded in BENCH_calibration.json; the process exits
 // non-zero if any of the three claims fails, so the demo is self-checking.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>

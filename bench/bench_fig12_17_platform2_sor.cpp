@@ -6,6 +6,10 @@
 // execution times inside the stochastic range with max out-of-range error
 // ~14%, versus a ~38.6% max error for the point (mean) predictions. The
 // other sizes (Figs. 14-17) behave the same way.
+//
+// Exits 1 unless both claims hold at every size (the checks and their
+// derivation are in check_claims).
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
@@ -13,6 +17,7 @@
 
 #include "bench_util.hpp"
 #include "predict/experiment.hpp"
+#include "stoch/metrics.hpp"
 #include "support/ascii_plot.hpp"
 #include "support/csv.hpp"
 #include "support/table.hpp"
@@ -21,7 +26,52 @@ namespace {
 
 using namespace sspred;
 
-void run_size(std::size_t n, const char* figures) {
+/// The paper's capture fraction (§3.2: "approximately 80%").
+constexpr double kPaperCapture = 0.80;
+
+/// Checks the two headline claims on one size's trials; prints and
+/// returns whether both hold.
+///
+/// Capture. Each trial's actual is inside its interval or not, so over
+/// n = 16 trials the captured count is binomial with sd
+/// sqrt(16 * 0.8 * 0.2) = 1.6 trials (10% of the fraction): a point
+/// threshold on the fraction would fail on noise alone. The check is
+/// instead that the observed count is consistent with the paper's 0.80
+/// at 95% confidence — the Wilson score interval of captured/16 contains
+/// 0.80. At 16 trials that accepts 10..15 captured. All 16 fails it too:
+/// intervals wide enough to catch everything have lost the sharpness the
+/// paper's 80% reflects.
+///
+/// Max error. Footnote 6 scores a stochastic prediction by its distance
+/// to the range, a point prediction by its distance to the mean, and the
+/// paper's claim is that the first is much smaller (14% vs 38.6% at
+/// N = 1600). The check is the claim's direction, strictly: the largest
+/// out-of-range error is below the largest point error. Both maxima come
+/// from the same 16 deterministic trials, so there is no sampling
+/// tolerance to allow for.
+bool check_claims(const std::vector<predict::TrialOutcome>& outcomes) {
+  const std::size_t captured = static_cast<std::size_t>(
+      std::count_if(outcomes.begin(), outcomes.end(), [](const auto& o) {
+        return o.predicted.contains(o.actual);
+      }));
+  const auto ci = stoch::wilson_interval(captured, outcomes.size());
+  const bool capture_ok = ci.lower <= kPaperCapture &&
+                          kPaperCapture <= ci.upper;
+  const auto s = predict::score(outcomes);
+  const bool error_ok = s.max_range_error < s.max_mean_error;
+  std::printf("  check: %zu/%zu captured, Wilson 95%% [%.3f, %.3f] %s 0.80"
+              " -> %s\n",
+              captured, outcomes.size(), ci.lower, ci.upper,
+              capture_ok ? "contains" : "excludes",
+              capture_ok ? "pass" : "FAIL");
+  std::printf("  check: stochastic max error %.1f%% %s point max error "
+              "%.1f%% -> %s\n",
+              100.0 * s.max_range_error, error_ok ? "<" : ">=",
+              100.0 * s.max_mean_error, error_ok ? "pass" : "FAIL");
+  return capture_ok && error_ok;
+}
+
+bool run_size(std::size_t n, const char* figures) {
   predict::SeriesConfig cfg;
   cfg.platform = cluster::platform2();
   cfg.sor.n = n;
@@ -117,6 +167,7 @@ void run_size(std::size_t n, const char* figures) {
   std::printf("  headline: stochastic max error is %.1fx smaller than the "
               "point max error\n",
               s.max_mean_error / std::max(s.max_range_error, 1e-9));
+  return check_claims(outcomes);
 }
 
 }  // namespace
@@ -125,8 +176,10 @@ int main() {
   bench::banner("Figures 12-17",
                 "Platform 2 (bursty): stochastic vs point predictions, "
                 "three problem sizes");
-  run_size(1000, "Figures 14-15");
-  run_size(1600, "Figures 12-13");
-  run_size(2000, "Figures 16-17");
-  return 0;
+  bool pass = run_size(1000, "Figures 14-15");
+  pass = run_size(1600, "Figures 12-13") && pass;
+  pass = run_size(2000, "Figures 16-17") && pass;
+  std::printf("\npaper claims at N = 1000, 1600, 2000: %s\n",
+              pass ? "PASS" : "FAIL");
+  return pass ? 0 : 1;
 }

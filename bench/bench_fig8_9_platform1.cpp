@@ -5,6 +5,13 @@
 // Paper claims reproduced in shape: actual times fall within the
 // stochastic interval (0% outside); the mean-vs-actual discrepancy stays
 // below ~10% (paper: max 9.7%).
+//
+// Exits 1 if any actual falls outside its interval. Derivation: the
+// paper reports 0% outside at every size on Platform 1, whose load stays
+// in one mode. The sweep is seeded and runs in virtual time, so its six
+// outcomes are the same bits on every run rather than a sample that
+// varies between runs; there is no sampling noise to allow for, and the
+// claim is checked as stated: one actual outside fails.
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
@@ -114,5 +121,7 @@ int main() {
                                        0));
   bench::compare_line("max mean-vs-actual discrepancy", "9.7%",
                       support::fmt_pct(worst_mean_err, 1));
-  return 0;
+  std::printf("\npaper claim (0%% outside): %s\n",
+              outside == 0 ? "PASS" : "FAIL");
+  return outside == 0 ? 0 : 1;
 }

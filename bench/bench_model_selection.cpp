@@ -145,14 +145,12 @@ LoopResult run_mixed_loop() {
   // the block length, so the learned candidate is wrong exactly when
   // structural is right (and vice versa): the anti-correlated-errors
   // regime the moment-matched blend hedges.
-  learn::BankOptions bank_options;
-  bank_options.rls.forgetting = 0.7;
   return run_loop(
       kMixedTrials, 0.02,
       [](std::size_t i) {
         return (i / kMixedPeriod) % 2 == 0 ? 1.0 : kDriftFactor;
       },
-      std::make_shared<learn::PredictorBank>(bank_options));
+      std::make_shared<learn::PredictorBank>(/*forgetting=*/0.7));
 }
 
 void emit_json(const LoopResult& drift, const LoopResult& mixed,

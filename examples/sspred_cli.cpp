@@ -529,15 +529,11 @@ int cmd_cluster(const std::map<std::string, std::string>& opts) {
               rejected, failed_over);
   if (ok > 0) std::printf("last prediction: %s s\n", last.to_string(2).c_str());
   std::printf("final heartbeat rebalanced %zu node(s)\n", rebalanced);
-  std::printf("\nnode  state    ewma   epoch  served\n");
+  std::printf("\nnode  state  epoch  served\n");
   for (std::size_t n = 0; n < cluster.nodes(); ++n) {
     const auto health = cluster.membership().health(n);
-    const char* state = health.state == dserve::NodeState::kUp ? "up"
-                        : health.state == dserve::NodeState::kSuspect
-                            ? "suspect"
-                            : "down";
-    std::printf("%4zu  %-7s  %.3f  %5llu  %6llu\n", n, state,
-                health.success_ewma,
+    const char* state = health.state == dserve::NodeState::kUp ? "up" : "down";
+    std::printf("%4zu  %-5s  %5llu  %6llu\n", n, state,
                 (unsigned long long)cluster.node(n).epoch_version(),
                 (unsigned long long)health.successes);
   }

@@ -83,17 +83,4 @@ std::uint64_t ConformalRecalibrator::count(const std::string& model_id) const {
   return it == per_model_.end() ? 0 : it->second.filled;
 }
 
-ConformalRecalibrator::BindingTransform
-ConformalRecalibrator::binding_transform() const {
-  return [this](std::map<std::string, stoch::StochasticValue>& bindings) {
-    const double factor = overall_scale();
-    for (auto& [name, value] : bindings) {
-      if (value.is_point()) continue;
-      const double half =
-          std::min(factor * value.halfwidth(), 0.98 * std::abs(value.mean()));
-      value = stoch::StochasticValue(value.mean(), std::max(half, 0.0));
-    }
-  };
-}
-
 }  // namespace sspred::calib

@@ -15,15 +15,9 @@
 // the window by construction (the standard conformal argument, with the
 // (n+1)-corrected rank), and adapts when the error regime shifts because
 // old scores age out of the window.
-//
-// The same factor can be pushed upstream: binding_transform() returns a
-// function that widens the half-widths of a bindings map, suitable for
-// serve::NwsBridge::set_transform, so every published epoch already
-// carries recalibrated parameter uncertainty.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -59,8 +53,7 @@ class ConformalRecalibrator {
   /// exist, then the clamped conformal quantile of the rolling window.
   [[nodiscard]] double scale(const std::string& model_id) const;
 
-  /// Scale over every model's scores pooled (used for epoch transforms,
-  /// which are not model-specific).
+  /// Scale over every model's scores pooled.
   [[nodiscard]] double overall_scale() const;
 
   /// The recalibrated interval: mean ± scale(model_id)·halfwidth.
@@ -70,15 +63,6 @@ class ConformalRecalibrator {
 
   /// Scores currently held for `model_id` (min(observations, window)).
   [[nodiscard]] std::uint64_t count(const std::string& model_id) const;
-
-  /// In-place widening of a bindings map by overall_scale(), compatible
-  /// with serve::NwsBridge::set_transform. Half-widths are capped at 98%
-  /// of the mean so load-like bindings keep a strictly positive lower
-  /// bound (structural models divide by them). The returned function
-  /// captures `this`; the recalibrator must outlive it.
-  using BindingTransform =
-      std::function<void(std::map<std::string, stoch::StochasticValue>&)>;
-  [[nodiscard]] BindingTransform binding_transform() const;
 
   [[nodiscard]] const RecalibratorOptions& options() const noexcept {
     return options_;

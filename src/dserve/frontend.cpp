@@ -18,10 +18,9 @@ std::size_t clamp_replicas(const ClusterOptions& options) {
   return r > options.nodes ? options.nodes : r;
 }
 
-/// Membership's success EWMA: the newest outcome's weight, and the level
-/// below which a node turns kSuspect (see membership.hpp).
-constexpr double kEwmaAlpha = 0.2;
-constexpr double kEwmaFloor = 0.5;
+/// Consecutive failures (or missed heartbeats) that turn a node kDown
+/// (see membership.hpp).
+constexpr std::uint64_t kDownAfterFailures = 2;
 
 /// Strips the 4-byte length prefix off a complete reply frame; null on a
 /// frame too short to carry one.
@@ -38,8 +37,7 @@ ClusterFrontend::ClusterFrontend(ClusterOptions options, FaultPlan plan)
     : options_(std::move(options)),
       replicas_(clamp_replicas(options_)),
       ring_(options_.nodes),
-      membership_(options_.nodes, metrics_, kEwmaAlpha, kEwmaFloor,
-                  options_.down_after_failures),
+      membership_(options_.nodes, metrics_, kDownAfterFailures),
       plan_(std::move(plan)),
       requests_total_(metrics_.counter("requests_total")),
       requests_ok_(metrics_.counter("requests_ok")),
@@ -289,7 +287,7 @@ void ClusterFrontend::remember_mapping(std::uint64_t step, std::size_t node,
   const std::lock_guard lock(observations_mutex_);
   served_[step] = {node, node_request_id};
   served_order_.push_back(step);
-  while (served_order_.size() > options_.observation_capacity) {
+  while (served_order_.size() > serve::kObservationCapacity) {
     served_.erase(served_order_.front());
     served_order_.pop_front();
   }

@@ -16,12 +16,12 @@
 //   failover   — a replica that drops the frame (crash, link drop) is
 //                marked failed and the next replica is tried in set
 //                order; kDown nodes sink to the back of the order. A
-//                rejection (a stopped service or an unavailable shard)
-//                also fails over (the node is alive — it just cannot
-//                serve this key), so an accepted request is lost only
-//                when EVERY replica rejects it.
+//                rejection (a stopped service) also fails over (the
+//                node answered — it just cannot serve), so an accepted
+//                request is lost only when EVERY replica rejects it.
 //   health     — Membership fuses heartbeat probes with per-request
-//                outcomes into kUp/kSuspect/kDown (membership.hpp).
+//                outcomes into kUp/kDown: two consecutive failures (or
+//                missed heartbeats) down a node (membership.hpp).
 //   rebalance  — heartbeat acks carry each node's installed epoch
 //                version; a node behind the cluster's published version
 //                (fresh restart: version 0) gets the epoch re-pushed
@@ -73,11 +73,6 @@ struct ClusterOptions {
   std::size_t replicas = 2;
   /// Configuration of each node's inner PredictionService.
   serve::ServiceOptions node_options;
-  /// Consecutive failures (or missed heartbeats) that turn a node kDown
-  /// (see membership.hpp).
-  std::uint64_t down_after_failures = 2;
-  /// Served requests remembered for report_observation forwarding.
-  std::size_t observation_capacity = 4096;
   /// Clock handed to every node; null selects the real clock.
   std::shared_ptr<support::Clock> clock;
 };
@@ -194,8 +189,8 @@ class ClusterFrontend {
   serve::EpochPtr epoch_;
   std::uint64_t epoch_version_ = 0;
 
-  /// step -> (node, node-local request id), FIFO-bounded, for
-  /// observation forwarding.
+  /// step -> (node, node-local request id), FIFO-bounded by
+  /// serve::kObservationCapacity, for observation forwarding.
   mutable std::mutex observations_mutex_;
   std::map<std::uint64_t, std::pair<std::size_t, std::uint64_t>> served_;
   std::deque<std::uint64_t> served_order_;

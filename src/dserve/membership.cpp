@@ -5,11 +5,8 @@
 namespace sspred::dserve {
 
 Membership::Membership(std::size_t nodes, serve::MetricsRegistry& registry,
-                       double ewma_alpha, double ewma_floor,
                        std::uint64_t down_after)
     : nodes_(nodes),
-      alpha_(ewma_alpha),
-      floor_(ewma_floor),
       down_after_(down_after == 0 ? 1 : down_after),
       transitions_down_(registry.counter("node_transitions_down")),
       transitions_up_(registry.counter("node_transitions_up")) {
@@ -20,11 +17,7 @@ Membership::Membership(std::size_t nodes, serve::MetricsRegistry& registry,
 
 void Membership::transition(NodeHealth& health, NodeState to) {
   if (health.state == to) return;
-  if (to == NodeState::kDown) {
-    transitions_down_.increment();
-  } else if (health.state == NodeState::kDown) {
-    transitions_up_.increment();
-  }
+  (to == NodeState::kDown ? transitions_down_ : transitions_up_).increment();
   health.state = to;
 }
 
@@ -33,9 +26,8 @@ void Membership::record_success(std::size_t node) {
   NodeHealth& h = nodes_.at(node);
   ++h.successes;
   h.consecutive_failures = 0;
-  h.success_ewma += alpha_ * (1.0 - h.success_ewma);
   // A served request is proof of life, whatever the state said.
-  transition(h, h.success_ewma < floor_ ? NodeState::kSuspect : NodeState::kUp);
+  transition(h, NodeState::kUp);
 }
 
 void Membership::record_failure(std::size_t node) {
@@ -43,11 +35,8 @@ void Membership::record_failure(std::size_t node) {
   NodeHealth& h = nodes_.at(node);
   ++h.failures;
   ++h.consecutive_failures;
-  h.success_ewma += alpha_ * (0.0 - h.success_ewma);
   if (h.consecutive_failures >= down_after_) {
     transition(h, NodeState::kDown);
-  } else if (h.state == NodeState::kUp && h.success_ewma < floor_) {
-    transition(h, NodeState::kSuspect);
   }
 }
 
@@ -60,7 +49,6 @@ void Membership::heartbeat_ok(std::size_t node, std::uint64_t epoch_version) {
     // Back from the dead: give it a clean slate so one stale failure
     // streak doesn't immediately re-down it.
     h.consecutive_failures = 0;
-    if (h.success_ewma < floor_) h.success_ewma = floor_;
     transition(h, NodeState::kUp);
   }
 }

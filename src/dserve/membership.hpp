@@ -3,20 +3,18 @@
 // Two signals feed it, in the spirit of the belief-net bottleneck
 // diagnosis that motivates per-node health state (PAPERS.md, arXiv
 // 1302.4932): explicit heartbeat probes (liveness + the node's installed
-// epoch version) and the outcome of every routed request (an EWMA of
-// success, the passive signal that catches a node that answers probes
-// but fails work). The derived state machine is deliberately small:
+// epoch version) and the outcome of every routed request (the passive
+// signal that catches a node that answers probes but fails work). The
+// derived state machine has two states:
 //
-//   kUp      — healthy; preferred replica order
-//   kSuspect — alive but flaky (success EWMA under the floor); tried
-//              after every kUp replica
-//   kDown    — `down_after` consecutive transport failures or missed
-//              heartbeats; skipped on the first failover pass, probed by
-//              heartbeats, and resurrected by the first success
+//   kUp   — answering; tried in replica-set order
+//   kDown — `down_after` consecutive transport failures or missed
+//           heartbeats; sunk to the back of the failover order, probed
+//           by heartbeats, and resurrected by the first success
 //
 // Transitions are counted into the frontend's registry
 // (node_transitions_down / node_transitions_up). All methods are
-// thread-safe; request outcomes race benignly (the EWMA is a health
+// thread-safe; request outcomes race benignly (the counts are a health
 // signal, not an accounting ledger).
 #pragma once
 
@@ -30,13 +28,11 @@ namespace sspred::dserve {
 
 enum class NodeState {
   kUp,
-  kSuspect,
   kDown,
 };
 
 struct NodeHealth {
   NodeState state = NodeState::kUp;
-  double success_ewma = 1.0;        ///< request-outcome EWMA in [0,1]
   std::uint64_t epoch_version = 0;  ///< last version the node reported
   std::uint64_t successes = 0;
   std::uint64_t failures = 0;
@@ -47,11 +43,10 @@ struct NodeHealth {
 class Membership {
  public:
   /// `registry` receives the transition counters; it must outlive the
-  /// membership. `ewma_floor` is the success level below which a node
-  /// turns kSuspect; `down_after` the consecutive failures (or missed
-  /// heartbeats) that turn it kDown.
+  /// membership. `down_after` is the consecutive failures (or missed
+  /// heartbeats) that turn a node kDown.
   Membership(std::size_t nodes, serve::MetricsRegistry& registry,
-             double ewma_alpha, double ewma_floor, std::uint64_t down_after);
+             std::uint64_t down_after);
 
   /// A routed request completed on `node`. Resurrects a kDown node (the
   /// failover path may have reached it as a last resort).
@@ -79,8 +74,6 @@ class Membership {
 
   mutable std::mutex mutex_;
   std::vector<NodeHealth> nodes_;
-  double alpha_;
-  double floor_;
   std::uint64_t down_after_;
   serve::Counter& transitions_down_;
   serve::Counter& transitions_up_;

@@ -91,9 +91,7 @@ std::vector<std::uint8_t> ServingNode::serve_heartbeat(
   ack.client_tag = tag;
   const serve::EpochPtr epoch = service_->current_epoch();
   ack.epoch_version = epoch ? epoch->version() : 0;
-  const std::int64_t depth =
-      service_->metrics().gauge("queue_depth").value();
-  ack.queue_depth = depth > 0 ? static_cast<std::uint64_t>(depth) : 0;
+  ack.queue_depth = 0;  // frames never queue (see the class comment)
   return serve::encode_heartbeat_ack(ack);
 }
 

@@ -12,11 +12,11 @@
 // the transport call is synchronous, so handing the frame to a worker
 // and blocking on its future would add two thread handoffs and no
 // parallelism. A node's concurrency is therefore bounded by its callers,
-// and it sheds a frame (kRejected) only when its service is stopped or
-// the routed shard is unavailable — admission capacity, queue-full
-// shedding, coalescing, pause() and drain() belong to the queued
-// submit() path, which nodes do not use: a node's workers run nothing
-// for cluster frames.
+// and it sheds a frame (kRejected) only when its service is stopped —
+// admission capacity, queue-full shedding, coalescing, pause() and
+// drain() belong to the queued submit() path, which nodes do not use: a
+// node's workers run nothing for cluster frames, so the heartbeat ack's
+// queue depth is always 0.
 //
 // Fault model (fail-stop with drain):
 //   crash()   — the node stops answering: every subsequent handle_frame

@@ -4,9 +4,13 @@
 #include <array>
 #include <cmath>
 
-#include "support/error.hpp"
-
 namespace sspred::learn {
+namespace {
+
+/// Relative rolling-CRPS margin a challenger must win by.
+constexpr double kImprovement = 0.10;
+
+}  // namespace
 
 const char* source_name(Source source) noexcept {
   switch (source) {
@@ -35,19 +39,6 @@ stoch::StochasticValue blend(const stoch::StochasticValue& structural,
                      mean * mean;
   return stoch::StochasticValue::from_mean_sd(mean,
                                               std::sqrt(std::max(var, 0.0)));
-}
-
-Arbiter::Arbiter(ArbiterOptions options)
-    : options_(std::move(options)), ledger_(options_.ledger) {
-  SSPRED_REQUIRE(options_.min_observations >= 1,
-                 "arbiter min_observations must be >= 1");
-  SSPRED_REQUIRE(options_.improvement >= 0.0 && options_.improvement < 1.0,
-                 "arbiter improvement margin must be in [0, 1)");
-  SSPRED_REQUIRE(options_.hysteresis >= 1, "arbiter hysteresis must be >= 1");
-  SSPRED_REQUIRE(options_.min_blend_weight >= 0.0 &&
-                     options_.min_blend_weight <= options_.max_blend_weight &&
-                     options_.max_blend_weight <= 1.0,
-                 "arbiter blend-weight bounds must satisfy 0 <= min <= max <= 1");
 }
 
 Arbiter::ModelState::ModelState(const std::string& model_id) {
@@ -105,12 +96,11 @@ bool Arbiter::record(const std::string& model_id,
 
   // Learned share of the mixture from the rolling-CRPS ratio: the
   // candidate with the smaller score earns the larger weight.
-  if (s_learn.rolling_crps_count >= options_.min_observations) {
+  if (s_learn.rolling_crps_count >= kArbiterWarmup) {
     const double total = s_struct.rolling_crps + s_learn.rolling_crps;
     if (total > 0.0) {
       state.blend_w = std::clamp(s_struct.rolling_crps / total,
-                                 options_.min_blend_weight,
-                                 options_.max_blend_weight);
+                                 kMinBlendWeight, kMaxBlendWeight);
     }
   }
 
@@ -134,7 +124,7 @@ bool Arbiter::record(const std::string& model_id,
   double best_crps = incumbent_crps;
   for (const Candidate& c : candidates) {
     if (c.source == state.serving) continue;
-    if (c.window < options_.min_observations) continue;
+    if (c.window < kArbiterWarmup) continue;
     if (c.crps < best_crps) {
       best = c.source;
       best_crps = c.crps;
@@ -143,14 +133,14 @@ bool Arbiter::record(const std::string& model_id,
 
   bool flipped = false;
   if (best != state.serving &&
-      best_crps < incumbent_crps * (1.0 - options_.improvement)) {
+      best_crps < incumbent_crps * (1.0 - kImprovement)) {
     if (state.challenger == best) {
       ++state.streak;
     } else {
       state.challenger = best;
       state.streak = 1;
     }
-    if (state.streak >= options_.hysteresis) {
+    if (state.streak >= kHysteresis) {
       state.serving = best;
       state.challenger = best;
       state.streak = 0;

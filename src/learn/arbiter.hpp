@@ -7,14 +7,16 @@
 // calib::AccuracyLedger — composed ids "<model>#structural",
 // "<model>#learned", "<model>#blended" — each scoring its candidate's
 // rolling CRPS and coverage against the shared observation stream. The
-// serving source flips only with hysteresis: a challenger must beat the
-// incumbent's rolling CRPS by a relative margin for a run of consecutive
+// serving source flips only with hysteresis: a challenger with at least
+// kArbiterWarmup observations in its rolling window must beat the
+// incumbent's rolling CRPS by 10% for kHysteresis consecutive
 // observations, so a lucky streak cannot thrash the serving path.
 //
 // The blended candidate is the two-component mixture of structural and
 // learned, with the learned weight driven by the candidates' rolling
-// CRPS ratio — it hedges regime boundaries, where neither pure candidate
-// is reliable yet (the bench's mixed-regime segment).
+// CRPS ratio and clamped to [kMinBlendWeight, kMaxBlendWeight] — it
+// hedges regime boundaries, where neither pure candidate is reliable yet
+// (the bench's mixed-regime segment).
 //
 // All state is deterministic for a fixed observation sequence and
 // process-local; a restarted node re-converges from fresh observations.
@@ -42,20 +44,14 @@ enum class Source : std::uint8_t {
 
 [[nodiscard]] const char* source_name(Source source) noexcept;
 
-struct ArbiterOptions {
-  /// Observations a challenger candidate needs in the rolling window
-  /// before it may challenge at all.
-  std::size_t min_observations = 32;
-  /// Relative rolling-CRPS margin the challenger must win by.
-  double improvement = 0.10;
-  /// Consecutive winning observations required before a flip.
-  std::size_t hysteresis = 16;
-  /// Bounds on the learned share of the blended mixture.
-  double min_blend_weight = 0.05;
-  double max_blend_weight = 0.95;
-  /// Options for the candidate ledger (window = arbitration horizon).
-  calib::LedgerOptions ledger;
-};
+/// Observations a challenger candidate needs in the rolling window
+/// before it may challenge at all (and before the blend weight moves).
+inline constexpr std::size_t kArbiterWarmup = 32;
+/// Consecutive winning observations required before a flip.
+inline constexpr std::size_t kHysteresis = 16;
+/// Bounds on the learned share of the blended mixture.
+inline constexpr double kMinBlendWeight = 0.05;
+inline constexpr double kMaxBlendWeight = 0.95;
 
 /// One candidate's scores in the arbitration table.
 struct CandidateScore {
@@ -87,8 +83,6 @@ struct ModelArbitration {
 
 class Arbiter {
  public:
-  explicit Arbiter(ArbiterOptions options = {});
-
   /// Source to serve for `model_id`'s next prediction. kStructural for
   /// ids never recorded. The caller falls back to structural whenever
   /// the bank has no learned prediction yet, whatever this returns.
@@ -111,14 +105,6 @@ class Arbiter {
 
   [[nodiscard]] std::uint64_t flips_total() const;
 
-  /// The candidate ledger (children keyed "<model>#<source>").
-  [[nodiscard]] const calib::AccuracyLedger& ledger() const noexcept {
-    return ledger_;
-  }
-  [[nodiscard]] const ArbiterOptions& options() const noexcept {
-    return options_;
-  }
-
  private:
   struct ModelState {
     explicit ModelState(const std::string& model_id);
@@ -138,7 +124,8 @@ class Arbiter {
     double blend_w = 0.5;
   };
 
-  ArbiterOptions options_;
+  /// Candidate children keyed "<model>#<source>"; its rolling window is
+  /// the arbitration horizon.
   calib::AccuracyLedger ledger_;
   mutable std::mutex mutex_;  ///< guards states_ (ledger_ self-locks)
   std::map<std::string, ModelState> states_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/error.hpp"
-
 namespace sspred::learn {
 namespace {
 
@@ -13,17 +11,11 @@ namespace {
 /// StochasticValue then doubles into its ±2sd half-width.
 constexpr double kZ95 = 1.6448536269514722;
 
-}  // namespace
+/// Half-width floor relative to |mean|, so learned predictions are never
+/// degenerate points.
+constexpr double kMinRelativeHalfwidth = 1e-3;
 
-PredictorBank::PredictorBank(BankOptions options)
-    : options_(std::move(options)) {
-  SSPRED_REQUIRE(options_.min_observations >= 2,
-                 "predictor bank needs at least two warmup observations");
-  SSPRED_REQUIRE(options_.min_relative_halfwidth > 0.0,
-                 "predictor bank half-width floor must be positive");
-  SSPRED_REQUIRE(options_.quantiles.taus.size() == 3,
-                 "predictor bank expects exactly three taus (q05/q50/q95)");
-}
+}  // namespace
 
 std::optional<LearnedPrediction> PredictorBank::predict(
     const std::string& structure_key, std::span<const double> x) const {
@@ -31,19 +23,16 @@ std::optional<LearnedPrediction> PredictorBank::predict(
   const auto it = entries_.find(structure_key);
   if (it == entries_.end()) return std::nullopt;
   const Entry& entry = it->second;
-  if (entry.rls.count() < options_.min_observations) return std::nullopt;
+  if (entry.rls.count() < kBankWarmup) return std::nullopt;
 
-  const std::vector<double> qs = entry.residuals.quantiles();
-  const double q05 = qs[0];
-  const double q50 = qs[1];
-  const double q95 = qs[2];
+  const auto [q05, q50, q95] = entry.residuals.quantiles();
   const double mean = entry.rls.predict(x) + q50;
   // The wider residual flank sets the spread; asymmetric residuals get
   // the conservative side. Floors keep the value strictly stochastic.
   const double flank = std::max(q95 - q50, q50 - q05);
   const double halfwidth =
       std::max({2.0 * flank / kZ95,
-                std::abs(mean) * options_.min_relative_halfwidth, 1e-9});
+                std::abs(mean) * kMinRelativeHalfwidth, 1e-9});
 
   LearnedPrediction out;
   out.value = stoch::StochasticValue(mean, halfwidth);
@@ -62,7 +51,7 @@ void PredictorBank::observe(const std::string& structure_key,
     it = entries_
              .emplace(std::piecewise_construct,
                       std::forward_as_tuple(structure_key),
-                      std::forward_as_tuple(x.size(), options_))
+                      std::forward_as_tuple(x.size(), forgetting_))
              .first;
   }
   Entry& entry = it->second;

@@ -13,9 +13,10 @@
 //
 // i.e. the wider residual-quantile flank scaled from a 95%-tail z-score
 // to the ±2sd convention of stoch::StochasticValue. The half-width is
-// floored so a learned prediction is never a degenerate point — the
-// conformal recalibrator and the ledger's residual machinery both need
-// halfwidth > 0.
+// floored at 1e-3 of |mean| so a learned prediction is never a
+// degenerate point — the conformal recalibrator and the ledger's
+// residual machinery both need halfwidth > 0. A structure key offers
+// predictions once it has kBankWarmup observations.
 //
 // Thread safety: a single mutex over the key map; updates and
 // predictions are O(dim^2) / O(dim) inside it. State is process-local
@@ -37,17 +38,10 @@
 
 namespace sspred::learn {
 
-struct BankOptions {
-  /// Observations a structure key needs before the bank offers
-  /// predictions for it (the RLS estimate is pure prior until roughly
-  /// dim observations arrive).
-  std::size_t min_observations = 16;
-  /// Half-width floor relative to |mean|, so learned predictions are
-  /// never degenerate points.
-  double min_relative_halfwidth = 1e-3;
-  RlsOptions rls;
-  QuantileOptions quantiles;
-};
+/// Observations a structure key needs before the bank offers
+/// predictions for it (the RLS estimate is pure prior until roughly dim
+/// observations arrive).
+inline constexpr std::size_t kBankWarmup = 16;
 
 /// One learned distributional prediction.
 struct LearnedPrediction {
@@ -68,11 +62,13 @@ struct BankSnapshot {
 
 class PredictorBank {
  public:
-  explicit PredictorBank(BankOptions options = {});
+  /// `forgetting` is every key's RLS forgetting factor (RlsOptions).
+  explicit PredictorBank(double forgetting = RlsOptions{}.forgetting)
+      : forgetting_(forgetting) {}
 
   /// Learned prediction for `structure_key` at feature point `x`, or
   /// nullopt while the key is still warming up (unknown or fewer than
-  /// min_observations updates).
+  /// kBankWarmup updates).
   [[nodiscard]] std::optional<LearnedPrediction> predict(
       const std::string& structure_key, std::span<const double> x) const;
 
@@ -85,19 +81,15 @@ class PredictorBank {
       const std::string& structure_key) const;
   [[nodiscard]] std::vector<BankSnapshot> snapshot() const;
 
-  [[nodiscard]] const BankOptions& options() const noexcept {
-    return options_;
-  }
-
  private:
   struct Entry {
-    Entry(std::size_t dim, const BankOptions& options)
-        : rls(dim, options.rls), residuals(options.quantiles) {}
+    Entry(std::size_t dim, double forgetting)
+        : rls(dim, RlsOptions{forgetting}) {}
     RlsPredictor rls;
     StreamingQuantiles residuals;
   };
 
-  BankOptions options_;
+  double forgetting_;
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;
 };

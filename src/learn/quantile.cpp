@@ -3,78 +3,45 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/error.hpp"
-
 namespace sspred::learn {
+namespace {
 
-StreamingQuantiles::StreamingQuantiles(QuantileOptions options)
-    : options_(std::move(options)) {
-  SSPRED_REQUIRE(!options_.taus.empty(),
-                 "streaming quantiles need at least one tau");
-  for (const double tau : options_.taus) {
-    SSPRED_REQUIRE(tau > 0.0 && tau < 1.0, "quantile tau must be in (0, 1)");
-  }
-  SSPRED_REQUIRE(options_.learning_rate > 0.0,
-                 "quantile learning rate must be positive");
-  SSPRED_REQUIRE(options_.scale_forgetting > 0.0 &&
-                     options_.scale_forgetting < 1.0,
-                 "quantile scale forgetting must be in (0, 1)");
-  q_.assign(options_.taus.size(), 0.0);
-  for (std::size_t i = 1; i < options_.taus.size(); ++i) {
-    if (std::abs(options_.taus[i] - 0.5) <
-        std::abs(options_.taus[median_index_] - 0.5)) {
-      median_index_ = i;
-    }
-  }
-}
+/// The tracked levels, ascending.
+constexpr std::array<double, 3> kTaus{0.05, 0.5, 0.95};
+/// Step size as a fraction of the adaptive scale.
+constexpr double kLearningRate = 0.08;
+/// EWMA weight of the |r - median| scale estimate.
+constexpr double kScaleForgetting = 0.95;
+
+}  // namespace
 
 void StreamingQuantiles::add(double r) {
   if (count_ == 0) {
     // Initialize every marker at the first observation; the gradient
     // steps separate them from there.
-    std::fill(q_.begin(), q_.end(), r);
+    q_.fill(r);
     scale_ = std::max(std::abs(r) * 0.1, 1e-12);
     ++count_;
     return;
   }
-  const double beta = options_.scale_forgetting;
-  const double dev = std::abs(r - q_[median_index_]);
-  scale_ = std::max(beta * scale_ + (1.0 - beta) * dev, 1e-12);
-  const double step = options_.learning_rate * scale_;
+  const double dev = std::abs(r - q_[1]);
+  scale_ = std::max(
+      kScaleForgetting * scale_ + (1.0 - kScaleForgetting) * dev, 1e-12);
+  const double step = kLearningRate * scale_;
   for (std::size_t i = 0; i < q_.size(); ++i) {
-    const double tau = options_.taus[i];
+    const double tau = kTaus[i];
     q_[i] += step * (r < q_[i] ? tau - 1.0 : tau);
   }
   ++count_;
 }
 
-double StreamingQuantiles::quantile(std::size_t i) const {
-  SSPRED_REQUIRE(i < q_.size(), "quantile index out of range");
-  return q_[i];
-}
-
-std::vector<double> StreamingQuantiles::quantiles() const {
-  // Return in tau order with monotonicity enforced: independent gradient
-  // trackers can transiently cross right after a regime shift, and a
-  // crossed interval (upper < lower) would be nonsense downstream.
-  std::vector<std::pair<double, double>> by_tau;
-  by_tau.reserve(q_.size());
-  for (std::size_t i = 0; i < q_.size(); ++i) {
-    by_tau.emplace_back(options_.taus[i], q_[i]);
-  }
-  std::vector<std::size_t> order(q_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return by_tau[a].first < by_tau[b].first;
-  });
-  std::vector<double> sorted_values;
-  sorted_values.reserve(q_.size());
-  for (const std::size_t i : order) sorted_values.push_back(by_tau[i].second);
-  std::sort(sorted_values.begin(), sorted_values.end());
-  std::vector<double> out(q_.size());
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    out[order[k]] = sorted_values[k];
-  }
+std::array<double, 3> StreamingQuantiles::quantiles() const {
+  // Independent gradient trackers can transiently cross right after a
+  // regime shift, and a crossed interval (upper < lower) would be
+  // nonsense downstream; the levels are ascending, so sorting the
+  // estimates restores their order.
+  std::array<double, 3> out = q_;
+  std::sort(out.begin(), out.end());
   return out;
 }
 

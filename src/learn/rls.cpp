@@ -3,21 +3,26 @@
 #include "support/error.hpp"
 
 namespace sspred::learn {
+namespace {
+
+/// Initial covariance scale: P_0 = kInitialCovariance * I. Large values
+/// mean "no prior" — the first dim observations essentially solve the
+/// interpolation problem exactly.
+constexpr double kInitialCovariance = 1e4;
+/// EWMA weight for the innovation-variance estimate.
+constexpr double kVarianceForgetting = 0.95;
+
+}  // namespace
 
 RlsPredictor::RlsPredictor(std::size_t dim, RlsOptions options)
     : dim_(dim), options_(options) {
   SSPRED_REQUIRE(dim_ >= 1, "RLS predictor needs at least one feature");
   SSPRED_REQUIRE(options_.forgetting > 0.0 && options_.forgetting <= 1.0,
                  "RLS forgetting factor must be in (0, 1]");
-  SSPRED_REQUIRE(options_.initial_covariance > 0.0,
-                 "RLS initial covariance must be positive");
-  SSPRED_REQUIRE(options_.variance_forgetting > 0.0 &&
-                     options_.variance_forgetting < 1.0,
-                 "RLS variance forgetting must be in (0, 1)");
   theta_.assign(dim_, 0.0);
   p_.assign(dim_ * dim_, 0.0);
   for (std::size_t i = 0; i < dim_; ++i) {
-    p_[i * dim_ + i] = options_.initial_covariance;
+    p_[i * dim_ + i] = kInitialCovariance;
   }
   px_.assign(dim_, 0.0);
 }
@@ -40,9 +45,8 @@ void RlsPredictor::update(std::span<const double> x, double y) {
   if (count_ == 0) {
     innovation_var_ = 0.0;  // first innovation is pure prior, not error
   } else {
-    const double beta = options_.variance_forgetting;
-    innovation_var_ =
-        beta * innovation_var_ + (1.0 - beta) * innovation * innovation;
+    innovation_var_ = kVarianceForgetting * innovation_var_ +
+                      (1.0 - kVarianceForgetting) * innovation * innovation;
   }
   ++count_;
 

@@ -34,12 +34,6 @@ struct RlsOptions {
   /// Forgetting factor in (0, 1]: weight of an observation `k` steps in
   /// the past is lambda^k. 1.0 = ordinary (infinite-memory) RLS.
   double forgetting = 0.98;
-  /// Initial covariance scale: P_0 = initial_covariance * I. Large
-  /// values mean "no prior" — the first dim observations essentially
-  /// solve the interpolation problem exactly.
-  double initial_covariance = 1e4;
-  /// EWMA weight for the innovation-variance estimate.
-  double variance_forgetting = 0.95;
 };
 
 class RlsPredictor {
@@ -65,7 +59,6 @@ class RlsPredictor {
   [[nodiscard]] std::span<const double> coefficients() const noexcept {
     return theta_;
   }
-  [[nodiscard]] const RlsOptions& options() const noexcept { return options_; }
 
  private:
   std::size_t dim_;

@@ -28,22 +28,11 @@ EpochPtr NwsBridge::publish() {
     } catch (const support::Error&) {
     }
   }
-  EpochTransform transform;
-  {
-    const std::lock_guard lock(mutex_);
-    transform = transform_;
-  }
-  if (transform) transform(values);
   const std::lock_guard lock(mutex_);
   auto epoch =
       std::make_shared<const BindingsEpoch>(next_version_++, std::move(values));
   current_ = epoch;
   return epoch;
-}
-
-void NwsBridge::set_transform(EpochTransform transform) {
-  const std::lock_guard lock(mutex_);
-  transform_ = std::move(transform);
 }
 
 EpochPtr NwsBridge::current() const {

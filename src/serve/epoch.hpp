@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -67,13 +66,6 @@ using EpochPtr = std::shared_ptr<const BindingsEpoch>;
 /// atomicity boundary requests rely on.
 class NwsBridge {
  public:
-  /// In-place rewrite of a publish's bindings before they are frozen
-  /// into an epoch — the hook the conformal recalibrator
-  /// (calib/recalibrate.hpp, binding_transform()) plugs into so every
-  /// published epoch already carries recalibrated uncertainty.
-  using EpochTransform =
-      std::function<void(std::map<std::string, stoch::StochasticValue>&)>;
-
   /// `resources` are the NWS resource names to snapshot each publish.
   NwsBridge(const nws::Service& service, std::vector<std::string> resources);
 
@@ -82,10 +74,6 @@ class NwsBridge {
   /// request needing one gets a structured lookup error, not a crash).
   /// Returns the published epoch.
   EpochPtr publish();
-
-  /// Installs (or, with a null transform, removes) the transform applied
-  /// to every subsequent publish's bindings.
-  void set_transform(EpochTransform transform);
 
   /// The most recently published epoch; null before the first publish().
   [[nodiscard]] EpochPtr current() const;
@@ -97,10 +85,9 @@ class NwsBridge {
  private:
   const nws::Service& service_;
   std::vector<std::string> resources_;
-  mutable std::mutex mutex_;  ///< guards current_, next_version_, transform_
+  mutable std::mutex mutex_;  ///< guards current_ and next_version_
   EpochPtr current_;
   std::uint64_t next_version_ = 1;
-  EpochTransform transform_;
 };
 
 }  // namespace sspred::serve

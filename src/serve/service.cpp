@@ -15,24 +15,21 @@ PredictionService::PredictionService(ServiceOptions options)
                  "service needs 1.." + std::to_string(kMaxShards) +
                      " shards");
   if (options_.enable_learning) {
-    // Node-local learn state: filled into OUR options copy only, so a
-    // caller holding the original options (e.g. a dserve node that will
-    // restart() us) keeps its nulls and a replacement service starts
-    // from a blank bank, re-converging from fresh observations.
+    // Node-local learn state: the bank is filled into OUR options copy
+    // only, so a caller holding the original options (e.g. a dserve node
+    // that will restart() us) keeps its null and a replacement service
+    // starts from a blank bank, re-converging from fresh observations.
     if (!options_.bank) {
       options_.bank = std::make_shared<learn::PredictorBank>();
     }
-    if (!options_.arbiter) {
-      options_.arbiter = std::make_shared<learn::Arbiter>();
-    }
+    arbiter_ = std::make_unique<learn::Arbiter>();
     metrics_.add_child("learn", &learn_metrics_);
   }
   shards_.reserve(options_.shards);
-  available_ = std::make_unique<std::atomic<bool>[]>(options_.shards);
   for (std::size_t s = 0; s < options_.shards; ++s) {
     shards_.push_back(std::make_unique<PredictionShard>(
-        s, options_, clock_, models_, metrics_, learn_metrics_));
-    available_[s].store(true, std::memory_order_relaxed);
+        s, options_, clock_, models_, arbiter_.get(), metrics_,
+        learn_metrics_));
   }
   if (options_.shards > 1) {
     // With one shard the rolled-up registry IS the shard's story; the
@@ -84,11 +81,7 @@ std::future<PredictResult> PredictionService::submit(PredictRequest request) {
   const std::size_t shard = route(job);
   job.id = next_id(shard);
   auto future = job.promise.get_future();
-  if (available_[shard].load(std::memory_order_acquire)) {
-    shards_[shard]->submit(std::move(job));
-  } else {
-    shards_[shard]->reject_unavailable(std::move(job));
-  }
+  shards_[shard]->submit(std::move(job));
   return future;
 }
 
@@ -97,19 +90,10 @@ PredictResult PredictionService::serve(PredictRequest request) {
   job.request = std::move(request);
   const std::size_t shard = route(job);
   job.id = next_id(shard);
-  if (available_[shard].load(std::memory_order_acquire)) {
-    return shards_[shard]->serve(std::move(job));
-  }
-  auto future = job.promise.get_future();
-  shards_[shard]->reject_unavailable(std::move(job));
-  return future.get();
+  return shards_[shard]->serve(std::move(job));
 }
 
 void PredictionService::publish_epoch(EpochPtr epoch) {
-  {
-    const std::lock_guard lock(epoch_mutex_);
-    epoch_ = epoch;
-  }
   // Fan out in shard order. A publish concurrent with submissions is
   // naturally racy per shard (a request admitted "around" the publish
   // pins either the old or the new epoch — never a mix: each job pins
@@ -119,8 +103,7 @@ void PredictionService::publish_epoch(EpochPtr epoch) {
 }
 
 EpochPtr PredictionService::current_epoch() const {
-  const std::lock_guard lock(epoch_mutex_);
-  return epoch_;
+  return shards_.front()->current_epoch();
 }
 
 void PredictionService::pause() {
@@ -153,12 +136,6 @@ ProgramCache& PredictionService::cache(std::size_t shard) {
 MetricsRegistry& PredictionService::shard_metrics(std::size_t shard) {
   SSPRED_REQUIRE(shard < shards_.size(), "shard index out of range");
   return shards_[shard]->metrics();
-}
-
-void PredictionService::set_shard_available(std::size_t shard,
-                                            bool available) {
-  SSPRED_REQUIRE(shard < shards_.size(), "shard index out of range");
-  available_[shard].store(available, std::memory_order_release);
 }
 
 }  // namespace sspred::serve

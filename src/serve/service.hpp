@@ -12,9 +12,9 @@
 // the future anyway (a dserve node answering one wire frame): it pins the
 // epoch the same way and runs the same evaluation on the calling thread,
 // so its concurrency is bounded by its callers, it never waits on a
-// worker, and it sheds only when the shard is unavailable or the service
-// has stopped. Both return the same bits for the same request, and both
-// evaluate a request exactly once, on its home shard.
+// worker, and it sheds only when the service has stopped. Both return
+// the same bits for the same request, and both evaluate a request
+// exactly once, on its home shard.
 //
 // Behind them the stack is four layers (DESIGN.md §13):
 //
@@ -30,8 +30,9 @@
 // The facade itself only registers models (ModelTable, shared by all
 // shards), stamps request ids (shard index in the low kShardBits so
 // report_observation routes back to the owning shard), fans epoch
-// publishes out to every shard, and aggregates metrics (service-wide
-// rolled-up registry plus per-shard child registries).
+// publishes out to every shard, owns the learned-predictor arbiter its
+// shards share, and aggregates metrics (service-wide rolled-up registry
+// plus per-shard child registries).
 //
 // Determinism: routing is a pure function of the model's structure key
 // and each shard processes its slice exactly as the monolith processed
@@ -43,15 +44,13 @@
 // worker-side exception of any kind — resolves with a structured
 // PredictResult (status kError and a message); neither workers nor
 // serve() callers see the exception. Rejection (queue full / service
-// stopped / shard unavailable) resolves with status kRejected, counted
-// per reason.
+// stopped) resolves with status kRejected, counted per reason.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -83,13 +82,13 @@ class PredictionService {
   [[nodiscard]] std::vector<std::string> model_ids() const;
 
   /// Admits a request. Always returns a future that will be resolved —
-  /// with kRejected immediately when the routed shard's queue is full,
-  /// the shard is unavailable, or the service has stopped.
+  /// with kRejected immediately when the routed shard's queue is full or
+  /// the service has stopped.
   [[nodiscard]] std::future<PredictResult> submit(PredictRequest request);
 
   /// Serves a request on the calling thread (see the file comment):
-  /// routes, stamps the id, checks shard availability and pins the epoch
-  /// as submit() does, then evaluates it here instead of on a worker.
+  /// routes, stamps the id and pins the epoch as submit() does, then
+  /// evaluates it here instead of on a worker.
   /// Bit-exact against submit().get(); answers on a paused service too.
   [[nodiscard]] PredictResult serve(PredictRequest request);
 
@@ -97,6 +96,7 @@ class PredictionService {
   /// requests on EVERY shard; in-flight requests keep the epoch they
   /// were admitted with (each pins exactly one epoch snapshot).
   void publish_epoch(EpochPtr epoch);
+  /// The last published epoch (shard 0's: every shard pins the same).
   [[nodiscard]] EpochPtr current_epoch() const;
 
   /// Pauses/resumes worker dequeueing on all shards (submissions still
@@ -132,7 +132,7 @@ class PredictionService {
     return options_.bank.get();
   }
   [[nodiscard]] learn::Arbiter* arbiter() const noexcept {
-    return options_.arbiter.get();
+    return arbiter_.get();
   }
   /// The learn/ metrics subtree (also attached under metrics() when
   /// learning is enabled).
@@ -150,7 +150,6 @@ class PredictionService {
   [[nodiscard]] ProgramCache& cache() noexcept { return cache(0); }
   [[nodiscard]] ProgramCache& cache(std::size_t shard);
   [[nodiscard]] MetricsRegistry& shard_metrics(std::size_t shard);
-  [[nodiscard]] const ShardRouter& router() const noexcept { return router_; }
   /// Shard the CURRENT registration of `model_id` routes to (unknown ids
   /// route by id text so they still shed/err deterministically).
   [[nodiscard]] std::size_t shard_of(const std::string& model_id) const;
@@ -159,12 +158,6 @@ class PredictionService {
       std::uint64_t request_id) noexcept {
     return request_id & (kMaxShards - 1);
   }
-
-  /// Marks a shard (un)available to the routing layer. Requests routed
-  /// to an unavailable shard are shed with rejected_shard_unavailable —
-  /// structure affinity is a cache-locality contract, so the router
-  /// sheds rather than silently rehoming a structure's stream.
-  void set_shard_available(std::size_t shard, bool available);
 
  private:
   /// Stamps `job`'s registration snapshot and enqueue time; returns the
@@ -181,11 +174,9 @@ class PredictionService {
   ShardRouter router_;
   Counter& epochs_published_;
   Counter& observations_unmatched_;
+  /// Shared by every shard; null when learning is off.
+  std::unique_ptr<learn::Arbiter> arbiter_;
   std::vector<std::unique_ptr<PredictionShard>> shards_;
-  std::unique_ptr<std::atomic<bool>[]> available_;
-
-  mutable std::mutex epoch_mutex_;
-  EpochPtr epoch_;
 
   std::atomic<std::uint64_t> next_seq_{1};
 };

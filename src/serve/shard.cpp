@@ -77,12 +77,14 @@ PredictionShard::PredictionShard(std::size_t index,
                                  const ServiceOptions& options,
                                  std::shared_ptr<support::Clock> clock,
                                  const ModelTable& models,
+                                 learn::Arbiter* arbiter,
                                  MetricsRegistry& global,
                                  MetricsRegistry& learn_global)
     : index_(index),
       options_(options),
       clock_(std::move(clock)),
       models_(models),
+      arbiter_(arbiter),
       ring_(kQueueCapacity),
       requests_total_{global.counter("requests_total"),
                       local_.counter("requests_total")},
@@ -96,9 +98,6 @@ PredictionShard::PredictionShard(std::size_t index,
                            local_.counter("rejected_queue_full")},
       rejected_stopped_{global.counter("rejected_stopped"),
                         local_.counter("rejected_stopped")},
-      rejected_shard_unavailable_{
-          global.counter("rejected_shard_unavailable"),
-          local_.counter("rejected_shard_unavailable")},
       coalesced_{global.counter("requests_coalesced"),
                  local_.counter("requests_coalesced")},
       mc_trials_saved_{global.counter("mc_trials_saved"),
@@ -120,6 +119,8 @@ PredictionShard::PredictionShard(std::size_t index,
       predictions_served_blended_{
           learn_global.counter("predictions_served_blended"),
           local_.counter("predictions_served_blended")},
+      learned_refused_{learn_global.counter("learned_refused"),
+                       local_.counter("learned_refused")},
       observations_trained_{learn_global.counter("observations_trained"),
                             local_.counter("observations_trained")},
       arbiter_flips_{learn_global.counter("arbiter_flips"),
@@ -229,12 +230,6 @@ PredictResult PredictionShard::serve(Job job) {
     spare_states_.push_back(std::move(state));
   }
   return result.get();  // execute_job resolved it
-}
-
-void PredictionShard::reject_unavailable(Job job) {
-  requests_total_.increment();
-  reject(std::move(job), rejected_shard_unavailable_,
-         "shard " + std::to_string(index_) + " unavailable");
 }
 
 void PredictionShard::publish_epoch(EpochPtr epoch) {
@@ -426,17 +421,21 @@ void PredictionShard::apply_learning(const std::string& structure_key,
   if (learned.has_value()) {
     overlay.has_learned = true;
     overlay.learned = learned->value;
-    source = options_.arbiter->source(model_id);
-    switch (source) {
-      case learn::Source::kStructural:
-        break;
-      case learn::Source::kLearned:
-        base.value = learned->value;
-        break;
-      case learn::Source::kBlended:
-        base.value = learn::blend(overlay.structural, learned->value,
-                                  options_.arbiter->blend_weight(model_id));
-        break;
+    source = arbiter_->source(model_id);
+    if (source != learn::Source::kStructural) {
+      const stoch::StochasticValue candidate =
+          source == learn::Source::kLearned
+              ? learned->value
+              : learn::blend(overlay.structural, learned->value,
+                             arbiter_->blend_weight(model_id));
+      // An execution time is positive (paper §2.3): a candidate that
+      // extrapolated to a mean <= 0 (or NaN/inf) is refused, not served.
+      if (std::isfinite(candidate.mean()) && candidate.mean() > 0.0) {
+        base.value = candidate;
+      } else {
+        source = learn::Source::kStructural;
+        learned_refused_.increment();
+      }
     }
     base.point = base.value.mean();
   }
@@ -481,10 +480,7 @@ void PredictionShard::remember_prediction(std::uint64_t request_id,
                                           const std::string& model_id,
                                           const stoch::StochasticValue& value,
                                           const LearnOverlay& overlay) {
-  if ((!options_.ledger && !learning_active()) ||
-      options_.observation_capacity == 0) {
-    return;
-  }
+  if (!options_.ledger && !learning_active()) return;
   const std::lock_guard lock(observations_mutex_);
   if (completed_
           .emplace(request_id, CompletedPrediction{model_id, value, overlay})
@@ -493,7 +489,7 @@ void PredictionShard::remember_prediction(std::uint64_t request_id,
   }
   // Bounding the FIFO bounds the map too (ids reported meanwhile are
   // already gone from the map and just fall off the deque).
-  while (completed_order_.size() > options_.observation_capacity) {
+  while (completed_order_.size() > kObservationCapacity) {
     completed_.erase(completed_order_.front());
     completed_order_.pop_front();
   }
@@ -524,7 +520,7 @@ bool PredictionShard::report_observation(std::uint64_t request_id,
   // observation: arbitration first (scoring the prediction the bank made
   // BEFORE seeing this outcome), then the training step.
   if (learning_active() && prediction.overlay.active) {
-    const bool flipped = options_.arbiter->record(
+    const bool flipped = arbiter_->record(
         prediction.model_id, prediction.overlay.structural,
         prediction.overlay.has_learned ? &prediction.overlay.learned : nullptr,
         observed_seconds);

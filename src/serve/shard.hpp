@@ -61,6 +61,11 @@ namespace sspred::serve {
 /// with kRejected ("queue full").
 inline constexpr std::size_t kQueueCapacity = 1024;
 
+/// Completed predictions kept per shard (FIFO) awaiting their
+/// observation; a report arriving after eviction counts as unmatched.
+/// The cluster frontend bounds its served-id map by the same number.
+inline constexpr std::size_t kObservationCapacity = 4096;
+
 /// Serving-stack configuration. Worker/queue sizes are PER SHARD: a
 /// service with shards=4, workers=2 runs 8 workers and admits up to
 /// 4 * kQueueCapacity requests. Defined here (the lowest layer that
@@ -73,20 +78,16 @@ struct ServiceOptions {
   /// Accuracy ledger fed by report_observation(); null disables the
   /// predict→observe feedback loop (see calib/ledger.hpp).
   std::shared_ptr<calib::AccuracyLedger> ledger;
-  /// Completed predictions kept per shard (FIFO) awaiting their
-  /// observation; a report arriving after eviction counts as unmatched.
-  std::size_t observation_capacity = 4096;
   /// Graybox learned predictors (learn/): when true, every successful
-  /// prediction also consults the predictor bank and the arbiter may
-  /// swap the served value to the learned or blended candidate; every
-  /// reported observation trains the bank and scores the candidates.
-  /// With `bank`/`arbiter` left null the service constructs its own
-  /// node-local instances — deliberately NOT stored back into a caller's
-  /// options, so a restarted node starts from a blank bank and
-  /// re-converges from fresh observations.
+  /// prediction also consults the predictor bank and the service's
+  /// arbiter may swap the served value to the learned or blended
+  /// candidate; every reported observation trains the bank and scores
+  /// the candidates. The service always builds its own node-local
+  /// arbiter, and its own bank when `bank` is left null — deliberately
+  /// NOT stored back into a caller's options, so a restarted node starts
+  /// from a blank bank and re-converges from fresh observations.
   bool enable_learning = false;
   std::shared_ptr<learn::PredictorBank> bank;
-  std::shared_ptr<learn::Arbiter> arbiter;
 };
 
 /// Registered models, shared (read-mostly) by the facade and every
@@ -139,12 +140,13 @@ class PredictionShard {
 
   /// `global` is the service-wide registry every instrument dual-writes;
   /// `learn_global` is the service's learn/ subtree registry the learning
-  /// instruments dual-write instead of `global`. `models` and all three
-  /// referenced registries must outlive the shard.
+  /// instruments dual-write instead of `global`. `arbiter` is the
+  /// service's (null when learning is off). `models`, `arbiter` and all
+  /// three referenced registries must outlive the shard.
   PredictionShard(std::size_t index, const ServiceOptions& options,
                   std::shared_ptr<support::Clock> clock,
-                  const ModelTable& models, MetricsRegistry& global,
-                  MetricsRegistry& learn_global);
+                  const ModelTable& models, learn::Arbiter* arbiter,
+                  MetricsRegistry& global, MetricsRegistry& learn_global);
   ~PredictionShard();
 
   PredictionShard(const PredictionShard&) = delete;
@@ -162,10 +164,6 @@ class PredictionShard {
   /// waits on one (not even through a pause()). Sheds (rejected_stopped)
   /// only once the shard is stopping.
   [[nodiscard]] PredictResult serve(Job job);
-
-  /// Routing-layer shed: accounts the job against this shard
-  /// (rejected_shard_unavailable) and resolves its promise.
-  void reject_unavailable(Job job);
 
   /// Installs `epoch` for subsequently admitted requests; requests
   /// already admitted keep the epoch they were pinned with.
@@ -269,13 +267,16 @@ class PredictionShard {
       ModelTable::EntryPtr* entry_out = nullptr);
   /// True when the learned-predictor overlay participates in serving.
   [[nodiscard]] bool learning_active() const noexcept {
-    return options_.enable_learning && options_.bank && options_.arbiter;
+    return arbiter_ != nullptr;
   }
   /// Consults the bank/arbiter for a successful evaluation whose
   /// structural result is already in `base.value`: fills the rest of
   /// `overlay` (whose `features` the caller extracted), may swap
   /// base.value/point to the learned or blended candidate, and stamps
-  /// base.source. No-op when learning is inactive.
+  /// base.source. A candidate whose mean is not finite and positive is
+  /// never served — an execution time is positive — so the structural
+  /// value stays and learned_refused counts the refusal. No-op when
+  /// learning is inactive.
   void apply_learning(const std::string& structure_key,
                       const std::string& model_id, PredictResult& base,
                       LearnOverlay& overlay);
@@ -311,6 +312,7 @@ class PredictionShard {
   ServiceOptions options_;
   std::shared_ptr<support::Clock> clock_;
   const ModelTable& models_;
+  learn::Arbiter* arbiter_;  ///< the service's; null when learning is off
   MetricsRegistry local_;  ///< shard-scoped registry (metrics())
   ProgramCache cache_;
 
@@ -337,7 +339,7 @@ class PredictionShard {
   EpochPtr epoch_;
 
   /// Completed predictions awaiting report_observation(), FIFO-bounded
-  /// by options_.observation_capacity.
+  /// by kObservationCapacity.
   struct CompletedPrediction {
     std::string model_id;
     stoch::StochasticValue value;  ///< SERVED value (what the ledger scores)
@@ -354,7 +356,6 @@ class PredictionShard {
   DualCounter requests_rejected_;
   DualCounter rejected_queue_full_;
   DualCounter rejected_stopped_;
-  DualCounter rejected_shard_unavailable_;
   DualCounter coalesced_;
   /// Trials a precision target let the engine skip (request clamp minus
   /// executed count, summed over adaptive evaluations).
@@ -371,6 +372,8 @@ class PredictionShard {
   DualCounter predictions_served_structural_;
   DualCounter predictions_served_learned_;
   DualCounter predictions_served_blended_;
+  /// Learned or blended candidates not served: mean not finite and > 0.
+  DualCounter learned_refused_;
   DualCounter observations_trained_;
   DualCounter arbiter_flips_;
   DualGauge queue_depth_;

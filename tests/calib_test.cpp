@@ -1,12 +1,11 @@
 // Tests for the calibration subsystem (src/calib/): the streaming
 // accuracy ledger against batch recomputation, the Page-Hinkley and
 // windowed-coverage drift detectors (deterministic, FakeClock-stamped),
-// the conformal recalibrator's coverage restoration and its epoch
-// transform through serve::NwsBridge, the PredictionService
-// report_observation() feedback path, and a sim-engine closed loop.
+// the conformal recalibrator's coverage restoration, the
+// PredictionService report_observation() feedback path, and a
+// sim-engine closed loop.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -20,9 +19,7 @@
 #include "calib/ledger.hpp"
 #include "calib/recalibrate.hpp"
 #include "cluster/platform.hpp"
-#include "nws/service.hpp"
 #include "predict/experiment.hpp"
-#include "serve/epoch.hpp"
 #include "serve/service.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/distributions.hpp"
@@ -507,42 +504,6 @@ TEST(CalibRecalibrate, OverallScalePoolsAllModels) {
   EXPECT_LE(pooled, 4.0);
 }
 
-TEST(CalibRecalibrate, BindingTransformWidensPublishedEpochs) {
-  nws::ServiceOptions nws_options;
-  nws_options.history_capacity = 64;
-  nws_options.warmup = 4;
-  nws::Service nws_service(nws_options);
-  for (int i = 0; i < 16; ++i) {
-    nws_service.observe("cpu/a", 0.8 + (i % 2 == 0 ? 0.05 : -0.05));
-  }
-  serve::NwsBridge bridge(nws_service, {"cpu/a"});
-
-  const auto baseline = bridge.publish();
-  const auto base = baseline->lookup("cpu/a");
-
-  RecalibratorOptions options;
-  options.min_samples = 4;
-  ConformalRecalibrator recal(options);
-  const stoch::StochasticValue predicted(10.0, 2.0);
-  for (int i = 0; i < 8; ++i) recal.record("m", predicted, 14.0);  // s = 2
-  bridge.set_transform(recal.binding_transform());
-
-  const auto widened = bridge.publish()->lookup("cpu/a");
-  EXPECT_DOUBLE_EQ(widened.mean(), base.mean());
-  // Widened by the overall scale, but capped at 98% of the mean so the
-  // lower bound stays strictly positive (models divide by loads).
-  const double expected =
-      std::min(recal.overall_scale() * base.halfwidth(),
-               0.98 * std::abs(base.mean()));
-  EXPECT_NEAR(widened.halfwidth(), expected, 1e-12);
-  EXPECT_GT(widened.lower(), 0.0);
-
-  // A null transform restores pass-through publishing.
-  bridge.set_transform(nullptr);
-  const auto again = bridge.publish()->lookup("cpu/a");
-  EXPECT_DOUBLE_EQ(again.halfwidth(), base.halfwidth());
-}
-
 // ---------------------------------------------------- serve integration
 
 serve::ModelSpec small_spec(std::size_t n = 200, std::size_t hosts = 2) {
@@ -604,24 +565,25 @@ TEST(CalibServe, CompletedPredictionsAreFifoBounded) {
   serve::ServiceOptions options;
   options.workers = 1;
   options.ledger = ledger;
-  options.observation_capacity = 4;
   serve::PredictionService service(options);
   service.register_model("sor", small_spec());
 
+  constexpr std::size_t kRequests = serve::kObservationCapacity + 4;
   std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < kRequests; ++i) {
     auto result = service.submit(stochastic_request("sor")).get();
     ASSERT_TRUE(result.ok());
     ids.push_back(result.request_id);
   }
-  // The four oldest were evicted; the four newest still match.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(service.report_observation(ids[size_t(i)], 1.0));
+  // The four oldest were evicted; the kObservationCapacity newest still
+  // match.
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_FALSE(service.report_observation(ids[i], 1.0));
   }
-  for (int i = 4; i < 8; ++i) {
-    EXPECT_TRUE(service.report_observation(ids[size_t(i)], 1.0));
+  for (std::size_t i = 4; i < kRequests; ++i) {
+    EXPECT_TRUE(service.report_observation(ids[i], 1.0));
   }
-  EXPECT_EQ(ledger->snapshot("sor").count, 4u);
+  EXPECT_EQ(ledger->snapshot("sor").count, serve::kObservationCapacity);
 }
 
 // Concurrent submit + report from many threads; run under TSan in CI.

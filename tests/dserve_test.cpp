@@ -243,13 +243,11 @@ TEST(DserveNode, CrashStopsServiceAndRestartLosesEpochNotModels) {
 
 TEST(DserveMembership, FusesOutcomesAndHeartbeatsIntoStates) {
   serve::MetricsRegistry registry;
-  Membership membership(2, registry, /*ewma_alpha=*/0.5, /*ewma_floor=*/0.5,
-                        /*down_after=*/2);
+  Membership membership(2, registry, /*down_after=*/2);
   EXPECT_EQ(membership.state(0), NodeState::kUp);
   EXPECT_EQ(membership.up_count(), 2u);
 
-  // One failure: suspect (EWMA halves to 0.5 < floor? 0.5 is not < 0.5 —
-  // second failure crosses both thresholds and downs it anyway).
+  // One failure leaves the node up; the second consecutive one downs it.
   membership.record_failure(0);
   EXPECT_NE(membership.state(0), NodeState::kDown);
   membership.record_failure(0);
@@ -268,17 +266,6 @@ TEST(DserveMembership, FusesOutcomesAndHeartbeatsIntoStates) {
   EXPECT_NE(membership.state(1), NodeState::kDown);
   membership.heartbeat_missed(1);
   EXPECT_EQ(membership.state(1), NodeState::kDown);
-
-  // A flaky-but-alive node hovers at kSuspect: failures drag the EWMA
-  // under the floor, successes reset the streak before kDown.
-  membership.heartbeat_ok(1, 0);  // revived; EWMA untouched (still 1.0)
-  membership.record_failure(1);   // EWMA 0.5: at the floor, still kUp
-  EXPECT_EQ(membership.state(1), NodeState::kUp);
-  membership.record_success(1);   // streak reset before a second failure
-  membership.record_failure(1);   // EWMA 0.375: under the floor
-  EXPECT_EQ(membership.state(1), NodeState::kSuspect);
-  for (int i = 0; i < 8; ++i) membership.record_success(1);
-  EXPECT_EQ(membership.state(1), NodeState::kUp);
 
   EXPECT_THROW((void)membership.state(7), std::out_of_range);
 }
@@ -463,28 +450,32 @@ TEST(ClusterFrontend, EpochConvergesAfterCrashRestartHeal) {
 }
 
 TEST(ClusterFrontend, DownNodesSinkInFailoverOrderAndRecover) {
-  ClusterOptions options = small_cluster();
-  options.down_after_failures = 1;  // one drop is enough
-  ClusterFrontend cluster(options);
+  ClusterFrontend cluster(small_cluster());
   register_families(cluster, 6);
 
   // Find a family whose primary is node `victim`.
   const std::size_t victim = cluster.replica_set("family0").front();
   cluster.inject({FaultEvent::Kind::kCrash, 0, victim, 0.0});
 
-  // First request pays the failover; the primary is then kDown and the
-  // next request goes straight to the successor.
+  // One failure leaves the crashed primary up, so it is still tried
+  // first; the second consecutive failure downs it, and the next request
+  // goes straight to the successor.
   ClusterResult first = cluster.predict(request_for("family0", 0.7));
   ASSERT_TRUE(first.result.ok()) << first.result.error;
   EXPECT_EQ(first.attempts, 2u);
+  EXPECT_EQ(cluster.membership().state(victim), NodeState::kUp);
+
+  ClusterResult again = cluster.predict(request_for("family0", 0.7));
+  ASSERT_TRUE(again.result.ok()) << again.result.error;
+  EXPECT_EQ(again.attempts, 2u);
   EXPECT_EQ(cluster.membership().state(victim), NodeState::kDown);
 
   ClusterResult second = cluster.predict(request_for("family0", 0.7));
   ASSERT_TRUE(second.result.ok()) << second.result.error;
   EXPECT_EQ(second.attempts, 1u);
   EXPECT_NE(second.node, victim);
-  EXPECT_GE(cluster.metrics().counter("failovers_total").value(), 1u);
-  EXPECT_GE(cluster.metrics().counter("requests_retried").value(), 1u);
+  EXPECT_EQ(cluster.metrics().counter("failovers_total").value(), 2u);
+  EXPECT_EQ(cluster.metrics().counter("requests_retried").value(), 2u);
 
   // Restart + heartbeat: the node rejoins the preferred order.
   cluster.inject({FaultEvent::Kind::kRestart, 0, victim, 0.0});
@@ -620,11 +611,10 @@ TEST(ClusterFrontend, ConcurrentClientsSurviveCrashRestartStress) {
 // must never reach the ledger or the learned-predictor bank, whose
 // training counts have to equal the forwarded-observation count exactly.
 TEST(ClusterFrontend, EvictedIdsStayOutOfLedgerAndBankTraining) {
-  constexpr std::size_t kCapacity = 4;
-  constexpr std::size_t kRequests = 12;
+  constexpr std::size_t kCapacity = serve::kObservationCapacity;
+  constexpr std::size_t kRequests = kCapacity + 8;
 
   ClusterOptions options = small_cluster(2);
-  options.observation_capacity = kCapacity;
   options.node_options.ledger = std::make_shared<calib::AccuracyLedger>();
   options.node_options.enable_learning = true;
   ClusterFrontend cluster(options);
@@ -709,6 +699,74 @@ TEST(ClusterFrontend, RestartedNodeRebuildsBankFromFreshObservations) {
   ASSERT_EQ(service->bank()->snapshot().size(), 1u);
   EXPECT_EQ(service->bank()->snapshot()[0].observations, 24u);
   EXPECT_FALSE(service->arbiter()->table().empty());
+}
+
+// --- Golden: routing under the failover plans --------------------------
+
+// Which node answered each request of FailoverAcrossCrashPreservesResult-
+// SetBitExact's two fault plans, after how many transport calls, and how
+// often a node went down and came back. The pins were taken while
+// membership still had a suspect state and a settable down threshold; a
+// routing change shows up here as a different digit.
+TEST(DserveGolden, FailoverPlansKeepTheirRoutingAndTransitions) {
+  constexpr std::size_t kFamilies = 5;
+  constexpr int kRequests = 60;
+  constexpr std::uint64_t kCrashStep = kRequests / 3;
+  constexpr std::uint64_t kRestartStep = 2 * kRequests / 3;
+  struct Pinned {
+    const char* nodes;     ///< serving node of request i, one digit each
+    const char* attempts;  ///< transport calls request i spent
+    std::uint64_t down;    ///< node_transitions_down
+    std::uint64_t up;      ///< node_transitions_up
+  };
+  const Pinned kCrash{
+      "201002010020100201000010000100001000010000100001000010000100",
+      "111111111111111111112111121111111111111111111111111111111111",
+      1, 0};
+  const Pinned kCrashRestart{
+      "201002010020100201000010000100001000010020100201002010020100",
+      "111111111111111111112111121111111111111111111111111111111111",
+      1, 1};
+
+  const std::size_t victim = [] {
+    ClusterFrontend probe(small_cluster());
+    register_families(probe, kFamilies);
+    return probe.replica_set("family0").front();
+  }();
+  const auto run = [&](FaultPlan plan, const Pinned& pin,
+                       const std::string& what) {
+    ClusterFrontend cluster(small_cluster(), std::move(plan));
+    register_families(cluster, kFamilies);
+    std::string nodes;
+    std::string attempts;
+    for (int i = 0; i < kRequests; ++i) {
+      const ClusterResult served = cluster.predict(request_for(
+          "family" + std::to_string(i % kFamilies), 0.55 + 0.01 * (i % 9)));
+      EXPECT_TRUE(served.result.ok()) << served.result.error;
+      nodes.push_back(static_cast<char>('0' + served.node));
+      attempts.push_back(static_cast<char>('0' + served.attempts));
+      if (i + 1 == static_cast<int>(kRestartStep)) {
+        (void)cluster.heartbeat_tick();
+      }
+    }
+    EXPECT_EQ(nodes, pin.nodes) << what;
+    EXPECT_EQ(attempts, pin.attempts) << what;
+    EXPECT_EQ(cluster.metrics().counter("node_transitions_down").value(),
+              pin.down)
+        << what;
+    EXPECT_EQ(cluster.metrics().counter("node_transitions_up").value(),
+              pin.up)
+        << what;
+  };
+
+  FaultPlan crash;
+  crash.add({FaultEvent::Kind::kCrash, kCrashStep, victim, 0.0});
+  run(std::move(crash), kCrash, "crash");
+
+  FaultPlan crash_restart;
+  crash_restart.add({FaultEvent::Kind::kCrash, kCrashStep, victim, 0.0});
+  crash_restart.add({FaultEvent::Kind::kRestart, kRestartStep, victim, 0.0});
+  run(std::move(crash_restart), kCrashRestart, "crash + restart");
 }
 
 }  // namespace

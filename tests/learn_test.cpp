@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "calib/ledger.hpp"
@@ -125,14 +128,6 @@ TEST(LearnQuantiles, QuantilesReturnedMonotone) {
   }
 }
 
-TEST(LearnQuantiles, RejectsInvalidTaus) {
-  QuantileOptions options;
-  options.taus = {0.0, 0.5, 0.95};
-  EXPECT_THROW(StreamingQuantiles{options}, support::Error);
-  options.taus = {0.05, 0.5, 1.0};
-  EXPECT_THROW(StreamingQuantiles{options}, support::Error);
-}
-
 // --- Feature extraction ------------------------------------------------
 
 TEST(LearnFeature, ReciprocalAvailabilityLayout) {
@@ -166,24 +161,22 @@ TEST(LearnFeature, ZeroAvailabilityIsFloored) {
 // --- PredictorBank -----------------------------------------------------
 
 TEST(LearnBank, WarmsUpBeforePredicting) {
-  BankOptions options;
-  options.min_observations = 4;
-  PredictorBank bank(options);
+  PredictorBank bank;
   const std::vector<double> x = {1.0, 2.0, 0.0};
   EXPECT_FALSE(bank.predict("k", x).has_value());
-  for (int i = 0; i < 3; ++i) bank.observe("k", x, 10.0);
+  for (std::size_t i = 0; i + 1 < kBankWarmup; ++i) {
+    bank.observe("k", x, 10.0);
+  }
   EXPECT_FALSE(bank.predict("k", x).has_value());
   bank.observe("k", x, 10.0);
   const auto p = bank.predict("k", x);
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->observations, 4u);
+  EXPECT_EQ(p->observations, kBankWarmup);
   EXPECT_FALSE(bank.predict("other", x).has_value());
 }
 
 TEST(LearnBank, LearnsLinearRuntimeWithHonestWidth) {
-  BankOptions options;
-  options.min_observations = 8;
-  PredictorBank bank(options);
+  PredictorBank bank;
   support::Rng rng(5);
   // ExTime = 2 + 3 / load — the graybox form the features encode.
   for (int i = 0; i < 300; ++i) {
@@ -201,9 +194,7 @@ TEST(LearnBank, LearnsLinearRuntimeWithHonestWidth) {
 }
 
 TEST(LearnBank, PredictionsNeverDegenerateToPoints) {
-  BankOptions options;
-  options.min_observations = 2;
-  PredictorBank bank(options);
+  PredictorBank bank;
   const std::vector<double> x = {1.0, 1.0};
   // Perfectly noiseless stream: residual quantiles collapse, but the
   // half-width floor keeps the prediction a genuine interval (the
@@ -247,20 +238,13 @@ TEST(LearnArbiter, BlendIsMomentMatchedMixture) {
   EXPECT_NEAR(blend(s, l, 1.0).mean(), l.mean(), 1e-12);
 }
 
-ArbiterOptions fast_arbiter() {
-  ArbiterOptions options;
-  options.min_observations = 8;
-  options.hysteresis = 4;
-  return options;
-}
-
 TEST(LearnArbiter, FlipsToLearnedWithHysteresis) {
-  Arbiter arbiter(fast_arbiter());
+  Arbiter arbiter;
   // Structural is badly off (stale regime); learned nails it.
   const stoch::StochasticValue structural(10.0, 1.0);
   const stoch::StochasticValue learned(15.0, 1.0);
   std::size_t flip_at = 0;
-  for (std::size_t i = 0; i < 40; ++i) {
+  for (std::size_t i = 0; i < kArbiterWarmup + kHysteresis + 8; ++i) {
     if (arbiter.record("m", structural, &learned, 15.0)) {
       flip_at = i + 1;
       break;
@@ -269,9 +253,8 @@ TEST(LearnArbiter, FlipsToLearnedWithHysteresis) {
   // Eligibility needs min_observations in the learned window, then the
   // challenger must win `hysteresis` consecutive observations.
   ASSERT_GT(flip_at, 0u) << "arbiter never flipped";
-  EXPECT_GE(flip_at, fast_arbiter().hysteresis);
-  EXPECT_LE(flip_at,
-            fast_arbiter().min_observations + fast_arbiter().hysteresis);
+  EXPECT_GE(flip_at, kHysteresis);
+  EXPECT_LE(flip_at, kArbiterWarmup + kHysteresis);
   EXPECT_EQ(arbiter.source("m"), Source::kLearned);
   EXPECT_EQ(arbiter.flips_total(), 1u);
 
@@ -284,26 +267,35 @@ TEST(LearnArbiter, FlipsToLearnedWithHysteresis) {
 }
 
 TEST(LearnArbiter, HysteresisBlocksLuckyStreaks) {
-  Arbiter arbiter(fast_arbiter());
+  Arbiter arbiter;
   const stoch::StochasticValue structural(10.0, 1.0);
   const stoch::StochasticValue learned(15.0, 1.0);
-  // Learned wins for fewer observations than the hysteresis run, then
-  // the regimes swap back: no flip may have happened.
-  for (int i = 0; i < 3; ++i) {
-    (void)arbiter.record("m", structural, &learned, 15.0);
+  // The candidates agree until the learned one may challenge.
+  for (std::size_t i = 0; i < kArbiterWarmup; ++i) {
+    (void)arbiter.record("m", structural, &structural, 10.0);
   }
-  for (int i = 0; i < 30; ++i) {
-    (void)arbiter.record("m", structural, &learned, 10.0);
+  // Learned wins one observation short of the hysteresis run...
+  for (std::size_t i = 0; i + 1 < kHysteresis; ++i) {
+    EXPECT_FALSE(arbiter.record("m", structural, &learned, 15.0));
+  }
+  EXPECT_EQ(arbiter.table()[0].streak, kHysteresis - 1);
+  // ...then misses badly enough to lose its rolling lead: the streak
+  // resets, and no flip may have happened.
+  const stoch::StochasticValue wild(1000.0, 1.0);
+  (void)arbiter.record("m", structural, &wild, 10.0);
+  EXPECT_EQ(arbiter.table()[0].streak, 0u);
+  for (std::size_t i = 0; i < kHysteresis; ++i) {
+    (void)arbiter.record("m", structural, &structural, 10.0);
   }
   EXPECT_EQ(arbiter.source("m"), Source::kStructural);
   EXPECT_EQ(arbiter.flips_total(), 0u);
 }
 
 TEST(LearnArbiter, NullLearnedPinsServingToStructural) {
-  Arbiter arbiter(fast_arbiter());
+  Arbiter arbiter;
   const stoch::StochasticValue structural(10.0, 1.0);
   const stoch::StochasticValue learned(15.0, 1.0);
-  for (int i = 0; i < 40; ++i) {
+  for (std::size_t i = 0; i < kArbiterWarmup + kHysteresis; ++i) {
     (void)arbiter.record("m", structural, &learned, 15.0);
   }
   ASSERT_EQ(arbiter.source("m"), Source::kLearned);
@@ -315,23 +307,22 @@ TEST(LearnArbiter, NullLearnedPinsServingToStructural) {
 }
 
 TEST(LearnArbiter, BlendWeightFollowsRollingSkill) {
-  Arbiter arbiter(fast_arbiter());
+  Arbiter arbiter;
   const stoch::StochasticValue structural(10.0, 1.0);
   const stoch::StochasticValue learned(15.0, 1.0);
   EXPECT_DOUBLE_EQ(arbiter.blend_weight("m"), 0.5);
-  for (int i = 0; i < 40; ++i) {
+  for (std::size_t i = 0; i < kArbiterWarmup + 8; ++i) {
     (void)arbiter.record("m", structural, &learned, 15.0);
   }
   // Learned is far more skilled, so its share grows past the prior and
-  // stays inside the configured clamp.
+  // stays inside the clamp.
   EXPECT_GT(arbiter.blend_weight("m"), 0.5);
-  EXPECT_LE(arbiter.blend_weight("m"),
-            fast_arbiter().max_blend_weight);
+  EXPECT_LE(arbiter.blend_weight("m"), kMaxBlendWeight);
 }
 
 TEST(LearnArbiter, DeterministicForFixedObservationTrace) {
   const auto run = [] {
-    Arbiter arbiter(fast_arbiter());
+    Arbiter arbiter;
     support::Rng rng(23);
     for (int i = 0; i < 200; ++i) {
       const stoch::StochasticValue structural(10.0, 1.0);
@@ -408,11 +399,7 @@ TEST(LearnServe, FlipsToLearnedUnderUnmodeledDrift) {
   serve::PredictionService service(options);
   service.register_model("sor", sor_spec());
 
-  const auto& bank_options = service.bank()->options();
-  const auto& arb_options = service.arbiter()->options();
-  const std::size_t bound = bank_options.min_observations +
-                            arb_options.min_observations +
-                            arb_options.hysteresis + 8;
+  const std::size_t bound = kBankWarmup + kArbiterWarmup + kHysteresis + 8;
   const DriftRun run = run_drift_loop(service, "sor", bound + 40);
 
   // The flip happens, and within the analytic bound: bank warm-up +
@@ -472,6 +459,49 @@ TEST(LearnServe, ShardedServiceArbitratesPerModelServiceWide) {
   EXPECT_GT(b.flip_trial, 0u);
   EXPECT_EQ(service.arbiter()->table().size(), 2u);
   EXPECT_EQ(service.bank()->snapshot().size(), 2u);
+}
+
+// An execution time is positive (paper §2.3): once the arbiter serves
+// the learned candidate, a feature point where the bank extrapolates to
+// a mean <= 0 is answered from the structural model instead, and the
+// refusal is counted.
+TEST(LearnServe, NonPositiveLearnedMeanFallsBackToStructural) {
+  serve::ServiceOptions options;
+  options.workers = 1;
+  options.enable_learning = true;
+  serve::PredictionService service(options);
+  serve::PredictionService structural_only;
+  service.register_model("sor", sor_spec());
+  structural_only.register_model("sor", sor_spec());
+  const auto request_at = [](double load) {
+    serve::PredictRequest request = sor_request("sor");
+    request.loads[0] = stoch::StochasticValue(load, 0.05);
+    return request;
+  };
+
+  // Runtimes fall linearly in 1/load of the first host, y = 10 - 4/load:
+  // the bank learns it exactly on loads in [0.5, 1], far better than the
+  // structural model, and extrapolates to -10 s at load 0.2.
+  support::Rng rng(31);
+  for (std::size_t i = 0; i < kBankWarmup + kArbiterWarmup + kHysteresis + 16;
+       ++i) {
+    const double load = rng.uniform(0.5, 1.0);
+    const auto result = service.submit(request_at(load)).get();
+    ASSERT_TRUE(result.ok()) << result.error;
+    service.report_observation(result.request_id, 10.0 - 4.0 / load);
+  }
+  ASSERT_EQ(service.arbiter()->source("sor"), Source::kLearned);
+  auto& refused = service.learn_metrics().counter("learned_refused");
+  EXPECT_EQ(refused.value(), 0u);
+
+  const auto result = service.submit(request_at(0.2)).get();
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.source, static_cast<std::uint8_t>(Source::kStructural));
+  const auto expected = structural_only.submit(request_at(0.2)).get();
+  ASSERT_TRUE(expected.ok()) << expected.error;
+  EXPECT_EQ(result.value, expected.value);
+  EXPECT_GT(result.point, 0.0);
+  EXPECT_EQ(refused.value(), 1u);
 }
 
 TEST(LearnServe, DisabledLearningLeavesServiceUntouched) {
@@ -572,6 +602,93 @@ TEST(LearnServeConcurrency, ConcurrentClientsTrainOneBank) {
             static_cast<std::uint64_t>(kClients) * kPerClient);
   EXPECT_EQ(service.bank()->observations(sor_spec().structure_key()),
             static_cast<std::uint64_t>(kClients) * kPerClient);
+}
+
+// --- Golden: the learned path at its defaults ---------------------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// A seeded 600-observation stream, with an unmodeled 1.5x slowdown from
+// observation 300, through a default PredictorBank and Arbiter in the
+// order a serving shard drives them: the bank predicts when the request
+// is served; the arbiter scores and the bank trains when the runtime
+// arrives. The pins were taken while the bank's and the arbiter's
+// constants were still settable options: the learned mean and half-width
+// at every 50th observation, the serving source after every record, the
+// flips and the final blend weight.
+TEST(LearnGolden, DefaultBankAndArbiterReplayKeepTheirBits) {
+  constexpr std::size_t kObservations = 600;
+  constexpr std::size_t kDriftAt = 300;
+  const std::vector<std::pair<double, double>> kLearned = {
+      {0x1.285782d39a0acp+3, 0x1.72df9258e1cbap-1},
+      {0x1.15e214266373ap+3, 0x1.ae5f1152d761p-1},
+      {0x1.e16464b36d1a4p+2, 0x1.a99b481150165p-1},
+      {0x1.20a589d91bc93p+3, 0x1.8f88bc55b2b1bp-1},
+      {0x1.478a04701e05fp+3, 0x1.6fdf25d1aece1p-1},
+      {0x1.70b5edff5f7b5p+3, 0x1.6d148bbace3dbp-1},
+      {0x1.5bac9e977727ep+3, 0x1.409c178d043d8p+1},
+      {0x1.d324c819eba21p+3, 0x1.2d80cceb3fca5p+1},
+      {0x1.9cd075e8744bep+3, 0x1.6f085324620dcp+1},
+      {0x1.7a4ebe9bcc3d4p+3, 0x1.9104d5c1c3695p+1},
+      {0x1.caeda6e466758p+3, 0x1.9b5de5b83b9bap+1},
+      {0x1.55e9b48fdda54p+3, 0x1.9a556849218a2p+1},
+  };
+  // '0' structural, '1' learned, '2' blended; 50 observations a line.
+  const std::string kSources =
+      "00000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000000000000"
+      "00000000000000000000000001111111111111111111111111"
+      "11111111111111111111111111111111111111111111111111"
+      "11111111111111111111111111111111111111111111111111"
+      "11111111111111111111111111111111111111111111111111"
+      "11111111111111111111111111111111111111111111111111"
+      "11111111111111111111111111111111111111111111111111";
+  const std::vector<std::size_t> kFlips = {325};
+  constexpr double kBlendWeight = 0x1.d46f4d037845fp-1;
+
+  PredictorBank bank;
+  Arbiter arbiter;
+  support::Rng rng(29);
+  std::vector<std::pair<double, double>> learned_at;
+  std::string sources;
+  std::vector<std::size_t> flips;
+  for (std::size_t i = 0; i < kObservations; ++i) {
+    const double a = rng.uniform(0.4, 1.0);
+    const double b = rng.uniform(0.4, 1.0);
+    const std::vector<double> x = {1.0, 1.0 / a, 1.0 / b};
+    const double modeled = 2.0 + 3.0 * x[1] + 1.5 * x[2];
+    const stoch::StochasticValue structural(modeled, 0.1 * modeled);
+    const double observed = modeled * (i < kDriftAt ? 1.0 : 1.5) *
+                            (1.0 + rng.normal(0.0, 0.02));
+
+    const std::optional<LearnedPrediction> learned = bank.predict("k", x);
+    if ((i + 1) % 50 == 0) {
+      ASSERT_TRUE(learned.has_value()) << "observation " << i;
+      learned_at.emplace_back(learned->value.mean(),
+                              learned->value.halfwidth());
+    }
+    if (arbiter.record("m", structural,
+                       learned ? &learned->value : nullptr, observed)) {
+      flips.push_back(i);
+    }
+    sources.push_back(
+        static_cast<char>('0' + static_cast<int>(arbiter.source("m"))));
+    bank.observe("k", x, observed);
+  }
+  ASSERT_EQ(learned_at.size(), kLearned.size());
+  for (std::size_t k = 0; k < kLearned.size(); ++k) {
+    EXPECT_EQ(bits(learned_at[k].first), bits(kLearned[k].first))
+        << "mean at observation " << 50 * (k + 1);
+    EXPECT_EQ(bits(learned_at[k].second), bits(kLearned[k].second))
+        << "half-width at observation " << 50 * (k + 1);
+  }
+  EXPECT_EQ(sources, kSources);
+  EXPECT_EQ(flips, kFlips);
+  EXPECT_EQ(bits(arbiter.blend_weight("m")), bits(kBlendWeight));
 }
 
 }  // namespace

@@ -325,8 +325,6 @@ TEST(ShardedService, PerReasonRejectionCounters) {
   }
   EXPECT_EQ(queue_full, 4u);
   EXPECT_EQ(service.metrics().counter("rejected_queue_full").value(), 4u);
-  EXPECT_EQ(service.metrics().counter("rejected_shard_unavailable").value(),
-            0u);
   // The routed shard's local registry carries the same count; the other
   // shard saw nothing.
   EXPECT_EQ(service.shard_metrics(home).counter("rejected_queue_full").value(),
@@ -336,18 +334,8 @@ TEST(ShardedService, PerReasonRejectionCounters) {
                 .value(),
             0u);
 
-  // Routing-layer shed: mark the family's shard unavailable.
-  service.set_shard_available(home, false);
-  const auto unavailable =
-      service.submit(stochastic_request("m", loads_for(2))).get();
-  EXPECT_EQ(unavailable.status, PredictResult::Status::kRejected);
-  EXPECT_NE(unavailable.error.find("unavailable"), std::string::npos);
-  EXPECT_EQ(service.metrics().counter("rejected_shard_unavailable").value(),
-            1u);
-  service.set_shard_available(home, true);
-
   // Totals roll the reasons up.
-  EXPECT_EQ(service.metrics().counter("requests_rejected").value(), 5u);
+  EXPECT_EQ(service.metrics().counter("requests_rejected").value(), 4u);
   service.resume();
 }
 
