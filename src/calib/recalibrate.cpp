@@ -34,12 +34,11 @@ void ConformalRecalibrator::record(const std::string& model_id,
       std::abs(observed - predicted.mean()) / predicted.halfwidth();
   if (!std::isfinite(score)) return;
   const std::lock_guard lock(mutex_);
-  for (Window* w : {&per_model_[model_id], &overall_}) {
-    if (w->ring.empty()) w->ring.assign(options_.window, 0.0);
-    w->ring[w->pos] = score;
-    w->pos = (w->pos + 1) % w->ring.size();
-    if (w->filled < w->ring.size()) ++w->filled;
-  }
+  Window& w = per_model_[model_id];
+  if (w.ring.empty()) w.ring.assign(options_.window, 0.0);
+  w.ring[w.pos] = score;
+  w.pos = (w.pos + 1) % w.ring.size();
+  if (w.filled < w.ring.size()) ++w.filled;
 }
 
 double ConformalRecalibrator::window_scale(const Window& window) const {
@@ -62,11 +61,6 @@ double ConformalRecalibrator::scale(const std::string& model_id) const {
   const auto it = per_model_.find(model_id);
   if (it == per_model_.end()) return 1.0;
   return window_scale(it->second);
-}
-
-double ConformalRecalibrator::overall_scale() const {
-  const std::lock_guard lock(mutex_);
-  return window_scale(overall_);
 }
 
 stoch::StochasticValue ConformalRecalibrator::apply(

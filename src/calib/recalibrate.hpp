@@ -53,9 +53,6 @@ class ConformalRecalibrator {
   /// exist, then the clamped conformal quantile of the rolling window.
   [[nodiscard]] double scale(const std::string& model_id) const;
 
-  /// Scale over every model's scores pooled.
-  [[nodiscard]] double overall_scale() const;
-
   /// The recalibrated interval: mean ± scale(model_id)·halfwidth.
   [[nodiscard]] stoch::StochasticValue apply(
       const std::string& model_id,
@@ -81,7 +78,6 @@ class ConformalRecalibrator {
   RecalibratorOptions options_;
   mutable std::mutex mutex_;
   std::map<std::string, Window> per_model_;
-  Window overall_;
 };
 
 }  // namespace sspred::calib

@@ -7,10 +7,6 @@
 
 namespace sspred::net {
 
-namespace {
-constexpr double kRemainderEpsilon = 1e-6;  // bytes considered delivered
-}
-
 stats::ModalProcessSpec dedicated_availability() {
   stats::ModalProcessSpec spec;
   stats::ModeState mode;
@@ -74,9 +70,10 @@ void SharedEthernet::reschedule() {
 void SharedEthernet::on_completion_due() {
   completion_event_ = 0;
   progress();
+  const double rate = per_transfer_rate();
   std::vector<std::function<void()>> callbacks;
   for (auto it = active_.begin(); it != active_.end();) {
-    if (it->remaining <= kRemainderEpsilon) {
+    if (transfer_delivered(it->remaining, rate, engine_.now())) {
       delivered_ += it->total;
       callbacks.push_back(std::move(it->on_complete));
       it = active_.erase(it);

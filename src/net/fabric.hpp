@@ -15,6 +15,23 @@ namespace sspred::net {
 
 using TransferId = std::uint64_t;
 
+/// Remaining bytes at or below which a transfer counts as delivered.
+inline constexpr support::Bytes kRemainderEpsilon = 1e-6;
+
+/// The fabrics' completion rule. A transfer that has progressed at `rate`
+/// up to `now` is delivered when its remaining bytes are at most the
+/// epsilon, or when the time they still need no longer advances the clock.
+/// Rounding of the clock leaves about rate·ulp(now)/2 bytes undelivered;
+/// once ulp(now) is large (from about 16,000 s of virtual time on) that
+/// residual can exceed the epsilon and still need less than half an ulp,
+/// so without the second clause its completion would fall due at `now`
+/// again, forever.
+[[nodiscard]] inline bool transfer_delivered(support::Bytes remaining,
+                                             support::BytesPerSecond rate,
+                                             support::Seconds now) noexcept {
+  return remaining <= kRemainderEpsilon || now + remaining / rate == now;
+}
+
 class Fabric {
  public:
   virtual ~Fabric() = default;

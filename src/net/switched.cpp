@@ -7,10 +7,6 @@
 
 namespace sspred::net {
 
-namespace {
-constexpr double kRemainderEpsilon = 1e-6;  // bytes considered delivered
-}
-
 SwitchedEthernet::SwitchedEthernet(sim::Engine& engine, SwitchedSpec spec)
     : engine_(engine), spec_(spec), link_count_(2 * spec.hosts) {
   SSPRED_REQUIRE(spec_.hosts >= 1, "switched network needs hosts");
@@ -104,7 +100,7 @@ void SwitchedEthernet::on_completion_due() {
   progress();
   std::vector<std::function<void()>> callbacks;
   for (auto it = active_.begin(); it != active_.end();) {
-    if (it->remaining <= kRemainderEpsilon) {
+    if (transfer_delivered(it->remaining, it->rate, engine_.now())) {
       callbacks.push_back(std::move(it->on_complete));
       it = active_.erase(it);
     } else {

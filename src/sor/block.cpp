@@ -1,11 +1,10 @@
 #include "sor/block.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
-#include <memory>
-#include <numbers>
 
-#include "mpi/comm.hpp"
-#include "sor/serial.hpp"
+#include "sor/stencil.hpp"
 #include "support/error.hpp"
 
 namespace sspred::sor {
@@ -24,170 +23,30 @@ std::size_t block_offset(std::size_t n, std::size_t parts, std::size_t index) {
 
 namespace {
 
-constexpr double pi = std::numbers::pi;
-
-/// One rank's 2-D block with a one-cell ghost frame.
-class LocalBlock {
- public:
-  LocalBlock(std::size_t n, std::size_t row0, std::size_t rows,
-             std::size_t col0, std::size_t cols, double omega)
-      : n_(n),
-        row0_(row0),
-        rows_(rows),
-        col0_(col0),
-        cols_(cols),
-        stride_(cols + 2),
-        h_(1.0 / (static_cast<double>(n) + 1.0)),
-        omega_(omega),
-        u_((rows + 2) * stride_, 0.0),
-        f_((rows + 2) * stride_, 0.0) {
-    for (std::size_t r = 0; r < rows_; ++r) {
-      const double y = static_cast<double>(row0_ + r + 1) * h_;
-      for (std::size_t c = 0; c < cols_; ++c) {
-        const double x = static_cast<double>(col0_ + c + 1) * h_;
-        f_[(r + 1) * stride_ + c + 1] =
-            2.0 * pi * pi * std::sin(pi * x) * std::sin(pi * y);
-      }
-    }
-  }
-
-  void sweep(bool red) {
-    const double h2 = h_ * h_;
-    for (std::size_t r = 0; r < rows_; ++r) {
-      const std::size_t i = r + 1;
-      const std::size_t gi = row0_ + r + 1;  // global storage row
-      double* row = &u_[i * stride_];
-      const double* above = row - stride_;
-      const double* below = row + stride_;
-      const double* frow = &f_[i * stride_];
-      const std::size_t parity = red ? 0 : 1;
-      // First local column whose global (gi + gj) parity matches.
-      // Global storage column of local c is col0_ + c + 1.
-      std::size_t c = (gi + parity + col0_ + 1) % 2 == 0 ? 0 : 1;
-      for (std::size_t j = c + 1; j <= cols_; j += 2) {
-        const double gs = 0.25 * (above[j] + below[j] + row[j - 1] +
-                                  row[j + 1] + h2 * frow[j]);
-        row[j] += omega_ * (gs - row[j]);
-      }
-    }
-  }
-
-  [[nodiscard]] mpi::Payload top_row() const {
-    return {&u_[stride_ + 1], &u_[stride_ + 1 + cols_]};
-  }
-  [[nodiscard]] mpi::Payload bottom_row() const {
-    return {&u_[rows_ * stride_ + 1], &u_[rows_ * stride_ + 1 + cols_]};
-  }
-  [[nodiscard]] mpi::Payload left_col() const {
-    mpi::Payload out(rows_);
-    for (std::size_t r = 0; r < rows_; ++r) out[r] = u_[(r + 1) * stride_ + 1];
-    return out;
-  }
-  [[nodiscard]] mpi::Payload right_col() const {
-    mpi::Payload out(rows_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      out[r] = u_[(r + 1) * stride_ + cols_];
-    }
-    return out;
-  }
-  void set_top_ghost(const mpi::Payload& v) {
-    SSPRED_REQUIRE(v.size() == cols_, "ghost size mismatch");
-    std::copy(v.begin(), v.end(), &u_[1]);
-  }
-  void set_bottom_ghost(const mpi::Payload& v) {
-    SSPRED_REQUIRE(v.size() == cols_, "ghost size mismatch");
-    std::copy(v.begin(), v.end(), &u_[(rows_ + 1) * stride_ + 1]);
-  }
-  void set_left_ghost(const mpi::Payload& v) {
-    SSPRED_REQUIRE(v.size() == rows_, "ghost size mismatch");
-    for (std::size_t r = 0; r < rows_; ++r) u_[(r + 1) * stride_] = v[r];
-  }
-  void set_right_ghost(const mpi::Payload& v) {
-    SSPRED_REQUIRE(v.size() == rows_, "ghost size mismatch");
-    for (std::size_t r = 0; r < rows_; ++r) {
-      u_[(r + 1) * stride_ + cols_ + 1] = v[r];
-    }
-  }
-
-  [[nodiscard]] double residual_sq() const {
-    const double h2 = h_ * h_;
-    double sum = 0.0;
-    for (std::size_t r = 1; r <= rows_; ++r) {
-      for (std::size_t c = 1; c <= cols_; ++c) {
-        const double lap =
-            (u_[(r - 1) * stride_ + c] + u_[(r + 1) * stride_ + c] +
-             u_[r * stride_ + c - 1] + u_[r * stride_ + c + 1] -
-             4.0 * u_[r * stride_ + c]) /
-            h2;
-        const double res = f_[r * stride_ + c] + lap;
-        sum += res * res;
-      }
-    }
-    return sum;
-  }
-
-  /// Owned interior, row-major (rows_ x cols_).
-  [[nodiscard]] mpi::Payload interior() const {
-    mpi::Payload out;
-    out.reserve(rows_ * cols_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      const double* row = &u_[(r + 1) * stride_];
-      out.insert(out.end(), row + 1, row + 1 + cols_);
-    }
-    return out;
-  }
-
-  [[nodiscard]] double h() const noexcept { return h_; }
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
-  [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
-  [[nodiscard]] std::size_t row0() const noexcept { return row0_; }
-  [[nodiscard]] std::size_t col0() const noexcept { return col0_; }
-
- private:
-  std::size_t n_;
-  std::size_t row0_;
-  std::size_t rows_;
-  std::size_t col0_;
-  std::size_t cols_;
-  std::size_t stride_;
-  double h_;
-  double omega_;
-  std::vector<double> u_;
-  std::vector<double> f_;
-};
-
 struct BlockShared {
   BlockConfig config;
   SorResult result;
-  double omega = 0.0;
-  support::Seconds start_time = 0.0;
-  int finished = 0;
 };
 
-sim::Process block_rank(mpi::RankCtx ctx, BlockShared* shared) {
+sim::Task<> block_rank(mpi::RankCtx ctx, BlockShared* shared) {
   const BlockConfig& cfg = shared->config;
   const std::size_t n = cfg.n;
   const auto rank = static_cast<std::size_t>(ctx.rank());
   const std::size_t br = rank / cfg.pc;
   const std::size_t bc = rank % cfg.pc;
-  const int up = br > 0 ? static_cast<int>(rank - cfg.pc) : -1;
-  const int down = br + 1 < cfg.pr ? static_cast<int>(rank + cfg.pc) : -1;
-  const int left = bc > 0 ? static_cast<int>(rank - 1) : -1;
-  const int right = bc + 1 < cfg.pc ? static_cast<int>(rank + 1) : -1;
+  const std::array<Neighbour, 4> neighbours{
+      {{br > 0 ? static_cast<int>(rank - cfg.pc) : -1, Side::kUp},
+       {br + 1 < cfg.pr ? static_cast<int>(rank + cfg.pc) : -1, Side::kDown},
+       {bc > 0 ? static_cast<int>(rank - 1) : -1, Side::kLeft},
+       {bc + 1 < cfg.pc ? static_cast<int>(rank + 1) : -1, Side::kRight}}};
 
-  LocalBlock block(n, block_offset(n, cfg.pr, br),
-                   block_extent(n, cfg.pr, br), block_offset(n, cfg.pc, bc),
-                   block_extent(n, cfg.pc, bc), shared->omega);
+  LocalGrid grid = LocalGrid::block(
+      n, block_offset(n, cfg.pr, br), block_extent(n, cfg.pr, br),
+      block_offset(n, cfg.pc, bc), block_extent(n, cfg.pc, bc));
 
   RankStats& stats = shared->result.ranks[rank];
-  const double phase_elements =
-      static_cast<double>(block.rows()) * static_cast<double>(block.cols()) /
-      2.0;
-  const double working_set = 2.0 *
-                             static_cast<double>(block.rows() + 2) *
-                             static_cast<double>(block.cols() + 2);
   const support::Seconds phase_work =
-      ctx.machine().element_work(phase_elements, working_set);
+      ctx.machine().element_work(grid.elements() / 2.0, grid.working_set());
 
   for (std::size_t it = 0; it < cfg.iterations; ++it) {
     PhaseTiming timing;
@@ -196,30 +55,12 @@ sim::Process block_rank(mpi::RankCtx ctx, BlockShared* shared) {
       const int tag = 2 * static_cast<int>(it) + phase;
 
       const support::Seconds t0 = ctx.now();
-      if (cfg.real_numerics) block.sweep(red);
+      if (cfg.real_numerics) grid.sor_sweep(red);
       co_await ctx.compute(phase_work);
       const support::Seconds t1 = ctx.now();
 
-      if (up >= 0) ctx.send(up, tag, block.top_row());
-      if (down >= 0) ctx.send(down, tag, block.bottom_row());
-      if (left >= 0) ctx.send(left, tag, block.left_col());
-      if (right >= 0) ctx.send(right, tag, block.right_col());
-      if (up >= 0) {
-        mpi::Message m = co_await ctx.recv(up, tag);
-        block.set_top_ghost(m.data);
-      }
-      if (down >= 0) {
-        mpi::Message m = co_await ctx.recv(down, tag);
-        block.set_bottom_ghost(m.data);
-      }
-      if (left >= 0) {
-        mpi::Message m = co_await ctx.recv(left, tag);
-        block.set_left_ghost(m.data);
-      }
-      if (right >= 0) {
-        mpi::Message m = co_await ctx.recv(right, tag);
-        block.set_right_ghost(m.data);
-      }
+      post_halo(ctx, tag, grid, neighbours);
+      co_await await_halo(ctx, tag, grid, neighbours);
       const support::Seconds t2 = ctx.now();
 
       if (red) {
@@ -234,13 +75,13 @@ sim::Process block_rank(mpi::RankCtx ctx, BlockShared* shared) {
     stats.iteration_end.push_back(ctx.now());
   }
 
-  const double res_sq = co_await ctx.allreduce_sum(block.residual_sq());
+  const double res_sq = co_await ctx.allreduce_sum(grid.residual_sq());
 
   if (cfg.gather_solution) {
     // Gather per-rank interiors; rank 0 reassembles by block coordinates.
-    mpi::Payload all = co_await ctx.gather(block.interior());
+    mpi::Payload all = co_await ctx.gather(grid.interior());
     if (ctx.rank() == 0) {
-      std::vector<double> grid(n * n, 0.0);
+      std::vector<double> assembled(n * n, 0.0);
       std::size_t offset = 0;
       for (std::size_t p = 0; p < static_cast<std::size_t>(ctx.size()); ++p) {
         const std::size_t pbr = p / cfg.pc;
@@ -251,21 +92,19 @@ sim::Process block_rank(mpi::RankCtx ctx, BlockShared* shared) {
         const std::size_t cs = block_extent(n, cfg.pc, pbc);
         for (std::size_t r = 0; r < rs; ++r) {
           for (std::size_t c = 0; c < cs; ++c) {
-            grid[(r0 + r) * n + c0 + c] = all[offset++];
+            assembled[(r0 + r) * n + c0 + c] = all[offset++];
           }
         }
       }
-      shared->result.solution = std::move(grid);
+      shared->result.solution = std::move(assembled);
     }
   }
 
   co_await ctx.barrier();
   if (ctx.rank() == 0) {
-    shared->result.residual = std::sqrt(res_sq) * block.h();
-    shared->result.total_time = ctx.now() - shared->start_time;
-    shared->result.iterations_run = cfg.iterations;
+    shared->result.residual = std::sqrt(res_sq) * grid.h();
+    shared->result.total_time = ctx.now() - shared->result.start_time;
   }
-  ++shared->finished;
 }
 
 }  // namespace
@@ -279,23 +118,13 @@ SorResult run_distributed_block_sor(sim::Engine& engine,
   SSPRED_REQUIRE(config.pr >= 1 && config.pc >= 1, "block grid must be >= 1x1");
   SSPRED_REQUIRE(config.n >= config.pr && config.n >= config.pc,
                  "grid too small for the block grid");
-  auto shared = std::make_unique<BlockShared>(
-      BlockShared{config, SorResult{}, 0.0, start_time, 0});
-  shared->omega =
-      config.omega > 0.0 ? config.omega : SerialSor::optimal_omega(config.n);
-  shared->result.start_time = start_time;
-  shared->result.ranks.resize(platform.size());
-
-  engine.run_until(start_time);
-  mpi::Comm comm(engine, platform);
-  comm.launch([ptr = shared.get()](mpi::RankCtx ctx) {
-    return block_rank(ctx, ptr);
+  BlockShared shared{config, SorResult{}};
+  shared.result.start_time = start_time;
+  shared.result.ranks.resize(platform.size());
+  run_ranks(engine, platform, start_time, [&shared](mpi::RankCtx ctx) {
+    return block_rank(ctx, &shared);
   });
-  while (shared->finished < comm.size() && engine.step_one()) {
-  }
-  SSPRED_REQUIRE(shared->finished == comm.size(),
-                 "not all ranks finished — deadlock in the run");
-  return std::move(shared->result);
+  return std::move(shared.result);
 }
 
 }  // namespace sspred::sor

@@ -20,7 +20,6 @@ struct BlockConfig {
   std::size_t iterations = 30;
   std::size_t pr = 2;  ///< block-grid rows; pr*pc must equal platform size
   std::size_t pc = 2;  ///< block-grid columns
-  double omega = 0.0;  ///< <=0 selects the optimal factor
   bool real_numerics = true;
   bool gather_solution = false;
 };

@@ -1,11 +1,10 @@
 #include "sor/cg.hpp"
 
 #include <cmath>
-#include <memory>
 #include <numbers>
 
-#include "mpi/comm.hpp"
 #include "sor/decomposition.hpp"
+#include "sor/stencil.hpp"
 #include "support/error.hpp"
 
 namespace sspred::sor {
@@ -108,11 +107,9 @@ struct CgShared {
   CgConfig config;
   StripDecomposition decomp;
   CgResult result;
-  support::Seconds start_time = 0.0;
-  int finished = 0;
 };
 
-sim::Process cg_rank(mpi::RankCtx ctx, CgShared* shared) {
+sim::Task<> cg_rank(mpi::RankCtx ctx, CgShared* shared) {
   const CgConfig& cfg = shared->config;
   const auto rank = static_cast<std::size_t>(ctx.rank());
   const std::size_t n = cfg.n;
@@ -243,9 +240,8 @@ sim::Process cg_rank(mpi::RankCtx ctx, CgShared* shared) {
     shared->result.iterations_run = it;
     shared->result.residual = residual;
     shared->result.solution_error = global_err;
-    shared->result.total_time = ctx.now() - shared->start_time;
+    shared->result.total_time = ctx.now() - shared->result.start_time;
   }
-  ++shared->finished;
 }
 
 }  // namespace
@@ -254,22 +250,15 @@ CgResult run_distributed_cg(sim::Engine& engine, cluster::Platform& platform,
                             const CgConfig& config,
                             support::Seconds start_time) {
   SSPRED_REQUIRE(config.max_iterations >= 1, "need at least one iteration");
-  auto shared = std::make_unique<CgShared>(CgShared{
-      config, StripDecomposition::uniform(config.n, platform.size()),
-      CgResult{}, start_time, 0});
-  shared->result.start_time = start_time;
-  shared->result.rank_totals.assign(platform.size(), {0.0, 0.0, 0.0});
-
-  engine.run_until(start_time);
-  mpi::Comm comm(engine, platform);
-  comm.launch([ptr = shared.get()](mpi::RankCtx ctx) {
-    return cg_rank(ctx, ptr);
+  CgShared shared{config,
+                  StripDecomposition::uniform(config.n, platform.size()),
+                  CgResult{}};
+  shared.result.start_time = start_time;
+  shared.result.rank_totals.assign(platform.size(), {0.0, 0.0, 0.0});
+  run_ranks(engine, platform, start_time, [&shared](mpi::RankCtx ctx) {
+    return cg_rank(ctx, &shared);
   });
-  while (shared->finished < comm.size() && engine.step_one()) {
-  }
-  SSPRED_REQUIRE(shared->finished == comm.size(),
-                 "not all ranks finished — deadlock in the run");
-  return std::move(shared->result);
+  return std::move(shared.result);
 }
 
 }  // namespace sspred::sor

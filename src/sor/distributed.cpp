@@ -1,175 +1,33 @@
 #include "sor/distributed.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <memory>
-#include <numbers>
 
-#include "mpi/comm.hpp"
-#include "sor/serial.hpp"
+#include "sor/stencil.hpp"
 #include "support/error.hpp"
 
 namespace sspred::sor {
 
 namespace {
 
-constexpr int kGhostTagBase = 0;  // per-phase tag = 2*iteration + phase
-
-/// One rank's strip: owned interior rows plus two ghost rows.
-class LocalStrip {
- public:
-  LocalStrip(std::size_t n, std::size_t row_begin, std::size_t row_count,
-             double omega)
-      : n_(n),
-        stride_(n + 2),
-        rows_(row_count),
-        row_begin_(row_begin),
-        h_(1.0 / (static_cast<double>(n) + 1.0)),
-        omega_(omega),
-        u_((row_count + 2) * stride_, 0.0),
-        f_((row_count + 2) * stride_, 0.0) {
-    constexpr double pi = std::numbers::pi;
-    for (std::size_t r = 0; r < rows_; ++r) {
-      const double y = static_cast<double>(row_begin_ + r + 1) * h_;
-      for (std::size_t j = 1; j <= n_; ++j) {
-        const double x = static_cast<double>(j) * h_;
-        f_[(r + 1) * stride_ + j] =
-            2.0 * pi * pi * std::sin(pi * x) * std::sin(pi * y);
-      }
-    }
-  }
-
-  void sweep(bool red) { sweep_rows(red, 0, rows_); }
-
-  /// Half-sweep restricted to local rows [row_begin, row_end).
-  void sweep_rows(bool red, std::size_t row_begin, std::size_t row_end) {
-    const double h2 = h_ * h_;
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-      const std::size_t i = r + 1;                       // local storage row
-      const std::size_t gi = row_begin_ + r + 1;         // global storage row
-      const std::size_t parity = red ? 0 : 1;
-      std::size_t j = 2 - ((gi + parity) % 2);
-      double* row = &u_[i * stride_];
-      const double* above = row - stride_;
-      const double* below = row + stride_;
-      const double* frow = &f_[i * stride_];
-      for (; j <= n_; j += 2) {
-        const double gs = 0.25 * (above[j] + below[j] + row[j - 1] +
-                                  row[j + 1] + h2 * frow[j]);
-        row[j] += omega_ * (gs - row[j]);
-      }
-    }
-  }
-
-  /// Copy of the first/last owned storage row (for the ghost exchange).
-  [[nodiscard]] mpi::Payload first_row() const {
-    return {&u_[stride_], &u_[2 * stride_]};
-  }
-  [[nodiscard]] mpi::Payload last_row() const {
-    return {&u_[rows_ * stride_], &u_[(rows_ + 1) * stride_]};
-  }
-  void set_top_ghost(const mpi::Payload& row) {
-    SSPRED_REQUIRE(row.size() == stride_, "ghost row size mismatch");
-    std::copy(row.begin(), row.end(), u_.begin());
-  }
-  void set_bottom_ghost(const mpi::Payload& row) {
-    SSPRED_REQUIRE(row.size() == stride_, "ghost row size mismatch");
-    std::copy(row.begin(), row.end(),
-              u_.begin() + static_cast<long>((rows_ + 1) * stride_));
-  }
-
-  /// Partial squared residual over owned rows (ghosts must be current).
-  [[nodiscard]] double residual_sq() const {
-    const double h2 = h_ * h_;
-    double sum = 0.0;
-    for (std::size_t r = 0; r < rows_; ++r) {
-      const std::size_t i = r + 1;
-      for (std::size_t j = 1; j <= n_; ++j) {
-        const double lap =
-            (u_[(i - 1) * stride_ + j] + u_[(i + 1) * stride_ + j] +
-             u_[i * stride_ + j - 1] + u_[i * stride_ + j + 1] -
-             4.0 * u_[i * stride_ + j]) /
-            h2;
-        const double res = f_[i * stride_ + j] + lap;
-        sum += res * res;
-      }
-    }
-    return sum;
-  }
-
-  /// Max-norm error vs the analytic solution over owned rows.
-  [[nodiscard]] double solution_error() const {
-    constexpr double pi = std::numbers::pi;
-    double worst = 0.0;
-    for (std::size_t r = 0; r < rows_; ++r) {
-      const double y = static_cast<double>(row_begin_ + r + 1) * h_;
-      for (std::size_t j = 1; j <= n_; ++j) {
-        const double x = static_cast<double>(j) * h_;
-        const double exact = std::sin(pi * x) * std::sin(pi * y);
-        worst = std::max(worst,
-                         std::abs(u_[(r + 1) * stride_ + j] - exact));
-      }
-    }
-    return worst;
-  }
-
-  /// Owned interior values, row-major, without boundary columns.
-  [[nodiscard]] mpi::Payload interior() const {
-    mpi::Payload out;
-    out.reserve(rows_ * n_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      const double* row = &u_[(r + 1) * stride_];
-      out.insert(out.end(), row + 1, row + 1 + n_);
-    }
-    return out;
-  }
-
-  /// Overwrites the owned interior from a row-major payload (rows_ * n_
-  /// values, no boundary columns). Ghosts are untouched.
-  void set_interior(std::span<const double> values) {
-    SSPRED_REQUIRE(values.size() == rows_ * n_, "interior size mismatch");
-    for (std::size_t r = 0; r < rows_; ++r) {
-      std::copy(values.begin() + static_cast<long>(r * n_),
-                values.begin() + static_cast<long>((r + 1) * n_),
-                &u_[(r + 1) * stride_ + 1]);
-    }
-  }
-
-  [[nodiscard]] double h() const noexcept { return h_; }
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
-
- private:
-  std::size_t n_;
-  std::size_t stride_;
-  std::size_t rows_;
-  std::size_t row_begin_;
-  double h_;
-  double omega_;
-  std::vector<double> u_;
-  std::vector<double> f_;
-};
-
 /// Shared state for one run, owned by run_distributed_sor's frame.
 struct RunShared {
   SorConfig config;
   StripDecomposition decomp;
   SorResult result;
-  double omega = 0.0;
-  support::Seconds start_time = 0.0;
-  int finished = 0;
 };
 
-// Reserved tag bases for the rebalance protocol (outside the per-phase
-// ghost-tag range and the collectives' range).
+// Tags: 2*iteration + phase for the ghost exchange; reserved bases for the
+// rebalance protocol (outside that range and the collectives' range).
 constexpr int kMigrateTagBase = 3'000'000;
 constexpr int kRefreshTagBase = 4'000'000;
 
-sim::Process sor_rank(mpi::RankCtx ctx, RunShared* shared) {
+sim::Task<> sor_rank(mpi::RankCtx ctx, RunShared* shared) {
   const auto rank = static_cast<std::size_t>(ctx.rank());
   const SorConfig& cfg = shared->config;
   const StripDecomposition& decomp = shared->decomp;
   const std::size_t n = cfg.n;
-  const int up = ctx.rank() > 0 ? ctx.rank() - 1 : -1;
-  const int down = ctx.rank() + 1 < ctx.size() ? ctx.rank() + 1 : -1;
+  const auto neighbours = strip_neighbours(ctx);
 
   // The layout may change at rebalance points; every rank tracks the full
   // row layout so begins stay consistent.
@@ -181,8 +39,7 @@ sim::Process sor_rank(mpi::RankCtx ctx, RunShared* shared) {
     return b;
   };
 
-  auto strip = std::make_unique<LocalStrip>(n, my_begin(), layout[rank],
-                                            shared->omega);
+  LocalGrid grid = LocalGrid::strip(n, my_begin(), layout[rank]);
   RankStats& stats = shared->result.ranks[rank];
   stats.iterations.reserve(cfg.iterations);
   stats.iteration_end.reserve(cfg.iterations);
@@ -191,16 +48,10 @@ sim::Process sor_rank(mpi::RankCtx ctx, RunShared* shared) {
     co_await ctx.compute(cfg.rank0_initial_delay);
   }
 
-  // Half the strip's elements are updated per color phase. The resident
-  // working set (solution + source arrays with ghost rows and boundary
-  // columns) determines the memory-thrashing multiplier.
+  // Half the strip's elements are updated per color phase.
   auto phase_work_now = [&] {
-    const double phase_elements =
-        static_cast<double>(layout[rank]) * static_cast<double>(n) / 2.0;
-    const double working_set = 2.0 *
-                               static_cast<double>(layout[rank] + 2) *
-                               static_cast<double>(n + 2);
-    return ctx.machine().element_work(phase_elements, working_set);
+    return ctx.machine().element_work(grid.elements() / 2.0,
+                                      grid.working_set());
   };
   support::Seconds phase_work = phase_work_now();
 
@@ -208,7 +59,7 @@ sim::Process sor_rank(mpi::RankCtx ctx, RunShared* shared) {
     PhaseTiming timing;
     for (int phase = 0; phase < 2; ++phase) {
       const bool red = phase == 0;
-      const int tag = kGhostTagBase + 2 * static_cast<int>(it) + phase;
+      const int tag = 2 * static_cast<int>(it) + phase;
 
       const support::Seconds t0 = ctx.now();
       support::Seconds t1 = t0;
@@ -220,30 +71,21 @@ sim::Process sor_rank(mpi::RankCtx ctx, RunShared* shared) {
             std::min(2.0, static_cast<double>(rows)) /
             static_cast<double>(rows);
         if (cfg.real_numerics) {
-          strip->sweep_rows(red, 0, 1);
-          strip->sweep_rows(red, rows - 1, rows);
+          grid.sor_sweep(red, 0, 1);
+          grid.sor_sweep(red, rows - 1, rows);
         }
         co_await ctx.compute(phase_work * boundary_share);
-        if (up >= 0) ctx.send(up, tag, strip->first_row());
-        if (down >= 0) ctx.send(down, tag, strip->last_row());
-        if (cfg.real_numerics) strip->sweep_rows(red, 1, rows - 1);
+        post_halo(ctx, tag, grid, neighbours);
+        if (cfg.real_numerics) grid.sor_sweep(red, 1, rows - 1);
         co_await ctx.compute(phase_work * (1.0 - boundary_share));
         t1 = ctx.now();
       } else {
-        if (cfg.real_numerics) strip->sweep(red);
+        if (cfg.real_numerics) grid.sor_sweep(red);
         co_await ctx.compute(phase_work);
         t1 = ctx.now();
-        if (up >= 0) ctx.send(up, tag, strip->first_row());
-        if (down >= 0) ctx.send(down, tag, strip->last_row());
+        post_halo(ctx, tag, grid, neighbours);
       }
-      if (up >= 0) {
-        mpi::Message m = co_await ctx.recv(up, tag);
-        strip->set_top_ghost(m.data);
-      }
-      if (down >= 0) {
-        mpi::Message m = co_await ctx.recv(down, tag);
-        strip->set_bottom_ghost(m.data);
-      }
+      co_await await_halo(ctx, tag, grid, neighbours);
       const support::Seconds t2 = ctx.now();
 
       if (red) {
@@ -256,16 +98,6 @@ sim::Process sor_rank(mpi::RankCtx ctx, RunShared* shared) {
     }
     stats.iterations.push_back(timing);
     stats.iteration_end.push_back(ctx.now());
-
-    // Solve-to-tolerance: periodic global residual check. The allreduce
-    // result is identical on every rank, so all ranks break together.
-    if (cfg.tolerance > 0.0 && (it + 1) % cfg.convergence_interval == 0 &&
-        it + 1 < cfg.iterations) {
-      SSPRED_REQUIRE(cfg.real_numerics,
-                     "solve-to-tolerance needs real numerics");
-      const double res_sq = co_await ctx.allreduce_sum(strip->residual_sq());
-      if (std::sqrt(res_sq) * strip->h() < cfg.tolerance) break;
-    }
 
     // Adaptive rebalancing: measure, re-decompose, migrate.
     if (cfg.rebalance_interval > 0 &&
@@ -319,7 +151,7 @@ sim::Process sor_rank(mpi::RankCtx ctx, RunShared* shared) {
       if (max_delta > migrate_threshold) {
         // 3. Migrate: gather the full interior to rank 0, scatter the new
         //    strips. Transfer costs are paid through the fabric.
-        mpi::Payload full = co_await ctx.gather(strip->interior());
+        mpi::Payload full = co_await ctx.gather(grid.interior());
         layout = std::move(new_layout);
         mpi::Payload mine;
         if (ctx.rank() == 0) {
@@ -338,23 +170,13 @@ sim::Process sor_rank(mpi::RankCtx ctx, RunShared* shared) {
           mpi::Message m = co_await ctx.recv(0, kMigrateTagBase + round);
           mine = std::move(m.data);
         }
-        strip = std::make_unique<LocalStrip>(n, my_begin(), layout[rank],
-                                             shared->omega);
-        strip->set_interior(mine);
+        grid = LocalGrid::strip(n, my_begin(), layout[rank]);
+        grid.set_interior(mine);
         phase_work = phase_work_now();
 
         // 4. Ghost refresh so the next red sweep sees current neighbours.
-        const int rtag = kRefreshTagBase + round;
-        if (up >= 0) ctx.send(up, rtag, strip->first_row());
-        if (down >= 0) ctx.send(down, rtag, strip->last_row());
-        if (up >= 0) {
-          mpi::Message m = co_await ctx.recv(up, rtag);
-          strip->set_top_ghost(m.data);
-        }
-        if (down >= 0) {
-          mpi::Message m = co_await ctx.recv(down, rtag);
-          strip->set_bottom_ghost(m.data);
-        }
+        post_halo(ctx, kRefreshTagBase + round, grid, neighbours);
+        co_await await_halo(ctx, kRefreshTagBase + round, grid, neighbours);
       }
       if (ctx.rank() == 0) {
         shared->result.rebalances.push_back(
@@ -362,26 +184,22 @@ sim::Process sor_rank(mpi::RankCtx ctx, RunShared* shared) {
       }
     }
   }
-  if (ctx.rank() == 0) {
-    shared->result.iterations_run = stats.iterations.size();
-  }
 
   // Global diagnostics (cheap relative to the run; not charged to time).
-  const double res_sq = co_await ctx.allreduce_sum(strip->residual_sq());
-  const double err = co_await ctx.allreduce_max(strip->solution_error());
+  const double res_sq = co_await ctx.allreduce_sum(grid.residual_sq());
+  const double err = co_await ctx.allreduce_max(grid.max_error());
 
   if (cfg.gather_solution) {
-    mpi::Payload all = co_await ctx.gather(strip->interior());
+    mpi::Payload all = co_await ctx.gather(grid.interior());
     if (ctx.rank() == 0) shared->result.solution = std::move(all);
   }
 
   co_await ctx.barrier();
   if (ctx.rank() == 0) {
-    shared->result.residual = std::sqrt(res_sq) * strip->h();
+    shared->result.residual = std::sqrt(res_sq) * grid.h();
     shared->result.solution_error = err;
-    shared->result.total_time = ctx.now() - shared->start_time;
+    shared->result.total_time = ctx.now() - shared->result.start_time;
   }
-  ++shared->finished;
 }
 
 }  // namespace
@@ -415,27 +233,13 @@ SorResult run_distributed_sor(sim::Engine& engine,
                               const SorConfig& config,
                               support::Seconds start_time) {
   SSPRED_REQUIRE(config.iterations >= 1, "need at least one iteration");
-  auto shared = std::make_unique<RunShared>(RunShared{
-      config, make_decomposition(platform, config), SorResult{}, 0.0,
-      start_time, 0});
-  shared->omega = config.omega > 0.0 ? config.omega
-                                     : SerialSor::optimal_omega(config.n);
-  shared->result.start_time = start_time;
-  shared->result.ranks.resize(platform.size());
-
-  engine.run_until(start_time);
-  mpi::Comm comm(engine, platform);
-  comm.launch([ptr = shared.get()](mpi::RankCtx ctx) {
-    return sor_rank(ctx, ptr);
+  RunShared shared{config, make_decomposition(platform, config), SorResult{}};
+  shared.result.start_time = start_time;
+  shared.result.ranks.resize(platform.size());
+  run_ranks(engine, platform, start_time, [&shared](mpi::RankCtx ctx) {
+    return sor_rank(ctx, &shared);
   });
-  // Step until all ranks finish rather than draining the queue, so that
-  // unrelated background processes (NWS sensors, bandwidth probes) can
-  // outlive the run.
-  while (shared->finished < comm.size() && engine.step_one()) {
-  }
-  SSPRED_REQUIRE(shared->finished == comm.size(),
-                 "not all ranks finished — deadlock in the run");
-  return std::move(shared->result);
+  return std::move(shared.result);
 }
 
 }  // namespace sspred::sor

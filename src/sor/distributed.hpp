@@ -1,6 +1,7 @@
 // Distributed Red-Black SOR over the simulated message-passing cluster.
 //
-// The real numerics of SerialSor run on strip-decomposed local grids; the
+// The real numerics of SerialSor, at the optimal relaxation factor for the
+// grid, run on strip-decomposed local grids (sor/stencil.hpp); the
 // costs of each red/black compute phase are charged to virtual time
 // through each host's availability trace, and boundary-row exchanges go
 // through the shared-ethernet model. Per-rank, per-iteration phase timings
@@ -20,13 +21,7 @@ namespace sspred::sor {
 
 struct SorConfig {
   std::size_t n = 512;           ///< interior grid dimension (NxN)
-  std::size_t iterations = 30;   ///< red+black iterations (max when tol>0)
-  double omega = 0.0;            ///< <=0 selects the optimal factor
-  /// Solve-to-tolerance mode: when > 0, the ranks allreduce the global
-  /// residual every `convergence_interval` iterations and stop early once
-  /// it drops below. Requires real_numerics. `iterations` caps the run.
-  double tolerance = 0.0;
-  std::size_t convergence_interval = 10;
+  std::size_t iterations = 30;   ///< red+black iterations
   /// Execute the actual floating-point sweeps. Disable for timing-only
   /// parameter sweeps (virtual times are identical either way).
   bool real_numerics = true;
@@ -76,7 +71,6 @@ struct RebalanceEvent {
 struct SorResult {
   support::Seconds start_time = 0.0;
   support::Seconds total_time = 0.0;  ///< wall (virtual) time of the run
-  std::size_t iterations_run = 0;     ///< < config max when tol met early
   std::vector<RebalanceEvent> rebalances;
   std::vector<RankStats> ranks;
   double residual = std::numeric_limits<double>::quiet_NaN();

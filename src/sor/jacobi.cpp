@@ -1,28 +1,16 @@
 #include "sor/jacobi.hpp"
 
 #include <cmath>
-#include <memory>
 #include <numbers>
 
-#include "mpi/comm.hpp"
+#include "sor/decomposition.hpp"
+#include "sor/stencil.hpp"
 #include "support/error.hpp"
 
 namespace sspred::sor {
 
 namespace {
 constexpr double pi = std::numbers::pi;
-
-void fill_source(std::vector<double>& f, std::size_t stride,
-                 std::size_t row_begin, std::size_t row_count, double h) {
-  for (std::size_t r = 0; r < row_count; ++r) {
-    const double y = static_cast<double>(row_begin + r + 1) * h;
-    for (std::size_t j = 1; j + 1 < stride; ++j) {
-      const double x = static_cast<double>(j) * h;
-      f[(r + 1) * stride + j] =
-          2.0 * pi * pi * std::sin(pi * x) * std::sin(pi * y);
-    }
-  }
-}
 }  // namespace
 
 SerialJacobi::SerialJacobi(std::size_t n)
@@ -33,7 +21,14 @@ SerialJacobi::SerialJacobi(std::size_t n)
       next_(stride_ * stride_, 0.0),
       f_(stride_ * stride_, 0.0) {
   SSPRED_REQUIRE(n >= 2, "Jacobi grid needs n >= 2");
-  fill_source(f_, stride_, 0, n_, h_);
+  for (std::size_t i = 1; i <= n_; ++i) {
+    const double y = static_cast<double>(i) * h_;
+    for (std::size_t j = 1; j <= n_; ++j) {
+      const double x = static_cast<double>(j) * h_;
+      f_[i * stride_ + j] =
+          2.0 * pi * pi * std::sin(pi * x) * std::sin(pi * y);
+    }
+  }
 }
 
 void SerialJacobi::iterate(std::size_t iterations) {
@@ -92,101 +87,46 @@ struct JacobiShared {
   JacobiConfig config;
   StripDecomposition decomp;
   JacobiResult result;
-  support::Seconds start_time = 0.0;
-  int finished = 0;
 };
 
-sim::Process jacobi_rank(mpi::RankCtx ctx, JacobiShared* shared) {
+sim::Task<> jacobi_rank(mpi::RankCtx ctx, JacobiShared* shared) {
   const auto rank = static_cast<std::size_t>(ctx.rank());
   const JacobiConfig& cfg = shared->config;
-  const std::size_t n = cfg.n;
-  const std::size_t stride = n + 2;
-  const std::size_t rows = shared->decomp.rows(rank);
-  const std::size_t row_begin = shared->decomp.begin(rank);
-  const double h = 1.0 / (static_cast<double>(n) + 1.0);
-  const double h2 = h * h;
-  const int up = ctx.rank() > 0 ? ctx.rank() - 1 : -1;
-  const int down = ctx.rank() + 1 < ctx.size() ? ctx.rank() + 1 : -1;
+  const auto neighbours = strip_neighbours(ctx);
 
-  std::vector<double> u((rows + 2) * stride, 0.0);
-  std::vector<double> next((rows + 2) * stride, 0.0);
-  std::vector<double> f((rows + 2) * stride, 0.0);
-  fill_source(f, stride, row_begin, rows, h);
-
+  LocalGrid grid = LocalGrid::strip(cfg.n, shared->decomp.begin(rank),
+                                    shared->decomp.rows(rank));
   auto& timings = shared->result.rank_timings[rank];
   timings.reserve(cfg.iterations);
 
-  const double elements = static_cast<double>(rows) * static_cast<double>(n);
-  const double working_set =
-      2.0 * static_cast<double>(rows + 2) * static_cast<double>(stride);
   const support::Seconds iter_work =
-      ctx.machine().element_work(elements, working_set);
+      ctx.machine().element_work(grid.elements(), grid.working_set());
 
   for (std::size_t it = 0; it < cfg.iterations; ++it) {
     const int tag = static_cast<int>(it);
     // One ghost exchange per iteration, before the sweep.
     const support::Seconds t0 = ctx.now();
-    if (up >= 0) {
-      ctx.send(up, tag, mpi::Payload(&u[stride], &u[2 * stride]));
-    }
-    if (down >= 0) {
-      ctx.send(down, tag,
-               mpi::Payload(&u[rows * stride], &u[(rows + 1) * stride]));
-    }
-    if (up >= 0) {
-      mpi::Message m = co_await ctx.recv(up, tag);
-      std::copy(m.data.begin(), m.data.end(), u.begin());
-    }
-    if (down >= 0) {
-      mpi::Message m = co_await ctx.recv(down, tag);
-      std::copy(m.data.begin(), m.data.end(),
-                u.begin() + static_cast<long>((rows + 1) * stride));
-    }
+    post_halo(ctx, tag, grid, neighbours);
+    co_await await_halo(ctx, tag, grid, neighbours);
     const support::Seconds t1 = ctx.now();
 
-    if (cfg.real_numerics) {
-      for (std::size_t r = 1; r <= rows; ++r) {
-        for (std::size_t j = 1; j <= n; ++j) {
-          next[r * stride + j] =
-              0.25 * (u[(r - 1) * stride + j] + u[(r + 1) * stride + j] +
-                      u[r * stride + j - 1] + u[r * stride + j + 1] +
-                      h2 * f[r * stride + j]);
-        }
-      }
-      u.swap(next);
-    }
+    if (cfg.real_numerics) grid.jacobi_sweep();
     co_await ctx.compute(iter_work);
     timings.emplace_back(ctx.now() - t1, t1 - t0);
   }
 
-  double err = 0.0;
-  for (std::size_t r = 1; r <= rows; ++r) {
-    const double y = static_cast<double>(row_begin + r) * h;
-    for (std::size_t j = 1; j <= n; ++j) {
-      const double x = static_cast<double>(j) * h;
-      err = std::max(err, std::abs(u[r * stride + j] -
-                                   std::sin(pi * x) * std::sin(pi * y)));
-    }
-  }
-  const double global_err = co_await ctx.allreduce_max(err);
+  const double global_err = co_await ctx.allreduce_max(grid.max_error());
 
   if (cfg.gather_solution) {
-    mpi::Payload interior;
-    interior.reserve(rows * n);
-    for (std::size_t r = 1; r <= rows; ++r) {
-      interior.insert(interior.end(), &u[r * stride + 1],
-                      &u[r * stride + 1 + n]);
-    }
-    mpi::Payload all = co_await ctx.gather(std::move(interior));
+    mpi::Payload all = co_await ctx.gather(grid.interior());
     if (ctx.rank() == 0) shared->result.solution = std::move(all);
   }
 
   co_await ctx.barrier();
   if (ctx.rank() == 0) {
     shared->result.solution_error = global_err;
-    shared->result.total_time = ctx.now() - shared->start_time;
+    shared->result.total_time = ctx.now() - shared->result.start_time;
   }
-  ++shared->finished;
 }
 
 }  // namespace
@@ -196,25 +136,15 @@ JacobiResult run_distributed_jacobi(sim::Engine& engine,
                                     const JacobiConfig& config,
                                     support::Seconds start_time) {
   SSPRED_REQUIRE(config.iterations >= 1, "need at least one iteration");
-  auto shared = std::make_unique<JacobiShared>(JacobiShared{
-      config,
-      config.rows_per_rank.empty()
-          ? StripDecomposition::uniform(config.n, platform.size())
-          : StripDecomposition(config.n, config.rows_per_rank),
-      JacobiResult{}, start_time, 0});
-  shared->result.start_time = start_time;
-  shared->result.rank_timings.resize(platform.size());
-
-  engine.run_until(start_time);
-  mpi::Comm comm(engine, platform);
-  comm.launch([ptr = shared.get()](mpi::RankCtx ctx) {
-    return jacobi_rank(ctx, ptr);
+  JacobiShared shared{config,
+                      StripDecomposition::uniform(config.n, platform.size()),
+                      JacobiResult{}};
+  shared.result.start_time = start_time;
+  shared.result.rank_timings.resize(platform.size());
+  run_ranks(engine, platform, start_time, [&shared](mpi::RankCtx ctx) {
+    return jacobi_rank(ctx, &shared);
   });
-  while (shared->finished < comm.size() && engine.step_one()) {
-  }
-  SSPRED_REQUIRE(shared->finished == comm.size(),
-                 "not all ranks finished — deadlock in the run");
-  return std::move(shared->result);
+  return std::move(shared.result);
 }
 
 }  // namespace sspred::sor

@@ -7,11 +7,11 @@
 
 #include <cstddef>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "cluster/platform.hpp"
 #include "sim/engine.hpp"
-#include "sor/decomposition.hpp"
 #include "support/units.hpp"
 
 namespace sspred::sor {
@@ -41,7 +41,6 @@ struct JacobiConfig {
   std::size_t iterations = 50;
   bool real_numerics = true;
   bool gather_solution = false;
-  std::vector<std::size_t> rows_per_rank;  ///< empty = uniform strips
 };
 
 struct JacobiResult {
@@ -54,7 +53,8 @@ struct JacobiResult {
   std::vector<double> solution;  ///< n x n interior when gathered
 };
 
-/// Runs the distributed Jacobi on `platform` starting at `start_time`.
+/// Runs the distributed Jacobi on uniform strips of `platform` starting at
+/// `start_time`.
 [[nodiscard]] JacobiResult run_distributed_jacobi(
     sim::Engine& engine, cluster::Platform& platform,
     const JacobiConfig& config, support::Seconds start_time = 0.0);

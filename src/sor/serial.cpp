@@ -90,31 +90,6 @@ double SerialSor::solution_error() const {
   return worst;
 }
 
-std::size_t SerialSor::iterate_to_tolerance(double tol,
-                                            std::size_t max_iterations,
-                                            std::size_t check_every) {
-  SSPRED_REQUIRE(tol > 0.0, "tolerance must be positive");
-  SSPRED_REQUIRE(check_every >= 1, "check interval must be >= 1");
-  std::size_t done = 0;
-  while (done < max_iterations) {
-    const std::size_t batch = std::min(check_every, max_iterations - done);
-    iterate(batch);
-    done += batch;
-    if (residual_norm() < tol) break;
-  }
-  return done;
-}
-
-std::size_t estimated_iterations_to_tolerance(std::size_t n, double tol) {
-  SSPRED_REQUIRE(tol > 0.0, "tolerance must be positive");
-  SSPRED_REQUIRE(n >= 2, "grid must have n >= 2");
-  const double rho = SerialSor::optimal_omega(n) - 1.0;
-  const double r0 = std::numbers::pi * std::numbers::pi;  // ||f|| at u = 0
-  if (tol >= r0) return 1;
-  const double iters = std::log(r0 / tol) / -std::log(rho);
-  return static_cast<std::size_t>(std::ceil(iters));
-}
-
 double SerialSor::at(std::size_t row, std::size_t col) const {
   SSPRED_REQUIRE(row < n_ && col < n_, "interior index out of range");
   return u_[(row + 1) * stride_ + col + 1];

@@ -49,11 +49,6 @@ class SerialSor {
   /// Optimal omega for this grid size.
   [[nodiscard]] static double optimal_omega(std::size_t n);
 
-  /// Iterate until residual_norm() < tol, checking every `check_every`
-  /// iterations; returns iterations performed (capped at max_iterations).
-  std::size_t iterate_to_tolerance(double tol, std::size_t max_iterations,
-                                   std::size_t check_every = 10);
-
  private:
   std::size_t n_;
   std::size_t stride_;
@@ -62,13 +57,5 @@ class SerialSor {
   std::vector<double> u_;
   std::vector<double> f_;
 };
-
-/// Predicted iterations for SOR (optimal omega) to reduce the residual to
-/// `tol`: asymptotic convergence factor rho = omega_opt - 1, initial
-/// residual ||f|| = pi^2 for this problem, so
-/// iterations ≈ ln(pi^2 / tol) / -ln(rho). Feeds "solve to tolerance"
-/// predictions: time ≈ estimated_iterations · per-iteration model.
-[[nodiscard]] std::size_t estimated_iterations_to_tolerance(std::size_t n,
-                                                            double tol);
 
 }  // namespace sspred::sor

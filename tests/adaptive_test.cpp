@@ -1,5 +1,4 @@
-// Tests for solve-to-tolerance, host-subset selection and adaptive
-// rebalancing.
+// Tests for host-subset selection and adaptive rebalancing.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -7,74 +6,9 @@
 #include "predict/host_selection.hpp"
 #include "sor/distributed.hpp"
 #include "sor/serial.hpp"
-#include "support/error.hpp"
 
 namespace sspred {
 namespace {
-
-// --- Solve to tolerance ------------------------------------------------
-
-TEST(Tolerance, SerialStopsWhenConverged) {
-  sor::SerialSor solver(33);
-  const std::size_t iters = solver.iterate_to_tolerance(1e-4, 2'000, 10);
-  EXPECT_LT(solver.residual_norm(), 1e-4);
-  EXPECT_LT(iters, 2'000u);
-  EXPECT_GT(iters, 10u);
-}
-
-TEST(Tolerance, EstimatorTracksActualIterations) {
-  for (const std::size_t n : {25, 51, 101}) {
-    sor::SerialSor solver(n);
-    const std::size_t actual = solver.iterate_to_tolerance(1e-5, 5'000, 1);
-    const std::size_t estimated =
-        sor::estimated_iterations_to_tolerance(n, 1e-5);
-    EXPECT_GT(estimated, actual / 2) << "n=" << n;
-    EXPECT_LT(estimated, actual * 2 + 20) << "n=" << n;
-  }
-}
-
-TEST(Tolerance, EstimatorGrowsWithNAndPrecision) {
-  EXPECT_GT(sor::estimated_iterations_to_tolerance(200, 1e-6),
-            sor::estimated_iterations_to_tolerance(100, 1e-6));
-  EXPECT_GT(sor::estimated_iterations_to_tolerance(100, 1e-8),
-            sor::estimated_iterations_to_tolerance(100, 1e-4));
-  EXPECT_THROW((void)sor::estimated_iterations_to_tolerance(100, 0.0),
-               support::Error);
-}
-
-TEST(Tolerance, DistributedStopsEarlyAndMatchesSerial) {
-  sor::SorConfig cfg;
-  cfg.n = 33;
-  cfg.iterations = 2'000;
-  cfg.tolerance = 1e-4;
-  cfg.convergence_interval = 10;
-  cfg.gather_solution = true;
-  sim::Engine engine;
-  cluster::Platform platform(engine, cluster::dedicated_platform(3), 5);
-  const auto result = sor::run_distributed_sor(engine, platform, cfg);
-  EXPECT_LT(result.iterations_run, 2'000u);
-  EXPECT_LT(result.residual, 1e-4);
-  // Identical to the serial solver run for the same iteration count.
-  sor::SerialSor serial(cfg.n);
-  serial.iterate(result.iterations_run);
-  for (std::size_t i = 0; i < cfg.n; ++i) {
-    for (std::size_t j = 0; j < cfg.n; ++j) {
-      ASSERT_DOUBLE_EQ(result.solution[i * cfg.n + j], serial.at(i, j));
-    }
-  }
-}
-
-TEST(Tolerance, RequiresRealNumerics) {
-  sor::SorConfig cfg;
-  cfg.n = 16;
-  cfg.iterations = 100;
-  cfg.tolerance = 1e-3;
-  cfg.real_numerics = false;
-  sim::Engine engine;
-  cluster::Platform platform(engine, cluster::dedicated_platform(2), 5);
-  EXPECT_THROW((void)sor::run_distributed_sor(engine, platform, cfg),
-               support::Error);
-}
 
 // --- Host-subset selection ----------------------------------------------
 

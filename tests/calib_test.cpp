@@ -490,20 +490,6 @@ TEST(CalibRecalibrate, ScaleIsClampedBothWays) {
   EXPECT_DOUBLE_EQ(recal.scale("wild"), 10.0);
 }
 
-TEST(CalibRecalibrate, OverallScalePoolsAllModels) {
-  RecalibratorOptions options;
-  options.min_samples = 4;
-  ConformalRecalibrator recal(options);
-  const stoch::StochasticValue predicted(10.0, 2.0);
-  for (int i = 0; i < 6; ++i) recal.record("a", predicted, 14.0);  // s = 2
-  for (int i = 0; i < 6; ++i) recal.record("b", predicted, 18.0);  // s = 4
-  EXPECT_NEAR(recal.scale("a"), 2.0, 1e-9);
-  EXPECT_NEAR(recal.scale("b"), 4.0, 1e-9);
-  const double pooled = recal.overall_scale();
-  EXPECT_GT(pooled, 2.0);
-  EXPECT_LE(pooled, 4.0);
-}
-
 // ---------------------------------------------------- serve integration
 
 serve::ModelSpec small_spec(std::size_t n = 200, std::size_t hosts = 2) {

@@ -26,6 +26,20 @@ TEST(SharedEthernet, SingleTransferTakesBytesOverBandwidth) {
   EXPECT_DOUBLE_EQ(eth.bytes_delivered(), 1.25e6);
 }
 
+// Late in virtual time the clock's rounding leaves a residual above the
+// remainder epsilon that no reschedule can deliver; the completion rule
+// delivers it instead of firing at the same instant forever.
+TEST(SharedEthernet, CompletesLateInVirtualTime) {
+  sim::Engine eng;
+  eng.run_until(16500.0);
+  SharedEthernet eth(eng, dedicated_spec(), 7);
+  bool done = false;
+  eth.start_transfer(8000.0, [&] { done = true; });
+  int steps = 0;
+  while (!done && steps < 1000 && eng.step_one()) ++steps;
+  EXPECT_TRUE(done) << "not delivered after " << steps << " events";
+}
+
 TEST(SharedEthernet, TwoEqualTransfersShareFairly) {
   sim::Engine eng;
   SharedEthernet eth(eng, dedicated_spec(), 1);

@@ -30,6 +30,21 @@ TEST(Switched, SingleTransferRunsAtLinkRate) {
   EXPECT_NEAR(done, 1.0, 1e-6);
 }
 
+// See SharedEthernet.CompletesLateInVirtualTime: the switched fabric
+// applies the same completion rule.
+TEST(Switched, CompletesLateInVirtualTime) {
+  sim::Engine eng;
+  eng.run_until(16500.0);
+  SwitchedSpec spec;
+  spec.hosts = 2;
+  SwitchedEthernet sw(eng, spec);
+  bool done = false;
+  sw.send(0, 1, 8000.0, [&] { done = true; });
+  int steps = 0;
+  while (!done && steps < 1000 && eng.step_one()) ++steps;
+  EXPECT_TRUE(done) << "not delivered after " << steps << " events";
+}
+
 TEST(Switched, DisjointPairsDoNotContend) {
   // 0->1 and 2->3 share no link: both finish as if alone.
   sim::Engine eng;
